@@ -86,8 +86,8 @@ struct QueryStats {
   /// unused. Both stay 0 with `DbOptions::prefetch_depth == 0`.
   int64_t prefetch_hits = 0;
   int64_t prefetch_waste = 0;
-  /// Coalesced heap page runs this query issued through the pool
-  /// (pool-wide deltas, like `disk_accesses`). Mean pages per run
+  /// Coalesced page runs (heap and R*-tree) this query issued through
+  /// the pool (pool-wide deltas, like `disk_accesses`). Mean pages per run
   /// (fetch_run_pages / fetch_runs) measures how well the on-disk
   /// layout clusters the cut — the repacked layout raises it.
   int64_t fetch_runs = 0;

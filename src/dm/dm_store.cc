@@ -270,44 +270,15 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
                            FetchFailures* failures) const {
   std::vector<RecordFetchFailure>* rec_failures =
       failures != nullptr ? &failures->records : nullptr;
-  // With an async device bound, records decode as each page run's
-  // completion lands (decode/read overlap) — but delivery to `fn` is
-  // buffered back into rid order below, so callers see byte-identical
-  // node sequences with async on or off.
-  const bool overlap = env_->pool().async_device() != nullptr;
-  if (node_cache_ == nullptr && !overlap) {
-    // Uncached sync path: exactly the seed behavior — every record is
-    // read through the heap and decoded in rid order, so paper benches
-    // keep bit-identical disk-read counts.
-    std::vector<RecordId> rids;
-    rids.reserve(sorted_rids.size());
-    for (uint64_t packed : sorted_rids) {
-      rids.push_back(RecordId::Unpack(packed));
-    }
-    return heap_.GetMany(
-        rids,
-        [&](RecordId rid, const uint8_t* data, uint32_t len) -> Status {
-          auto node_or = DecodeDmRecord(meta_.codec, rid.slot, data, len);
-          if (!node_or.ok()) {
-            if (rec_failures == nullptr) return node_or.status();
-            rec_failures->push_back({rid, node_or.status()});
-            return Status::OK();
-          }
-          // dm-lint: allow(hot-path-alloc) decode miss allocates by design
-          fn(std::make_shared<const DmNode>(std::move(node_or).value()));
-          return Status::OK();
-        },
-        rec_failures);
-  }
-
-  // Slot path (cached, overlapped, or both): probe the cache per rid
-  // (when enabled), then batch-fetch only the misses. The miss
-  // subsequence of a sorted rid list is itself sorted, so run
-  // coalescing still applies to it, and delivery below preserves the
-  // caller's order (hit or miss, sync or async). Scratch is
-  // thread-local so the warm all-hit path never touches the heap
-  // (FetchNodes is not reentrant within a thread; query workers each
-  // have their own).
+  // Probe the cache per rid (when enabled), then batch-fetch only the
+  // misses. The miss subsequence of a sorted rid list is itself
+  // sorted, so run coalescing still applies to it. Records decode as
+  // each page run lands (overlapping the reads still in flight when an
+  // async device is bound), but delivery to `fn` is buffered back into
+  // the caller's rid order below, so callers see byte-identical node
+  // sequences whatever the device. Scratch is thread-local so the warm
+  // all-hit path never touches the heap (FetchNodes is not reentrant
+  // within a thread; query workers each have their own).
   thread_local std::vector<NodeRef> out;
   thread_local std::vector<RecordId> miss_rids;
   thread_local std::vector<size_t> miss_idx;
@@ -330,17 +301,23 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
   }
   if (!miss_rids.empty()) {
     size_t delivered = 0;
+    size_t next = 0;  // miss slot just past the last delivered record
     const auto decode_miss = [&](RecordId rid, const uint8_t* data,
                                  uint32_t len) -> Status {
-      // Overlapped page runs complete out of index order and tolerant
-      // fetch skips lost records, so locate the slot by binary search
-      // on the (sorted) miss list.
-      const auto it = std::lower_bound(
-          miss_rids.begin(), miss_rids.end(), rid,
-          [](RecordId a, RecordId b) { return a.Pack() < b.Pack(); });
-      DM_CHECK(it != miss_rids.end() && *it == rid)
-          << "batch fetch delivered a record that was never requested";
-      const size_t k = static_cast<size_t>(it - miss_rids.begin());
+      // Records of one run arrive in rid order, so the slot is usually
+      // the one after the last; async runs complete out of index order
+      // and tolerant fetch skips lost records, so otherwise binary
+      // search the (sorted) miss list.
+      size_t k = next;
+      if (k >= miss_rids.size() || miss_rids[k] != rid) {
+        const auto it = std::lower_bound(
+            miss_rids.begin(), miss_rids.end(), rid,
+            [](RecordId a, RecordId b) { return a.Pack() < b.Pack(); });
+        DM_CHECK(it != miss_rids.end() && *it == rid)
+            << "batch fetch delivered a record that was never requested";
+        k = static_cast<size_t>(it - miss_rids.begin());
+      }
+      next = k + 1;
       auto node_or = DecodeDmRecord(meta_.codec, rid.slot, data, len);
       if (!node_or.ok()) {
         if (rec_failures == nullptr) return node_or.status();
@@ -354,9 +331,7 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
       ++delivered;
       return Status::OK();
     };
-    DM_RETURN_NOT_OK(
-        overlap ? heap_.GetManyOverlapped(miss_rids, decode_miss, rec_failures)
-                : heap_.GetMany(miss_rids, decode_miss, rec_failures));
+    DM_RETURN_NOT_OK(heap_.GetMany(miss_rids, decode_miss, rec_failures));
     DM_CHECK(failures != nullptr || delivered == miss_idx.size())
         << "batch fetch delivered " << delivered << " of " << miss_idx.size()
         << " missed records";

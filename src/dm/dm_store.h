@@ -86,7 +86,8 @@ struct DmStoreOptions {
 };
 
 /// A Direct Mesh database: DM node records in a heap file (appended in
-/// Hilbert order of (x, y) to preserve spatial clustering on disk) and
+/// the STR packing order of their index entries to preserve spatial
+/// clustering on disk; a repacked store uses tile-Hilbert order) and
 /// a 3D R*-tree indexing each node as the vertical line segment
 /// <(x, y, e_low), (x, y, e_high)> in (x, y, e) space — Section 4 of
 /// the paper.

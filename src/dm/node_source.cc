@@ -41,7 +41,8 @@ Status DmStoreSource::FetchBox(const Box& box, bool allow_degraded,
     return index_st;
   }
   // Fetch in page order: the R*-tree returns leaf entries in traversal
-  // order, while records are Hilbert-clustered; sorting by record id
+  // order, while records are clustered in STR (or, repacked,
+  // tile-Hilbert) page order; sorting by record id
   // visits each heap page once and lets the store coalesce runs of
   // adjacent pages into scatter-gather disk reads.
   std::sort(rids.begin(), rids.end());

@@ -577,27 +577,16 @@ Status RStarTree::Insert(const Box& box, uint64_t payload) {
 
 Status RStarTree::RangeQuery(const Box& query,
                              std::vector<uint64_t>* out) const {
-  if (env_->pool().async_device() != nullptr) {
-    return RangeQueryBatched(query, out);
-  }
-  return RangeQueryEntries(query, [out](const Box&, uint64_t payload) {
-    out->push_back(payload);
-    return true;
-  });
-}
-
-Status RStarTree::RangeQueryBatched(const Box& query,
-                                    std::vector<uint64_t>* out) const {
-  // Phase 1: expand the internal levels one wave at a time, batching
-  // each wave's node pages into a single async submission (the tree is
+  // Phase 1: expand the internal levels one wave at a time, fetching
+  // each wave's node pages as one FetchRuns batch (the tree is
   // balanced, so a wave is always one level). A buffer-starved pool
-  // re-reads the internal nodes every query; paying one device round
-  // trip per level instead of one per node is where most of the
-  // batched path's single-thread speedup comes from. Replacing each
-  // frontier node in place by its intersecting children in reverse
-  // entry order reproduces the serial stack traversal's leaf order
-  // exactly (the stack pops children LIFO), so the emitted payload
-  // sequence stays byte-identical to RangeQueryEntries.
+  // re-reads the internal nodes every query; with an async device that
+  // costs one device round trip per level instead of one per node,
+  // which is where most of its single-thread speedup comes from.
+  // Replacing each frontier node in place by its intersecting children
+  // in reverse entry order reproduces the serial stack traversal's leaf
+  // order exactly (the stack pops children LIFO), so the emitted
+  // payload sequence stays byte-identical to RangeQueryEntries.
   thread_local std::vector<PageId> frontier;
   thread_local std::vector<PageId> next_frontier;
   thread_local std::vector<PageId> leaf_seq;
@@ -667,7 +656,7 @@ Status RStarTree::RangeQueryBatched(const Box& query,
       i = e;
     }
     Status wave_st;  // sticky first error — index failures are fatal
-    DM_RETURN_NOT_OK(env_->pool().FetchRunsAsync(
+    DM_RETURN_NOT_OK(env_->pool().FetchRuns(
         node_runs.data(), node_runs.size(),
         [&](size_t ri, Status st, std::vector<PageGuard>* guards) {
           if (!wave_st.ok()) return;  // drain remaining completions
@@ -751,7 +740,7 @@ Status RStarTree::RangeQueryBatched(const Box& query,
   }
   if (leaf_seq.empty()) return Status::OK();
 
-  // Phase 2: fetch every intersecting leaf in one batched submission,
+  // Phase 2: fetch every intersecting leaf in one FetchRuns batch,
   // coalescing runs of consecutive page ids; matches collect into
   // per-leaf slots as completions land and are emitted in the recorded
   // visit order afterwards.
@@ -777,7 +766,7 @@ Status RStarTree::RangeQueryBatched(const Box& query,
   }
 
   Status scan_st;  // sticky first error — index failures are fatal
-  DM_RETURN_NOT_OK(env_->pool().FetchRunsAsync(
+  DM_RETURN_NOT_OK(env_->pool().FetchRuns(
       runs.data(), runs.size(),
       [&](size_t ri, Status st, std::vector<PageGuard>* guards) {
         if (!scan_st.ok()) return;  // drain remaining completions
@@ -835,7 +824,10 @@ Status RStarTree::RangeQueryEntries(
   // deeply enough to exhaust frames (existing callers only collect
   // payloads). The traversal stack is thread-local so the steady state
   // allocates nothing.
-  thread_local std::vector<PageId> stack;
+  // Each stacked page carries the level its parent implies, so a node
+  // whose stored level disagrees is reported instead of having its
+  // child pointers read as leaf payloads (or the reverse).
+  thread_local std::vector<std::pair<PageId, uint16_t>> stack;
   stack.clear();
   // Visit the cached decoded root inline (no device read), then walk
   // the rest of the tree through the pool. Children are pushed in
@@ -848,18 +840,22 @@ Status RStarTree::RangeQueryEntries(
       if (root->level == 0) {
         if (!callback(e.box, e.payload)) return Status::OK();
       } else {
-        stack.push_back(static_cast<PageId>(e.payload));
+        stack.emplace_back(static_cast<PageId>(e.payload),
+                           static_cast<uint16_t>(root->level - 1));
       }
     }
   }
   while (!stack.empty()) {
-    const PageId id = stack.back();
+    const auto [id, expected_level] = stack.back();
     stack.pop_back();
     DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(id));
     uint16_t level;
     uint16_t count;
     std::memcpy(&level, page.data() + kLevelOff, 2);
     std::memcpy(&count, page.data() + kCountOff, 2);
+    DM_ENSURE(level == expected_level,
+              Status::Corruption("R*-tree node " + std::to_string(id) +
+                                 " level disagrees with its parent"));
     DM_ENSURE(kEntriesOff + static_cast<uint32_t>(count) * kEntrySize <=
                   env_->page_size(),
               Status::Corruption("R*-tree node " + std::to_string(id) +
@@ -876,7 +872,8 @@ Status RStarTree::RangeQueryEntries(
       if (level == 0) {
         if (!callback(box, payload)) return Status::OK();
       } else {
-        stack.push_back(static_cast<PageId>(payload));
+        stack.emplace_back(static_cast<PageId>(payload),
+                           static_cast<uint16_t>(level - 1));
       }
     }
   }

@@ -79,11 +79,20 @@ class RStarTree {
   Status Insert(const Box& box, uint64_t payload);
 
   /// Collects payloads of all leaf entries whose box intersects
-  /// `query`.
+  /// `query`. The traversal expands level by level, fetching each
+  /// wave's node pages (and finally every intersecting leaf) as one
+  /// BufferPool::FetchRuns batch — with an async device, one round trip
+  /// per tree level instead of one per node. Payloads are emitted in
+  /// RangeQueryEntries' depth-first visit order, so both return the
+  /// same sequence. Sibling leaves that barely miss the query's LOD
+  /// range feed the pool's speculative prefetcher
+  /// (DbOptions::prefetch_depth).
   Status RangeQuery(const Box& query, std::vector<uint64_t>* out) const;
 
-  /// Streaming variant exposing entry boxes; callback may return false
-  /// to stop.
+  /// Streaming depth-first variant exposing entry boxes, one pinned
+  /// page at a time; callback may return false to stop. Serves
+  /// whole-index scans (DmStore's catalog) and is the reference order
+  /// RangeQuery reproduces.
   Status RangeQueryEntries(
       const Box& query,
       const std::function<bool(const Box&, uint64_t)>& callback) const;
@@ -126,16 +135,6 @@ class RStarTree {
 
   uint32_t MaxEntries() const;
   uint32_t MinEntries() const;
-
-  /// RangeQuery over the pool's async device: the traversal expands
-  /// level by level, fetching each wave's node pages (and finally
-  /// every intersecting leaf) as one batched submission — one device
-  /// round trip per tree level instead of one per node. Matches are
-  /// emitted in the serial traversal's visit order, so both paths
-  /// return identical payload sequences. Sibling leaves that barely
-  /// miss the query's LOD range feed the pool's speculative prefetcher
-  /// (DbOptions::prefetch_depth).
-  Status RangeQueryBatched(const Box& query, std::vector<uint64_t>* out) const;
 
   /// Returns the cached decoded root, reading it once on a miss.
   Result<std::shared_ptr<const Node>> CachedRoot() const;

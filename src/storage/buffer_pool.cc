@@ -158,16 +158,18 @@ Status BufferPool::ReadWithRetry(PageId first, uint32_t n, uint8_t* out) {
         std::chrono::microseconds(kIoBackoffBaseMicros << attempt));
   }
   DM_RETURN_NOT_OK(st);
-  if (verify_checksums_) {
-    const uint32_t page_size = disk_->page_size();
-    for (uint32_t i = 0; i < n; ++i) {
-      const Status v =
-          VerifyPageTrailer(out + static_cast<size_t>(i) * page_size,
-                            page_size, first + i);
-      if (!v.ok()) {
-        corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
-        return v;
-      }
+  return VerifyPages(first, n, out);
+}
+
+Status BufferPool::VerifyPages(PageId first, uint32_t n, const uint8_t* buf) {
+  if (!verify_checksums_) return Status::OK();
+  const uint32_t page_size = disk_->page_size();
+  for (uint32_t i = 0; i < n; ++i) {
+    const Status v = VerifyPageTrailer(
+        buf + static_cast<size_t>(i) * page_size, page_size, first + i);
+    if (!v.ok()) {
+      corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
+      return v;
     }
   }
   return Status::OK();
@@ -362,64 +364,6 @@ uint32_t BufferPool::MaxRunPages() const {
   return std::max<uint32_t>(1, std::min<uint32_t>(32, min_shard));
 }
 
-Status BufferPool::FetchRun(PageId first, uint32_t n,
-                            std::vector<PageGuard>* out) {
-  TryDrainPrefetch();
-  DM_CHECK(out != nullptr) << "FetchRun into null output";
-  DM_CHECK(n > 0 && n <= MaxRunPages())
-      << "FetchRun of " << n << " pages exceeds the pin budget";
-  CountRun(n);
-  std::vector<PageGuard> guards(n);
-  std::vector<uint32_t> missing;  // offsets within the run
-  // Pass 1: pin resident pages, note misses.
-  for (uint32_t i = 0; i < n; ++i) {
-    const PageId id = first + i;
-    Shard& s = ShardFor(id);
-    MutexLock lock(s.mu);
-    s.logical_fetches.fetch_add(1, std::memory_order_relaxed);
-    if (uint8_t* data = PinIfPresentLocked(s, id)) {
-      guards[i] = PageGuard(this, id, data);
-    } else {
-      missing.push_back(i);
-    }
-  }
-  // Pass 2: read each maximal run of consecutive missing pages with a
-  // single scatter-gather call, outside any shard lock.
-  std::vector<uint8_t> scratch;
-  const uint32_t page_size = disk_->page_size();
-  for (size_t m = 0; m < missing.size();) {
-    size_t end = m + 1;
-    while (end < missing.size() && missing[end] == missing[end - 1] + 1) {
-      ++end;
-    }
-    const uint32_t run = static_cast<uint32_t>(end - m);
-    scratch.resize(static_cast<size_t>(run) * page_size);
-    DM_RETURN_NOT_OK(ReadWithRetry(first + missing[m], run, scratch.data()));
-    // Pass 3: install in ascending page order; another worker may have
-    // installed a page meanwhile, in which case its copy wins.
-    for (uint32_t r = 0; r < run; ++r) {
-      const uint32_t i = missing[m] + r;
-      const PageId id = first + i;
-      Shard& s = ShardFor(id);
-      MutexLock lock(s.mu);
-      s.disk_reads.fetch_add(1, std::memory_order_relaxed);
-      if (uint8_t* data = PinIfPresentLocked(s, id)) {
-        guards[i] = PageGuard(this, id, data);
-        continue;
-      }
-      DM_ASSIGN_OR_RETURN(
-          uint8_t* data,
-          InstallLocked(s, id,
-                        scratch.data() + static_cast<size_t>(r) * page_size));
-      guards[i] = PageGuard(this, id, data);
-    }
-    m = end;
-  }
-  out->reserve(out->size() + n);
-  for (auto& g : guards) out->push_back(std::move(g));
-  return Status::OK();
-}
-
 Result<PageGuard> BufferPool::NewPage() {
   DM_ASSIGN_OR_RETURN(const PageId id, disk_->AllocatePage());
   Shard& s = ShardFor(id);
@@ -496,40 +440,32 @@ void BufferPool::set_async_device(AsyncPageDevice* dev) {
   async_ = dev;
 }
 
-Status BufferPool::FetchRunsAsync(
+Status BufferPool::FetchRuns(
     const RunRequest* runs, size_t run_count,
     const std::function<void(size_t, Status, std::vector<PageGuard>*)>&
         on_run) {
   if (run_count == 0) return Status::OK();
-  if (async_ == nullptr) {
-    // No async device: sequential FetchRun, same callback contract
-    // (index order is a valid completion order).
-    for (size_t i = 0; i < run_count; ++i) {
-      std::vector<PageGuard> guards;
-      Status st = FetchRun(runs[i].first, runs[i].n, &guards);
-      if (!st.ok()) guards.clear();
-      on_run(i, std::move(st), &guards);
-    }
-    return Status::OK();
-  }
   TryDrainPrefetch();
 
   const uint32_t page_size = disk_->page_size();
   const uint32_t max_run = MaxRunPages();
-  // Slice missing sub-runs into single-page requests when the device
-  // simulates per-page latency: the deadlines of an n-page request
-  // stack (n x L), so page-granular requests are what lets a whole
-  // batch complete in ~one latency instead of sum-of-run-lengths. At
-  // zero latency, coalesced scatter-gather wins (fewer syscalls).
-  const bool slice = disk_->simulated_read_latency_micros() > 0;
+  // Slice missing sub-runs into single-page requests when the async
+  // device simulates per-page latency: the deadlines of an n-page
+  // request stack (n x L), so page-granular requests are what lets a
+  // whole batch complete in ~one latency instead of sum-of-run-lengths.
+  // At zero latency, or reading synchronously, coalesced scatter-gather
+  // wins (fewer syscalls).
+  const bool slice =
+      async_ != nullptr && disk_->simulated_read_latency_micros() > 0;
   // Window bound on simultaneously pinned + staged pages, so a large
   // batch cannot exhaust the pool: runs stage in index order as the
-  // window frees.
+  // window frees. Synchronous reads complete while their run stages,
+  // so without a device the window never holds more than one run.
   const uint32_t budget_pages = std::max(max_run, capacity_ / 2);
 
   struct RunState {
     std::vector<PageGuard> guards;
-    uint32_t pending = 0;  // in-flight async requests
+    uint32_t pending = 0;  // unfinished read requests (+1 while staging)
     Status status;         // first error, sticky
   };
   struct Req {
@@ -541,58 +477,74 @@ Status BufferPool::FetchRunsAsync(
     int attempts = 0;
   };
   std::vector<RunState> states(run_count);
-  std::vector<Req> reqs;           // user_data indexes this
-  std::vector<std::vector<uint8_t>> bufs;  // scratch, one per request
+  std::vector<Req> reqs;                   // user_data indexes this
+  std::vector<std::vector<uint8_t>> bufs;  // async scratch, one per request
+  std::vector<uint8_t> sync_buf;  // reused: a sync read finishes in place
+  std::vector<uint32_t> missing;  // offsets within the staging run
 
-  const uint64_t group = async_->NewGroup();
+  const uint64_t group = async_ != nullptr ? async_->NewGroup() : 0;
   size_t next_run = 0;
   size_t delivered = 0;
   uint32_t window_pages = 0;
   int64_t inflight_reqs = 0;
+  bool staged_any = false;
 
   auto deliver = [&](size_t ri) {
     RunState& st = states[ri];
     if (!st.status.ok()) st.guards.clear();  // unpin whatever we held
     on_run(ri, st.status, &st.guards);
+    // Ascending page order, so the LRU ends up as a sequence of
+    // single-page fetches would have left it.
+    for (PageGuard& g : st.guards) g.Release();
     st.guards.clear();
     window_pages -= runs[ri].n;
     ++delivered;
   };
 
-  auto handle = [&](const AsyncCompletion& c) {
-    Req& rq = reqs[static_cast<size_t>(c.user_data)];
-    Status s = c.status;
-    // Same transient policy as ReadWithRetry: bounded backoff, then
-    // the failure is final. Corruption is never retried, and an
-    // expired deadline stops the retry ladder (backoff sleeps are
-    // exactly the waits a deadline exists to bound).
-    if (s.code() == StatusCode::kUnavailable &&
-        rq.attempts + 1 < kMaxIoAttempts && !IoDeadline::Expired()) {
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(kIoBackoffBaseMicros << rq.attempts));
+  // Starts (or restarts) request `ud`: staged on the async device
+  // (returns false), or read synchronously with the result in `*done`
+  // (returns true). Every attempt checks the deadline first (DESIGN.md
+  // §16), so an expired budget never touches the device; resident
+  // pages cost no wait and are still served.
+  auto issue = [&](uint64_t ud, Status* done) {
+    const Req& rq = reqs[static_cast<size_t>(ud)];
+    if (IoDeadline::Expired()) {
+      *done = Status::DeadlineExceeded("read deadline expired before page " +
+                                       std::to_string(rq.first));
+      return true;
+    }
+    if (async_ != nullptr) {
+      async_->StageRead(group, rq.first, rq.n, rq.buf, ud);
+      staged_any = true;
+      return false;
+    }
+    *done = disk_->ReadPages(rq.first, rq.n, rq.buf);
+    return true;
+  };
+  // Completion of request `ud`, async or synchronous alike: retry,
+  // verify, install, deliver.
+  auto handle = [&](uint64_t ud, Status s) {
+    Req& rq = reqs[static_cast<size_t>(ud)];
+    // Transient failures get the bounded backoff ladder, then the
+    // failure is final. Corruption is never retried, and an expired
+    // deadline skips the backoff sleep (it is exactly the wait a
+    // deadline exists to bound); the re-issue then fails it.
+    while (s.code() == StatusCode::kUnavailable &&
+           rq.attempts + 1 < kMaxIoAttempts) {
+      if (!IoDeadline::Expired()) {
+        io_retries_.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(kIoBackoffBaseMicros << rq.attempts));
+      }
       ++rq.attempts;
-      async_->StageRead(group, rq.first, rq.n, rq.buf, c.user_data);
-      async_->SubmitStaged();
-      return;
+      if (!issue(ud, &s)) return;  // re-staged: completes later
     }
     --inflight_reqs;
     RunState& st = states[rq.run];
-    if (s.ok() && verify_checksums_) {
-      for (uint32_t r = 0; r < rq.n; ++r) {
-        const Status v =
-            VerifyPageTrailer(rq.buf + static_cast<size_t>(r) * page_size,
-                              page_size, rq.first + r);
-        if (!v.ok()) {
-          corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
-          s = v;
-          break;
-        }
-      }
-    }
+    if (s.ok()) s = VerifyPages(rq.first, rq.n, rq.buf);
     if (s.ok()) {
       // Install in ascending page order; a page another worker
-      // installed meanwhile keeps its copy (FetchRun pass-3 rule).
+      // installed meanwhile keeps its copy.
       for (uint32_t r = 0; r < rq.n; ++r) {
         const PageId id = rq.first + r;
         Shard& sh = ShardFor(id);
@@ -615,39 +567,33 @@ Status BufferPool::FetchRunsAsync(
     if (--st.pending == 0) deliver(rq.run);
   };
 
-  while (delivered < run_count) {
-    if (next_run < run_count && IoDeadline::Expired()) {
-      // Deadline-aware completion wait (DESIGN.md §16): fail every run
-      // not yet staged without touching the device. Their pages never
-      // entered the window, so they bypass deliver(); already-staged
-      // runs keep draining below (their buffers are owned by this
-      // frame, so the reads must be reaped either way).
-      for (size_t ri = next_run; ri < run_count; ++ri) {
-        std::vector<PageGuard> none;
-        on_run(ri, Status::DeadlineExceeded("fetch deadline expired with " +
-                                            std::to_string(run_count - ri) +
-                                            " runs unread"),
-               &none);
-        ++delivered;
-      }
-      next_run = run_count;
-      if (delivered == run_count) break;
+  // Deadline-aware completion wait: an async read that lands after the
+  // budget expired fails its run with the deadline's class, as if the
+  // check before the read had stopped it. Staged reads are reaped
+  // either way: their buffers are owned by this frame.
+  auto reap = [&](AsyncCompletion& c) {
+    if (c.status.ok() && IoDeadline::Expired()) {
+      c.status = Status::DeadlineExceeded(
+          "read deadline expired waiting for page " +
+          std::to_string(reqs[static_cast<size_t>(c.user_data)].first));
     }
-    bool staged_any = false;
+    handle(c.user_data, std::move(c.status));
+  };
+
+  while (delivered < run_count) {
     while (next_run < run_count &&
            (window_pages == 0 ||
             window_pages + runs[next_run].n <= budget_pages)) {
       const size_t ri = next_run++;
       const RunRequest& rr = runs[ri];
       DM_CHECK(rr.n > 0 && rr.n <= max_run)
-          << "FetchRunsAsync run of " << rr.n
-          << " pages exceeds the pin budget";
+          << "FetchRuns run of " << rr.n << " pages exceeds the pin budget";
       CountRun(rr.n);
       window_pages += rr.n;
       RunState& st = states[ri];
       st.guards.resize(rr.n);
       // Pass 1: pin resident pages, collect missing offsets.
-      std::vector<uint32_t> missing;
+      missing.clear();
       for (uint32_t i = 0; i < rr.n; ++i) {
         const PageId id = rr.first + i;
         Shard& sh = ShardFor(id);
@@ -659,9 +605,12 @@ Status BufferPool::FetchRunsAsync(
           missing.push_back(i);
         }
       }
-      // Pass 2: stage each maximal missing sub-run (or each page when
-      // slicing) against the async device.
-      for (size_t m = 0; m < missing.size();) {
+      // Pass 2: issue each maximal missing sub-run (or each page when
+      // slicing). The staging hold keeps a synchronous completion from
+      // delivering the run before its last sub-run is issued; a failed
+      // sub-run ends the run's reads.
+      ++st.pending;
+      for (size_t m = 0; m < missing.size() && st.status.ok();) {
         size_t end = m + 1;
         if (!slice) {
           while (end < missing.size() &&
@@ -670,28 +619,38 @@ Status BufferPool::FetchRunsAsync(
           }
         }
         const uint32_t len = static_cast<uint32_t>(end - m);
-        const uint64_t ud = reqs.size();
-        bufs.emplace_back(static_cast<size_t>(len) * page_size);
-        reqs.push_back(Req{ri, missing[m], rr.first + missing[m], len,
-                           bufs.back().data(), 0});
-        async_->StageRead(group, rr.first + missing[m], len,
-                          bufs.back().data(), ud);
+        const size_t bytes = static_cast<size_t>(len) * page_size;
+        uint8_t* buf;
+        if (async_ != nullptr) {
+          bufs.emplace_back(bytes);
+          buf = bufs.back().data();
+        } else {
+          sync_buf.resize(bytes);
+          buf = sync_buf.data();
+        }
+        reqs.push_back(
+            Req{ri, missing[m], rr.first + missing[m], len, buf, 0});
         ++st.pending;
         ++inflight_reqs;
-        staged_any = true;
+        Status done;
+        if (issue(reqs.size() - 1, &done)) {
+          handle(reqs.size() - 1, std::move(done));
+        }
         m = end;
       }
-      if (st.pending == 0) deliver(ri);  // fully resident
+      if (--st.pending == 0) deliver(ri);
     }
-    if (staged_any) async_->SubmitStaged();
+    if (staged_any) {
+      async_->SubmitStaged();
+      staged_any = false;
+    }
     if (delivered == run_count) break;
-    DM_CHECK(inflight_reqs > 0)
-        << "FetchRunsAsync stalled with undelivered runs";
+    DM_CHECK(inflight_reqs > 0) << "FetchRuns stalled with undelivered runs";
     AsyncCompletion c = async_->WaitOne(group);
-    handle(c);
-    while (async_->PollOne(group, &c)) handle(c);
+    reap(c);
+    while (async_->PollOne(group, &c)) reap(c);
   }
-  async_->ReleaseGroup(group);
+  if (async_ != nullptr) async_->ReleaseGroup(group);
   return Status::OK();
 }
 

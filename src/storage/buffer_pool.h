@@ -47,8 +47,8 @@ struct IoStats {
   /// a resident page, or never installed). hits + waste converges to
   /// prefetch_reads as the pool quiesces.
   int64_t prefetch_waste = 0;
-  /// Coalesced page runs requested through FetchRun / FetchRunsAsync,
-  /// and the pages they covered. mean pages-per-run
+  /// Page runs staged by FetchRuns (heap runs and R*-tree node runs
+  /// alike), and the pages they covered. Mean pages-per-run
   /// (fetch_run_pages / fetch_runs) measures on-disk layout locality
   /// directly: the repacked layout exists to make this number grow.
   int64_t fetch_runs = 0;
@@ -160,15 +160,7 @@ class BufferPool {
   /// Fetches a page, reading from disk on miss.
   Result<PageGuard> Fetch(PageId id);
 
-  /// Pins `n` consecutive pages [first, first + n), coalescing runs of
-  /// pages that miss the pool into bulk `DiskManager::ReadPages`
-  /// calls. `out` receives one guard per page in ascending order.
-  /// `n` must not exceed `MaxRunPages()` (frames for the whole run are
-  /// pinned simultaneously). Accounting matches n sequential Fetch
-  /// calls: every miss counts one disk read.
-  Status FetchRun(PageId first, uint32_t n, std::vector<PageGuard>* out);
-
-  /// Largest run FetchRun accepts without risking frame exhaustion.
+  /// Largest run FetchRuns accepts without risking frame exhaustion.
   uint32_t MaxRunPages() const;
 
   /// Binds (or unbinds, with nullptr) an async device for batched
@@ -179,29 +171,35 @@ class BufferPool {
   void set_async_device(AsyncPageDevice* dev);
   AsyncPageDevice* async_device() const { return async_; }
 
-  /// One page run for FetchRunsAsync: pages [first, first + n),
+  /// One page run for FetchRuns: pages [first, first + n),
   /// n in [1, MaxRunPages()].
   struct RunRequest {
     PageId first = 0;
     uint32_t n = 0;
   };
 
-  /// Batched, overlapped FetchRun over many runs: resident pages are
-  /// pinned up front, every missing page of every run is staged on the
-  /// async device and submitted in batched form, and `on_run(run_index,
-  /// status, guards)` fires as each run's last page completes —
-  /// completion order, not index order (fully resident runs deliver
-  /// immediately). Guards arrive in ascending page order within the
-  /// run; on failure the run's status is the first error and `guards`
-  /// is empty. Accounting matches FetchRun exactly: one logical fetch
-  /// per page, one disk read per miss, transient completions retried
-  /// with the same bounded backoff, every page trailer verified.
+  /// The batched read engine every multi-page read goes through:
+  /// resident pages of each run are pinned first, then each maximal
+  /// sub-run of missing pages is read with one scatter-gather request,
+  /// and `on_run(run_index, status, guards)` fires once per run when
+  /// its last page is in. Guards arrive in ascending page order within
+  /// the run; on failure the run's status is the first error and
+  /// `guards` is empty. After the callback the pool releases any
+  /// guards left in ascending page order. Accounting: one logical
+  /// fetch per page, one disk read per miss, transient failures
+  /// retried with a bounded backoff, every page trailer verified, and
+  /// the I/O deadline (io_deadline.h) checked before every read; past
+  /// it, a run with a missing page fails with kDeadlineExceeded.
   ///
-  /// Runs are windowed so simultaneous pins stay bounded: the callback
-  /// must drop (or take ownership and promptly release) the guards, and
-  /// must not call back into the pool. Without a bound async device
-  /// this degrades to sequential FetchRun calls in index order.
-  Status FetchRunsAsync(
+  /// How a missing sub-run is read is the pool's business: with an
+  /// async device bound, every missing sub-run of the window is staged
+  /// and submitted as one batch and runs deliver in completion order
+  /// (fully resident runs deliver immediately); without one, each
+  /// sub-run is read synchronously as it stages, so runs deliver in
+  /// index order. Runs are windowed so simultaneous pins stay bounded:
+  /// the callback must drop (or take ownership and promptly release)
+  /// the guards, and must not call back into the pool.
+  Status FetchRuns(
       const RunRequest* runs, size_t run_count,
       const std::function<void(size_t, Status, std::vector<PageGuard>*)>&
           on_run);
@@ -277,7 +275,7 @@ class BufferPool {
     mutable Mutex mu;
     /// Frame count, fixed at construction; duplicated outside the
     /// guarded state so MaxRunPages can size runs without taking every
-    /// shard lock on each FetchRun.
+    /// shard lock on each FetchRuns.
     uint32_t frame_count = 0;
     std::vector<Frame> frames DM_GUARDED_BY(mu);
     // Power-of-two chain heads of the intrusive page table.
@@ -325,12 +323,14 @@ class BufferPool {
   static void TableInsert(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
   /// Unlinks frame `idx` from the table.
   static void TableErase(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
-  /// Reads `n` pages at `first`, retrying transient (kUnavailable)
-  /// failures with exponential backoff up to kMaxIoAttempts, then
-  /// verifies every page's trailer. Corruption is not retried: the
-  /// bytes are wrong, not late. Touches no shard state; FetchRun calls
-  /// it outside any shard lock so bulk reads never block other workers.
+  /// Reads `n` pages at `first` for Fetch, retrying transient
+  /// (kUnavailable) failures with exponential backoff up to
+  /// kMaxIoAttempts, then verifies every page's trailer. Corruption is
+  /// not retried: the bytes are wrong, not late.
   Status ReadWithRetry(PageId first, uint32_t n, uint8_t* out);
+  /// Checks the trailers of `n` pages read into `buf` (when
+  /// verification is on), counting and returning the first corruption.
+  Status VerifyPages(PageId first, uint32_t n, const uint8_t* buf);
   /// Writes back frame `f` of shard `s` (stamping its trailer first)
   /// with the same transient-retry policy. The frame's bytes are
   /// guarded by s.mu, hence the capability requirement.
@@ -378,10 +378,8 @@ class BufferPool {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Run-length accounting (IoStats::fetch_runs / fetch_run_pages /
-  /// run_length_hist). Counted once per staged run: at FetchRun entry
-  /// and per RunRequest on the FetchRunsAsync async path (the
-  /// no-device fallback delegates to FetchRun, so it is not counted
-  /// twice).
+  /// run_length_hist), counted once per RunRequest as FetchRuns
+  /// stages it.
   void CountRun(uint32_t n) {
     fetch_runs_.fetch_add(1, std::memory_order_relaxed);
     fetch_run_pages_.fetch_add(n, std::memory_order_relaxed);

@@ -37,8 +37,10 @@ struct RecordFetchFailure {
 /// block pages may coexist in one chain; Append* treats a block tail
 /// as full and chains.
 ///
-/// Terrain nodes are appended in Hilbert order of their (x, y) so disk
-/// pages preserve spatial clustering, as the paper's setup requires.
+/// DmStore::Build appends terrain nodes in the STR packing order of
+/// their index entries, so disk pages preserve spatial clustering, as
+/// the paper's setup requires; a repacked store (dm/repack.h) rewrites
+/// them in tile-Hilbert order.
 ///
 /// Concurrency: `Get`, `GetMany`, and `Scan` are const and safe to
 /// call from many threads once building is done (all mutable state is
@@ -89,45 +91,27 @@ class HeapFile {
   Status Get(RecordId rid, std::vector<uint8_t>* out) const;
 
   /// Batch point lookup: `rids` must be sorted ascending by
-  /// (page, slot) — the order `RecordId::Pack` sorts in. Runs of
-  /// adjacent heap pages are pinned together and their misses
-  /// coalesced into single scatter-gather disk reads
-  /// (DiskManager::ReadPages), cutting syscalls on large fetch cubes.
-  /// Disk-read accounting matches per-record Get calls exactly. The
-  /// callback sees each record's bytes in `rids` order.
-  Status GetMany(
-      const std::vector<RecordId>& rids,
-      const std::function<Status(RecordId, const uint8_t*, uint32_t)>&
-          callback) const;
-
-  /// Tolerant batch fetch: like GetMany, but an unreadable or corrupt
-  /// page fails only the records on it. When a coalesced run fails,
-  /// the run is re-fetched page by page so one bad sector cannot sink
-  /// its neighbours; each lost record lands in `failures` with the
-  /// Status that killed it, and the overall call still returns OK.
-  /// Callback errors (the caller's own decode logic) stay fatal.
+  /// (page, slot) — the order `RecordId::Pack` sorts in — and may
+  /// repeat. Runs of adjacent heap pages (capped at the pool's
+  /// MaxRunPages) go to BufferPool::FetchRuns in one batch, so their
+  /// misses coalesce into scatter-gather reads; disk-read accounting
+  /// matches per-record Get calls exactly. The callback sees each
+  /// record's bytes run by run in the pool's delivery order — rid
+  /// order without an async device, completion order with one — and
+  /// in rid order within a run.
+  ///
+  /// With `failures == nullptr` the first error is fatal. Otherwise
+  /// the fetch is tolerant: an unreadable or corrupt page fails only
+  /// the records on it. A failed run is re-fetched page by page after
+  /// the batch drains (so its surviving records arrive last), each
+  /// lost record lands in `failures` with the Status that killed it,
+  /// and the call still returns OK. Callback errors (the caller's own
+  /// decode logic) stay fatal either way.
   Status GetMany(
       const std::vector<RecordId>& rids,
       const std::function<Status(RecordId, const uint8_t*, uint32_t)>&
           callback,
-      std::vector<RecordFetchFailure>* failures) const;
-
-  /// Overlapped tolerant batch fetch: the same contract as tolerant
-  /// GetMany — identical record→callback mapping, failure tolerance,
-  /// and disk-read accounting — except delivery order: every coalesced
-  /// page run is staged on the pool's async device in one batched
-  /// submission and records arrive run by run in completion order
-  /// (rid order within each run), so decoding the first completed run
-  /// overlaps the reads still in flight. Runs that fail are re-fetched
-  /// page by page after the batch drains, so their surviving records
-  /// arrive last. Falls back to GetMany when the pool has no async
-  /// device. Pass `failures == nullptr` for the strict (first error is
-  /// fatal) form.
-  Status GetManyOverlapped(
-      const std::vector<RecordId>& rids,
-      const std::function<Status(RecordId, const uint8_t*, uint32_t)>&
-          callback,
-      std::vector<RecordFetchFailure>* failures) const;
+      std::vector<RecordFetchFailure>* failures = nullptr) const;
 
   /// Full scan in storage order. The callback may return false to stop.
   Status Scan(const std::function<bool(RecordId, const uint8_t*, uint32_t)>&

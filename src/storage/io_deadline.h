@@ -9,9 +9,9 @@ namespace dm {
 /// Thread-local absolute I/O deadline (DESIGN.md §16).
 ///
 /// The query layer arms a deadline before descending into storage;
-/// every blocking storage wait — the synchronous retry loop in
-/// BufferPool::ReadWithRetry and the completion drain in
-/// FetchRunsAsync — polls it and gives up with kDeadlineExceeded
+/// every blocking storage wait — the retry loop in
+/// BufferPool::ReadWithRetry and each read BufferPool::FetchRuns
+/// issues or re-issues — polls it and gives up with kDeadlineExceeded
 /// instead of holding a worker past its budget. Thread-local rather
 /// than threaded through every signature because the deadline crosses
 /// *seven* layers (router → processor → store → heap → pool → async

@@ -1,7 +1,7 @@
 // Async page I/O (DESIGN.md §13): batched submission, backend parity,
 // per-completion fault handling, prefetch accounting, and the promise
-// that matters most — queries through the async read path return
-// geometry byte-identical to the synchronous seed path.
+// that matters most — queries reading through an async device return
+// geometry byte-identical to the same engine reading synchronously.
 //
 // Every pool-level test runs once per backend ("threadpool" always;
 // "uring" when the kernel supports it), so CI exercises both with one
@@ -135,7 +135,7 @@ TEST_P(AsyncIoTest, BatchedRunsDeliverOnceInOrderWithSyncParity) {
   for (int iter = 0; iter < 20; ++iter) {
     ASSERT_TRUE(pool_->FlushAll().ok());
     std::vector<int> seen(runs.size(), 0);
-    const Status st = pool_->FetchRunsAsync(
+    const Status st = pool_->FetchRuns(
         runs.data(), runs.size(),
         [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
           ASSERT_TRUE(s.ok()) << s.ToString();
@@ -168,7 +168,7 @@ TEST_P(AsyncIoTest, SubmitsOneBatchAndCountsLikeSyncPath) {
   pool_->ResetStats();
   const std::vector<BufferPool::RunRequest> runs = {{0, 4}, {8, 4}, {16, 4}};
   auto fetch = [&] {
-    return pool_->FetchRunsAsync(
+    return pool_->FetchRuns(
         runs.data(), runs.size(),
         [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
           ASSERT_TRUE(s.ok()) << "run " << ri << ": " << s.ToString();
@@ -203,7 +203,7 @@ TEST_P(AsyncIoTest, SimulatedLatencyOverlapsReads) {
   ASSERT_TRUE(pool_->FlushAll().ok());
   device_->ResetStats();
   const BufferPool::RunRequest run = {0, 16};
-  const Status st = pool_->FetchRunsAsync(
+  const Status st = pool_->FetchRuns(
       &run, 1, [&](size_t, Status s, std::vector<PageGuard>* guards) {
         ASSERT_TRUE(s.ok()) << s.ToString();
         ASSERT_EQ(guards->size(), 16u);
@@ -274,12 +274,12 @@ class AsyncFaultTest : public ::testing::TestWithParam<const char*> {
   }
 
   // Fetches pages [0, 64) as 8-page runs; returns the per-run statuses
-  // in run order and asserts FetchRunsAsync itself stayed OK.
+  // in run order and asserts FetchRuns itself stayed OK.
   std::vector<Status> FetchAll() {
     std::vector<BufferPool::RunRequest> runs;
     for (PageId first = 0; first < 64; first += 8) runs.push_back({first, 8});
     std::vector<Status> out(runs.size());
-    const Status st = env_->pool().FetchRunsAsync(
+    const Status st = env_->pool().FetchRuns(
         runs.data(), runs.size(),
         [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
           if (s.ok()) {
@@ -423,7 +423,7 @@ TEST_P(AsyncQueryTest, GeometryIdenticalToSerialPath) {
       {Roi(0.4, 0.4, 0.6, 0.6), e_max * 0.05},
   };
 
-  // Reference pass: async off (the seed read path).
+  // Reference pass: no device, every read synchronous.
   env_->DisableAsync();
   std::vector<DmQueryResult> want;
   {

@@ -111,19 +111,23 @@ TEST(ConcurrencyTest, ShardedPoolSurvivesConcurrentTraffic) {
           g.MarkDirty();
         } else if (dice < 30) {
           // Batched fetch of a short run of shared pages.
-          const PageId first = rng.NextBelow(kSharedPages - 4);
-          const uint32_t n = 1 + static_cast<uint32_t>(rng.NextBelow(4));
-          std::vector<PageGuard> run;
-          const Status s = pool.FetchRun(first, n, &run);
-          if (!s.ok()) {
-            failures.fetch_add(1);
-            continue;
-          }
-          for (uint32_t k = 0; k < n; ++k) {
-            if (!CheckStamp(run[k].data(), env->page_size(), first + k)) {
-              bad_pages.fetch_add(1);
-            }
-          }
+          const BufferPool::RunRequest run{
+              static_cast<PageId>(rng.NextBelow(kSharedPages - 4)),
+              1 + static_cast<uint32_t>(rng.NextBelow(4))};
+          const Status s = pool.FetchRuns(
+              &run, 1, [&](size_t, Status st, std::vector<PageGuard>* guards) {
+                if (!st.ok() || guards->size() != run.n) {
+                  failures.fetch_add(1);
+                  return;
+                }
+                for (uint32_t k = 0; k < run.n; ++k) {
+                  if (!CheckStamp((*guards)[k].data(), env->page_size(),
+                                  run.first + k)) {
+                    bad_pages.fetch_add(1);
+                  }
+                }
+              });
+          if (!s.ok()) failures.fetch_add(1);
         } else {
           const PageId id = rng.NextBelow(kSharedPages);
           auto guard_or = pool.Fetch(id);

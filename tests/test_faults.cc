@@ -350,7 +350,7 @@ TEST(Degradation, DeadlineTripsToLegalCoarserCut) {
 TEST(Degradation, MidFetchDeadlineDegradesUniformQuery) {
   // The mid-query I/O deadline checks: a uniform query has no
   // refinement loop, so its deadline can only trip inside the fetch's
-  // blocking reads (ReadWithRetry / FetchRunsAsync waits).
+  // blocking reads (ReadWithRetry / FetchRuns reads).
   FaultDb db = BuildFaultDb("deadline_midfetch", 49);
   const double e = db.store->meta().max_lod * 0.01;
 

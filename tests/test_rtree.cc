@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
+#include "storage/async_io.h"
 #include "test_util.h"
 
 namespace dm {
@@ -284,6 +288,131 @@ TEST_F(RStarTreeTest, BulkLoadedTreeHasTightLeaves) {
   EXPECT_EQ(out.size(), out2.size());
   EXPECT_LT(packed_io, dynamic_io);
 }
+
+// ---- one index engine, per read backend ---------------------------
+
+// RangeQuery (level waves over BufferPool::FetchRuns) against
+// RangeQueryEntries (depth-first, one pinned page at a time), with no
+// device and with each async backend.
+class RStarTreeEngineTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  static constexpr int kEntries = 2000;
+
+  void SetUp() override {
+    if (std::string(GetParam()) == "uring" && !UringSupported()) {
+      GTEST_SKIP() << "io_uring unavailable on this kernel";
+    }
+    env_ = dm::testing::OpenTempEnv(
+        std::string("rtree_engine_") + GetParam(),
+        DbOptions{.page_size = 512,
+                  .pool_pages = 256,
+                  .async_backend = GetParam()});
+    Rng rng(43);
+    for (int i = 0; i < kEntries; ++i) {
+      boxes_.push_back(RandomBox(&rng, 100.0, 4.0));
+    }
+  }
+
+  RStarTree BulkLoaded() {
+    const auto order =
+        RStarTree::StrOrder(boxes_, RStarTree::LeafCapacityFor(512));
+    std::vector<std::pair<Box, uint64_t>> ordered;
+    for (size_t i : order) ordered.emplace_back(boxes_[i], i);
+    return std::move(RStarTree::BulkLoad(env_.get(), ordered)).ValueOrDie();
+  }
+
+  RStarTree InsertBuilt() {
+    auto tree = std::move(RStarTree::Create(env_.get())).ValueOrDie();
+    for (size_t i = 0; i < boxes_.size(); ++i) {
+      EXPECT_TRUE(tree.Insert(boxes_[i], i).ok());
+    }
+    return tree;
+  }
+
+  // Random boxes, cold: RangeQuery returns RangeQueryEntries' payload
+  // sequence, and reads exactly the nodes the depth-first visitor
+  // pins (each node once: its logical fetches).
+  void ExpectParity(const RStarTree& tree) {
+    ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+    // Both traversals start from the decoded root the first one
+    // caches; warm it so every measured query reads the same pages.
+    std::vector<uint64_t> warm;
+    ASSERT_TRUE(tree.RangeQuery(Box::Of(0, 0, 0, 1, 1, 1), &warm).ok());
+    Rng rng(47);
+    for (int q = 0; q < 40; ++q) {
+      const Box query = RandomBox(&rng, 100.0, q % 4 == 0 ? 60.0 : 15.0);
+      ASSERT_TRUE(env_->FlushAll().ok());
+      env_->ResetStats();
+      std::vector<uint64_t> want;
+      ASSERT_TRUE(tree.RangeQueryEntries(query, [&](const Box&, uint64_t p) {
+                        want.push_back(p);
+                        return true;
+                      }).ok());
+      const int64_t visited = env_->stats().logical_fetches;
+      EXPECT_EQ(env_->stats().disk_reads, visited) << "query " << q;
+
+      ASSERT_TRUE(env_->FlushAll().ok());
+      env_->ResetStats();
+      std::vector<uint64_t> got;
+      ASSERT_TRUE(tree.RangeQuery(query, &got).ok());
+      EXPECT_EQ(got, want) << "query " << q;
+      EXPECT_EQ(env_->stats().disk_reads, visited) << "query " << q;
+    }
+  }
+
+  std::unique_ptr<DbEnv> env_;
+  std::vector<Box> boxes_;
+};
+
+TEST_P(RStarTreeEngineTest, BulkLoadedOrderParity) {
+  ExpectParity(BulkLoaded());
+}
+
+TEST_P(RStarTreeEngineTest, InsertBuiltOrderParity) {
+  ExpectParity(InsertBuilt());
+}
+
+// A node whose stored level disagrees with its parent (valid CRC, so
+// only the structure check can catch it) fails both traversals with a
+// Corruption naming the page, instead of reading child page ids as
+// leaf payloads.
+TEST_P(RStarTreeEngineTest, CorruptNodeLevelIsRejected) {
+  const RStarTree tree = BulkLoaded();
+  ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+  PageId victim = kInvalidPage;
+  ASSERT_TRUE(tree.VisitNodes([&](PageId id, uint16_t level,
+                                  const std::vector<std::pair<Box, uint64_t>>&) {
+                    if (level != 1) return true;
+                    victim = id;
+                    return false;
+                  }).ok());
+  ASSERT_NE(victim, kInvalidPage);
+  {
+    auto page = std::move(env_->pool().Fetch(victim)).ValueOrDie();
+    const uint16_t leaf_level = 0;
+    std::memcpy(page.data(), &leaf_level, sizeof(leaf_level));
+    page.MarkDirty();
+  }
+  ASSERT_TRUE(env_->FlushAll().ok());  // re-stamps the trailer
+
+  const Box everything = Box::Of(-1, -1, -1, 1e9, 1e9, 1e9);
+  const std::string page_name = "node " + std::to_string(victim) + " ";
+  std::vector<uint64_t> out;
+  const Status batched = tree.RangeQuery(everything, &out);
+  EXPECT_EQ(batched.code(), StatusCode::kCorruption) << batched.ToString();
+  EXPECT_NE(batched.ToString().find(page_name), std::string::npos)
+      << batched.ToString();
+
+  ASSERT_TRUE(env_->FlushAll().ok());
+  const Status visited = tree.RangeQueryEntries(
+      everything, [](const Box&, uint64_t) { return true; });
+  EXPECT_EQ(visited.code(), StatusCode::kCorruption) << visited.ToString();
+  EXPECT_NE(visited.ToString().find(page_name), std::string::npos)
+      << visited.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(ReadBackends, RStarTreeEngineTest,
+                         ::testing::Values("off", "threadpool", "uring"));
 
 }  // namespace
 }  // namespace dm

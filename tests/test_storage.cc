@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "common/rng.h"
+#include "storage/async_io.h"
 #include "storage/db_env.h"
 #include "storage/heap_file.h"
 #include "test_util.h"
@@ -229,131 +233,169 @@ TEST_F(HeapFileTest, OpenRecountsRecords) {
   EXPECT_EQ(hf.num_records(), 78);
 }
 
-// --- GetMany / FetchRun coalescing edge cases -----------------------------
+// --- GetMany coalescing edge cases, per read backend --------------------
 
-TEST_F(HeapFileTest, GetManyEmptyInputIsNoOp) {
-  auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();
-  const uint8_t b = 1;
-  ASSERT_TRUE(hf.Append(&b, 1).ok());
-  ASSERT_TRUE(env_->FlushAll().ok());
-  const int64_t reads0 = env_->stats().disk_reads;
-  int calls = 0;
-  ASSERT_TRUE(hf.GetMany({}, [&](RecordId, const uint8_t*, uint32_t) {
-                  ++calls;
-                  return Status::OK();
-                }).ok());
-  EXPECT_EQ(calls, 0);
-  EXPECT_EQ(env_->stats().disk_reads, reads0);
-}
+// HeapFile::GetMany reads through BufferPool::FetchRuns whatever the
+// device: "off" reads each missing sub-run synchronously, the async
+// backends stage the whole batch. Every case runs on all three.
+class HeapGetManyTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  struct Delivery {
+    RecordId rid;
+    uint8_t first_byte;
+    uint32_t len;
+  };
 
-TEST_F(HeapFileTest, GetManySinglePageRunReadsOnePage) {
-  auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();
-  std::vector<RecordId> rids;
-  for (int i = 0; i < 5; ++i) {  // 5 x 50B fits one 512B page
-    std::vector<uint8_t> rec(50, static_cast<uint8_t>(i));
-    rids.push_back(
-        std::move(hf.Append(rec.data(), 50)).ValueOrDie());
+  void SetUp() override {
+    if (std::string(GetParam()) == "uring" && !UringSupported()) {
+      GTEST_SKIP() << "io_uring unavailable on this kernel";
+    }
+    env_ = dm::testing::OpenTempEnv(
+        std::string("heap_getmany_") + GetParam(),
+        DbOptions{.page_size = 512,
+                  .pool_pages = 16,
+                  .async_backend = GetParam()});
+    hf_.emplace(std::move(HeapFile::Create(env_.get())).ValueOrDie());
   }
-  ASSERT_EQ(rids.front().page, rids.back().page);
-  ASSERT_TRUE(env_->FlushAll().ok());
-  const int64_t reads0 = env_->stats().disk_reads;
-  int next = 0;
-  ASSERT_TRUE(hf.GetMany(rids,
-                         [&](RecordId, const uint8_t* data, uint32_t len) {
-                           EXPECT_EQ(len, 50u);
-                           EXPECT_EQ(data[0], next++);
-                           return Status::OK();
-                         }).ok());
-  EXPECT_EQ(next, 5);
-  EXPECT_EQ(env_->stats().disk_reads - reads0, 1);
+
+  bool has_device() const { return env_->async_device() != nullptr; }
+
+  /// Appends `n` records of `len` bytes, record i filled with
+  /// `base + i`.
+  std::vector<RecordId> AppendRecords(int n, uint32_t len, uint8_t base) {
+    std::vector<RecordId> rids;
+    for (int i = 0; i < n; ++i) {
+      std::vector<uint8_t> rec(len, static_cast<uint8_t>(base + i));
+      rids.push_back(std::move(hf_->Append(rec.data(), len)).ValueOrDie());
+    }
+    return rids;
+  }
+
+  /// Cold GetMany of `rids`; returns the deliveries and the disk reads
+  /// it cost.
+  std::vector<Delivery> ColdGetMany(const std::vector<RecordId>& rids,
+                                    int64_t* reads) {
+    EXPECT_TRUE(env_->FlushAll().ok());
+    const int64_t reads0 = env_->stats().disk_reads;
+    std::vector<Delivery> got;
+    const Status st =
+        hf_->GetMany(rids, [&](RecordId rid, const uint8_t* data,
+                               uint32_t len) {
+          got.push_back({rid, data[0], len});
+          return Status::OK();
+        });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    *reads = env_->stats().disk_reads - reads0;
+    EXPECT_EQ(env_->pool().pinned_frames(), 0) << "a pin outlived GetMany";
+    return got;
+  }
+
+  /// Every rid is delivered exactly once per request: in rid order
+  /// without a device, run by run in completion order with one.
+  void ExpectDeliveredOnce(std::vector<Delivery> got,
+                           const std::vector<RecordId>& rids) {
+    if (has_device()) {
+      std::stable_sort(got.begin(), got.end(),
+                       [](const Delivery& a, const Delivery& b) {
+                         return a.rid.Pack() < b.rid.Pack();
+                       });
+    }
+    ASSERT_EQ(got.size(), rids.size());
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXPECT_EQ(got[i].rid, rids[i]) << "delivery " << i;
+    }
+  }
+
+  std::unique_ptr<DbEnv> env_;
+  std::optional<HeapFile> hf_;
+};
+
+TEST_P(HeapGetManyTest, EmptyInputIsNoOp) {
+  AppendRecords(1, 1, 1);
+  int64_t reads = -1;
+  EXPECT_TRUE(ColdGetMany({}, &reads).empty());
+  EXPECT_EQ(reads, 0);
 }
 
-TEST_F(HeapFileTest, GetManyNonAdjacentPagesMatchPerGetAccounting) {
-  auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();
+TEST_P(HeapGetManyTest, SinglePageRunReadsOnePage) {
+  // 5 x 50B fits one 512B page: one run, delivered in rid order.
+  const std::vector<RecordId> rids = AppendRecords(5, 50, 0);
+  ASSERT_EQ(rids.front().page, rids.back().page);
+  int64_t reads = 0;
+  const std::vector<Delivery> got = ColdGetMany(rids, &reads);
+  ASSERT_EQ(got.size(), 5u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].rid, rids[i]);
+    EXPECT_EQ(got[i].first_byte, i);
+    EXPECT_EQ(got[i].len, 50u);
+  }
+  EXPECT_EQ(reads, 1);
+}
+
+TEST_P(HeapGetManyTest, NonAdjacentPagesMatchPerGetAccounting) {
   // ~1 record per 512B page, so consecutive records land on
   // consecutive pages.
-  std::vector<RecordId> all;
-  for (int i = 0; i < 9; ++i) {
-    std::vector<uint8_t> rec(400, static_cast<uint8_t>(i));
-    all.push_back(std::move(hf.Append(rec.data(), 400)).ValueOrDie());
-  }
+  const std::vector<RecordId> all = AppendRecords(9, 400, 0);
   // Every other record: pages 0, 2, 4, ... — no two adjacent, so no
   // run may coalesce.
   std::vector<RecordId> sparse;
-  std::vector<uint8_t> want;
-  for (size_t i = 0; i < all.size(); i += 2) {
-    sparse.push_back(all[i]);
-    want.push_back(static_cast<uint8_t>(i));
-  }
+  for (size_t i = 0; i < all.size(); i += 2) sparse.push_back(all[i]);
   for (size_t i = 1; i < sparse.size(); ++i) {
     ASSERT_GT(sparse[i].page, sparse[i - 1].page + 1);
   }
-  ASSERT_TRUE(env_->FlushAll().ok());
-  const int64_t reads0 = env_->stats().disk_reads;
-  size_t k = 0;
-  ASSERT_TRUE(hf.GetMany(sparse,
-                         [&](RecordId, const uint8_t* data, uint32_t len) {
-                           EXPECT_EQ(len, 400u);
-                           EXPECT_EQ(data[0], want[k++]);
-                           return Status::OK();
-                         }).ok());
-  EXPECT_EQ(k, sparse.size());
-  const int64_t batch_reads = env_->stats().disk_reads - reads0;
+  int64_t batch_reads = 0;
+  const std::vector<Delivery> got = ColdGetMany(sparse, &batch_reads);
+  ExpectDeliveredOnce(got, sparse);
+  for (const Delivery& d : got) {
+    const size_t i = static_cast<size_t>(
+        std::find(all.begin(), all.end(), d.rid) - all.begin());
+    EXPECT_EQ(d.first_byte, i);
+    EXPECT_EQ(d.len, 400u);
+  }
 
   // Reference: per-record Get from a cold pool.
   ASSERT_TRUE(env_->FlushAll().ok());
   const int64_t reads1 = env_->stats().disk_reads;
   for (const RecordId rid : sparse) {
     std::vector<uint8_t> buf;
-    ASSERT_TRUE(hf.Get(rid, &buf).ok());
+    ASSERT_TRUE(hf_->Get(rid, &buf).ok());
   }
   EXPECT_EQ(batch_reads, env_->stats().disk_reads - reads1);
 }
 
-TEST_F(HeapFileTest, GetManyRunCrossingLastPage) {
-  auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();
-  std::vector<RecordId> rids;
-  for (int i = 0; i < 6; ++i) {
-    std::vector<uint8_t> rec(400, static_cast<uint8_t>(0x40 + i));
-    rids.push_back(std::move(hf.Append(rec.data(), 400)).ValueOrDie());
-  }
+TEST_P(HeapGetManyTest, RunCrossingLastPage) {
+  const std::vector<RecordId> rids = AppendRecords(6, 400, 0x40);
   // A run that starts mid-file and extends through the final page of
   // the heap: coalescing must stop exactly at the tail.
-  std::vector<RecordId> tail(rids.begin() + 2, rids.end());
+  const std::vector<RecordId> tail(rids.begin() + 2, rids.end());
   ASSERT_EQ(tail.back().page, rids.back().page);
-  ASSERT_TRUE(env_->FlushAll().ok());
-  const int64_t reads0 = env_->stats().disk_reads;
-  int i = 2;
-  ASSERT_TRUE(hf.GetMany(tail,
-                         [&](RecordId, const uint8_t* data, uint32_t len) {
-                           EXPECT_EQ(len, 400u);
-                           EXPECT_EQ(data[0], 0x40 + i++);
-                           return Status::OK();
-                         }).ok());
-  EXPECT_EQ(i, 6);
+  int64_t reads = 0;
+  const std::vector<Delivery> got = ColdGetMany(tail, &reads);
+  ExpectDeliveredOnce(got, tail);
+  for (const Delivery& d : got) {
+    const size_t i = static_cast<size_t>(
+        std::find(rids.begin(), rids.end(), d.rid) - rids.begin());
+    EXPECT_EQ(d.first_byte, 0x40 + i);
+    EXPECT_EQ(d.len, 400u);
+  }
   // One read per (single-record) page, coalesced or not.
-  EXPECT_EQ(env_->stats().disk_reads - reads0,
-            static_cast<int64_t>(tail.size()));
-  // Nothing stays pinned after the batch.
-  EXPECT_EQ(env_->pool().pinned_frames(), 0);
+  EXPECT_EQ(reads, static_cast<int64_t>(tail.size()));
 }
 
-TEST_F(HeapFileTest, GetManyDuplicateRidsOnOnePage) {
-  auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();
-  const uint8_t b = 0x77;
-  const RecordId rid = std::move(hf.Append(&b, 1)).ValueOrDie();
-  ASSERT_TRUE(env_->FlushAll().ok());
-  const int64_t reads0 = env_->stats().disk_reads;
-  int calls = 0;
-  ASSERT_TRUE(hf.GetMany({rid, rid, rid},
-                         [&](RecordId, const uint8_t* data, uint32_t) {
-                           EXPECT_EQ(data[0], 0x77);
-                           ++calls;
-                           return Status::OK();
-                         }).ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(env_->stats().disk_reads - reads0, 1);
+TEST_P(HeapGetManyTest, DuplicateRidsOnOnePage) {
+  const RecordId rid = AppendRecords(1, 1, 0x77).front();
+  int64_t reads = 0;
+  const std::vector<Delivery> got = ColdGetMany({rid, rid, rid}, &reads);
+  ASSERT_EQ(got.size(), 3u);
+  for (const Delivery& d : got) {
+    EXPECT_EQ(d.rid, rid);
+    EXPECT_EQ(d.first_byte, 0x77);
+  }
+  EXPECT_EQ(reads, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(ReadBackends, HeapGetManyTest,
+                         ::testing::Values("off", "threadpool", "uring"));
 
 TEST_F(HeapFileTest, RandomizedRoundTripProperty) {
   auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();

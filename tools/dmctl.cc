@@ -896,7 +896,7 @@ Status RunIoStats(const Args& args) {
     const int64_t runs = io.fetch_runs - prev_io.fetch_runs;
     const int64_t run_pages = io.fetch_run_pages - prev_io.fetch_run_pages;
     std::printf(
-        "  heap runs:   runs=%lld pages=%lld (%.2f pages/run) "
+        "  page runs:   runs=%lld pages=%lld (%.2f pages/run) "
         "lengths 1|2|3-4|5-8|9-16|17+ =",
         static_cast<long long>(runs), static_cast<long long>(run_pages),
         runs > 0 ? static_cast<double>(run_pages) / static_cast<double>(runs)
