@@ -237,8 +237,7 @@ class FigureTable {
   void Print() const {
     std::printf("\n=== %s ===\n", title_.c_str());
     std::printf("%10s", "x");
-    for (Method m : {Method::kDmSingleBase, Method::kDmRepacked,
-                     Method::kDmMultiBase, Method::kPm, Method::kHdov}) {
+    for (Method m : kColumns) {
       bool any = false;
       for (const auto& [x, cols] : rows_) any |= cols.count(m) > 0;
       if (any) std::printf("%12s", MethodName(m));
@@ -246,8 +245,7 @@ class FigureTable {
     std::printf("\n");
     for (const auto& [x, cols] : rows_) {
       std::printf("%10.3f", x);
-      for (Method m : {Method::kDmSingleBase, Method::kDmRepacked,
-                       Method::kDmMultiBase, Method::kPm, Method::kHdov}) {
+      for (Method m : kColumns) {
         bool any = false;
         for (const auto& [x2, cols2] : rows_) any |= cols2.count(m) > 0;
         if (!any) continue;
@@ -263,6 +261,10 @@ class FigureTable {
   }
 
  private:
+  static constexpr Method kColumns[] = {
+      Method::kDmSingleBase, Method::kDmRepacked, Method::kDmMultiBase,
+      Method::kDmBounded,    Method::kPm,         Method::kHdov};
+
   std::string title_;
   std::string key_;
   std::map<double, std::map<Method, double>> rows_;

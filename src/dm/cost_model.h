@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/geometry.h"
+#include "dm/reach.h"
 #include "index/rtree/rstar_tree.h"
 
 namespace dm {
@@ -72,6 +73,11 @@ struct CostModelInputs {
   std::vector<std::pair<double, double>> segment_sample;
   int64_t total_records = 0;
   double records_per_page = 16.0;
+  /// Parent-reach table of the store (DmMeta::reach), or nullptr when
+  /// the store has none; view-dependent queries then fetch the whole
+  /// cube. Points into the store like `nodes`, so a query never copies
+  /// it.
+  const ReachTable* reach = nullptr;
 };
 
 /// Expected total disk accesses of a range query: index pages (formula

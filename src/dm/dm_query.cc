@@ -10,6 +10,113 @@
 
 namespace dm {
 
+namespace {
+
+bool FiniteRect(const Rect& r) {
+  return std::isfinite(r.lo_x) && std::isfinite(r.lo_y) &&
+         std::isfinite(r.hi_x) && std::isfinite(r.hi_y);
+}
+
+/// The surface bound of DESIGN.md §18 as an index filter. Refinement
+/// reaches a node c only as a start node (c.e_high above the top
+/// plane) or by splitting its parent p, which needs
+/// p.e_low = c.e_high > req(p.pos). With req L-Lipschitz in (x, y) and
+/// |c - p| <= D(c.e_high), every reachable node satisfies
+/// c.e_high + L * D(c.e_high) > req(c.pos). A box is pruned when even
+/// its highest e_high misses the lowest req over its footprint.
+class SurfaceBound final : public RangeFilter {
+ public:
+  SurfaceBound(const ReachTable& reach, double max_lod, const ViewQuery& q)
+      : reach_(&reach), max_lod_(max_lod), view_(&q) {
+    const double extent = q.gradient_along_y ? q.roi.height() : q.roi.width();
+    lipschitz_ = extent > 0 ? (q.e_max - q.e_min) / extent : 0.0;
+  }
+  SurfaceBound(const ReachTable& reach, double max_lod,
+               const PerspectiveQuery& q)
+      : reach_(&reach), max_lod_(max_lod), lipschitz_(q.tolerance),
+        perspective_(&q) {}
+
+  /// False when the slope overflowed; the caller then fetches the cube.
+  bool usable() const { return std::isfinite(lipschitz_); }
+
+  bool MayMatch(const Box& box) const override {
+    const double h = box.hi[2];
+    // Segments store the root's +inf top capped at max_lod, so a box
+    // reaching it may hold a node alive at any LOD.
+    if (h >= max_lod_) return true;
+    const double reach = h + lipschitz_ * ReachAt(*reach_, h);
+    const double req = MinRequired(box);
+    // Relative slack: rounding may keep a node, never drop one.
+    const double slack =
+        1e-9 * (max_lod_ + std::abs(reach) + std::abs(req));
+    return reach + slack >= req;
+  }
+
+ private:
+  /// Lowest required LOD over the box's footprint.
+  double MinRequired(const Box& box) const {
+    if (view_ != nullptr) {
+      // Non-decreasing along the gradient axis: the near corner.
+      return std::max(view_->RequiredE(box.lo[0], box.lo[1]), view_->e_min);
+    }
+    // Radial and non-decreasing in the distance: the point nearest
+    // the viewer.
+    const Point2& v = perspective_->viewer;
+    return perspective_->RequiredE(
+        std::min(std::max(v.x, box.lo[0]), box.hi[0]),
+        std::min(std::max(v.y, box.lo[1]), box.hi[1]));
+  }
+
+  const ReachTable* reach_;
+  double max_lod_;
+  double lipschitz_ = 0.0;
+  const ViewQuery* view_ = nullptr;
+  const PerspectiveQuery* perspective_ = nullptr;
+};
+
+/// The bound for query `q` when `options` ask for one and the source
+/// has a reach table; empty otherwise (the fetch is the plain cube).
+template <typename Query>
+std::optional<SurfaceBound> MakeBound(const DmQueryOptions& options,
+                                      const CostModelInputs& inputs,
+                                      const Query& q) {
+  if (!options.bounded_fetch || inputs.reach == nullptr) return std::nullopt;
+  SurfaceBound bound(*inputs.reach, inputs.data_space.hi[2], q);
+  if (!bound.usable()) return std::nullopt;
+  return bound;
+}
+
+}  // namespace
+
+Status ViewQuery::Validate() const {
+  if (!FiniteRect(roi) || !std::isfinite(e_min) || !std::isfinite(e_max)) {
+    return Status::InvalidArgument("view query has a non-finite field");
+  }
+  if (roi.empty()) return Status::InvalidArgument("view query ROI is empty");
+  if (e_max < e_min) {
+    return Status::InvalidArgument("view query has e_max < e_min");
+  }
+  return Status::OK();
+}
+
+Status PerspectiveQuery::Validate() const {
+  if (!FiniteRect(roi) || !std::isfinite(viewer.x) ||
+      !std::isfinite(viewer.y) || !std::isfinite(tolerance) ||
+      !std::isfinite(e_floor) || !std::isfinite(e_cap)) {
+    return Status::InvalidArgument("perspective query has a non-finite field");
+  }
+  if (roi.empty()) {
+    return Status::InvalidArgument("perspective query ROI is empty");
+  }
+  if (tolerance < 0) {
+    return Status::InvalidArgument("perspective query has tolerance < 0");
+  }
+  if (e_cap < e_floor) {
+    return Status::InvalidArgument("perspective query has e_cap < e_floor");
+  }
+  return Status::OK();
+}
+
 double ViewQuery::RequiredE(double x, double y) const {
   double t;
   if (gradient_along_y) {
@@ -75,10 +182,12 @@ void DmQueryProcessor::BeginQuery() {
   deadline_armed_ = deadline_ != std::chrono::steady_clock::time_point::max();
 }
 
-Status DmQueryProcessor::FetchBox(const Box& box, NodeMap* nodes,
-                                  QueryStats* stats) {
+Status DmQueryProcessor::FetchBox(const Box& box, const RangeFilter* filter,
+                                  NodeMap* nodes, QueryStats* stats) {
   DM_CHECK(nodes != nullptr && stats != nullptr)
       << "FetchBox output parameters must be non-null";
+  // Armed for the index traversal however the source runs it.
+  ScopedRangeFilter guard(filter);
   // Insert-by-id sink: duplicates across replica attempts collapse in
   // the map, which is what makes redundant delivery safe.
   struct MapSink final : DmDataSource::NodeSink {
@@ -162,7 +271,8 @@ Result<DmQueryResult> DmQueryProcessor::ViewpointIndependent(const Rect& r,
 
   arena_.Reset();
   NodeMap nodes(kInvalidVertex, scratch_arena());
-  DM_RETURN_NOT_OK(FetchBox(Box::FromRect(r, e, e), &nodes, &stats));
+  DM_RETURN_NOT_OK(
+      FetchBox(Box::FromRect(r, e, e), /*filter=*/nullptr, &nodes, &stats));
 
   const auto t0 = std::chrono::steady_clock::now();
   IdVec cut(id_alloc());
@@ -302,14 +412,17 @@ DmQueryResult DmQueryProcessor::RefineAndTriangulate(
 }
 
 Result<DmQueryResult> DmQueryProcessor::SingleBase(const ViewQuery& q) {
+  DM_RETURN_NOT_OK(q.Validate());
   QueryStats stats;
   BeginQuery();
   const IoStats io0 = source_->io_stats();
 
   arena_.Reset();
   NodeMap nodes(kInvalidVertex, scratch_arena());
-  DM_RETURN_NOT_OK(
-      FetchBox(Box::FromRect(q.roi, q.e_min, q.e_max), &nodes, &stats));
+  const std::optional<SurfaceBound> bound =
+      MakeBound(options_, source_->cost_inputs(), q);
+  DM_RETURN_NOT_OK(FetchBox(Box::FromRect(q.roi, q.e_min, q.e_max),
+                            bound ? &*bound : nullptr, &nodes, &stats));
 
   // Top-plane mesh: the cut at e_max (Algorithm 1, step 3).
   IdVec start(id_alloc());
@@ -333,6 +446,7 @@ Result<DmQueryResult> DmQueryProcessor::SingleBase(const ViewQuery& q) {
 
 Result<DmQueryResult> DmQueryProcessor::Perspective(
     const PerspectiveQuery& q) {
+  DM_RETURN_NOT_OK(q.Validate());
   QueryStats stats;
   BeginQuery();
   const IoStats io0 = source_->io_stats();
@@ -342,8 +456,10 @@ Result<DmQueryResult> DmQueryProcessor::Perspective(
   q.Range(&e_lo, &e_hi);
   arena_.Reset();
   NodeMap nodes(kInvalidVertex, scratch_arena());
-  DM_RETURN_NOT_OK(FetchBox(Box::FromRect(q.roi, e_lo, e_hi), &nodes,
-                            &stats));
+  const std::optional<SurfaceBound> bound =
+      MakeBound(options_, source_->cost_inputs(), q);
+  DM_RETURN_NOT_OK(FetchBox(Box::FromRect(q.roi, e_lo, e_hi),
+                            bound ? &*bound : nullptr, &nodes, &stats));
 
   IdVec start(id_alloc());
   for (const auto& [id, n] : nodes) {
@@ -364,6 +480,7 @@ Result<DmQueryResult> DmQueryProcessor::Perspective(
 
 Result<DmQueryResult> DmQueryProcessor::MultiBase(const ViewQuery& q,
                                                   int max_cubes) {
+  DM_RETURN_NOT_OK(q.Validate());
   QueryStats stats;
   BeginQuery();
   const IoStats io0 = source_->io_stats();
@@ -372,6 +489,8 @@ Result<DmQueryResult> DmQueryProcessor::MultiBase(const ViewQuery& q,
   const std::vector<BaseCube> cubes =
       OptimizeMultiBase(inputs, q.roi, q.gradient_along_y,
                         [&](double t) { return q.EAt(t); }, max_cubes);
+  // One bound for every slice: it depends only on the query plane.
+  const std::optional<SurfaceBound> bound = MakeBound(options_, inputs, q);
 
   arena_.Reset();
   NodeMap nodes(kInvalidVertex, scratch_arena());
@@ -395,7 +514,8 @@ Result<DmQueryResult> DmQueryProcessor::MultiBase(const ViewQuery& q,
     }
     const Box box = SliceBox(q.roi, q.gradient_along_y, cube);
     NodeMap slice_nodes(kInvalidVertex, scratch_arena());
-    DM_RETURN_NOT_OK(FetchBox(box, &slice_nodes, &stats));
+    DM_RETURN_NOT_OK(
+        FetchBox(box, bound ? &*bound : nullptr, &slice_nodes, &stats));
     // This slice's top plane: its cut at the slice's e_hi, restricted
     // to the slice (each point belongs to exactly one slice; the last
     // slice owns its far edge). Sharing the NodeRef (not moving the

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "dm/dm_store.h"
 #include "dm/node_source.h"
+#include "index/rtree/range_filter.h"
 #include "mesh/triangle_mesh.h"
 
 namespace dm {
@@ -36,6 +37,11 @@ struct ViewQuery {
 
   /// Required LOD at a footprint position (clamped to the ROI).
   double RequiredE(double x, double y) const;
+
+  /// InvalidArgument unless every field is finite, the ROI is
+  /// non-empty and e_max >= e_min. Every DmQueryProcessor entry point
+  /// taking a ViewQuery checks this first.
+  Status Validate() const;
 
   /// The paper's angle parametrization: tan(angle) = (e_max - e_min) /
   /// roi extent; theta_max corresponds to e spanning [e_min,
@@ -65,6 +71,11 @@ struct PerspectiveQuery {
   double RequiredE(double x, double y) const;
   /// The LOD range the ROI can demand (min/max of RequiredE over it).
   void Range(double* lo, double* hi) const;
+
+  /// InvalidArgument unless every field is finite, the ROI is
+  /// non-empty, tolerance >= 0 and e_cap >= e_floor (RequiredE's clamp
+  /// needs the last one).
+  Status Validate() const;
 };
 
 /// Per-query measurements. `disk_accesses` is read from the shared
@@ -158,6 +169,13 @@ struct DmQueryOptions {
   /// it expires, remaining work stays at its current (coarser) LOD —
   /// the query returns a legal cut early instead of running long.
   double deadline_millis = 0.0;
+  /// Surface-bounded fetch (DESIGN.md §18): view-dependent fetches
+  /// skip every index entry refinement cannot reach, using the
+  /// source's parent-reach table. Geometry is identical either way;
+  /// only nodes fetched and disk reads drop. Off = the paper's plain
+  /// cube fetch, which the paper-reproduction bench arms use. Sources
+  /// without a reach table always fetch the cube.
+  bool bounded_fetch = true;
 };
 
 /// Query processing over a DmDataSource (paper Section 5): one
@@ -186,7 +204,8 @@ class DmQueryProcessor {
 
   /// Single-base viewpoint-dependent query (Algorithm 1): fetch the
   /// cube r x [e_min, e_max], build the top-plane mesh, refine down to
-  /// the query plane.
+  /// the query plane. With `bounded_fetch`, the cube fetch skips the
+  /// nodes refinement cannot reach.
   Result<DmQueryResult> SingleBase(const ViewQuery& q);
 
   /// Multi-base viewpoint-dependent query (Section 5.3): the
@@ -230,9 +249,12 @@ class DmQueryProcessor {
   void BeginQuery();
 
   /// Runs one 3D range query and loads the named nodes into `nodes`
-  /// (through the decoded-node cache when enabled). In degraded mode,
-  /// lost node records are tallied in `health_` instead of failing.
-  Status FetchBox(const Box& box, NodeMap* nodes, QueryStats* stats);
+  /// (through the decoded-node cache when enabled). A non-null
+  /// `filter` is armed as the index's ScopedRangeFilter for the fetch.
+  /// In degraded mode, lost node records are tallied in `health_`
+  /// instead of failing.
+  Status FetchBox(const Box& box, const RangeFilter* filter, NodeMap* nodes,
+                  QueryStats* stats);
 
   /// Shared tail of the viewpoint-dependent paths: refine `start` (the
   /// top-plane cut) down to the required-LOD field, then triangulate.

@@ -160,6 +160,7 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   store.meta_.mean_lod = tree.mean_lod();
   store.meta_.bounds = bounds;
   store.meta_.codec = codec;
+  store.meta_.reach = BuildReachTable(tree);
   DM_RETURN_NOT_OK(store.LoadCatalog());
   take_stage(&timings->catalog_millis);
   // A rebuild yields a new store and thus a brand-new cache; any cache

@@ -48,6 +48,11 @@ struct DmMeta {
   /// id_space > num_nodes (absent ids, links and connection targets
   /// landing outside the shard are expected, not corruption).
   int64_t id_space = 0;
+  /// Parent-reach table D computed at build time (DESIGN.md §18). It
+  /// lets view-dependent queries skip index entries refinement cannot
+  /// reach. Empty for stores built before the table existed; those
+  /// queries fetch the whole cube.
+  ReachTable reach;
 };
 
 /// Wall-clock breakdown of one DmStore::Build call, for build
@@ -58,7 +63,7 @@ struct DmBuildTimings {
   double encode_millis = 0.0;    // record encoding
   double append_millis = 0.0;    // heap writes
   double bulkload_millis = 0.0;  // R*-tree pack
-  double catalog_millis = 0.0;   // catalog / cost-model snapshot
+  double catalog_millis = 0.0;   // reach table + catalog snapshot
 };
 
 /// Build-time options of a DM database.
@@ -185,11 +190,12 @@ class DmStore {
   const EAxisMap& e_axis_map() const { return e_axis_map_; }
 
   /// Full catalog snapshot for the query optimizer. Returned by value
-  /// with the node-extent pointer re-bound, so it stays valid even
-  /// though DmStore objects are moved around freely.
+  /// with the node-extent and reach pointers re-bound, so it stays
+  /// valid even though DmStore objects are moved around freely.
   CostModelInputs cost_inputs() const {
     CostModelInputs ci = cost_inputs_;
     ci.nodes = &node_extents_;
+    ci.reach = meta_.reach.empty() ? nullptr : &meta_.reach;
     return ci;
   }
 

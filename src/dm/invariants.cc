@@ -184,6 +184,31 @@ void CheckLodIntervals(const LoadedNodes& ln, const DmMeta& meta,
   }
 }
 
+void CheckParentReach(const LoadedNodes& ln, const ReachTable& reach,
+                      Reporter& rep) {
+  if (reach.empty()) return;  // built before the table existed
+  const int64_t total = static_cast<int64_t>(ln.nodes.size());
+  for (VertexId id = 0; id < total; ++id) {
+    if (!ln.present[static_cast<size_t>(id)]) continue;
+    const DmNode& n = ln.nodes[static_cast<size_t>(id)];
+    // Links to absent parents are tree-links' (or a shard's) business.
+    if (n.parent < 0 || n.parent >= total ||
+        !ln.present[static_cast<size_t>(n.parent)]) {
+      continue;
+    }
+    const double dist =
+        XyDistance(n.pos, ln.nodes[static_cast<size_t>(n.parent)].pos);
+    const double bound = ReachAt(reach, n.e_high);
+    if (!(dist <= bound)) {
+      rep.Add(kInvariantParentReach,
+              NodeTag(id) + " lies " + std::to_string(dist) +
+                  " from parent " + std::to_string(n.parent) +
+                  " but the reach table allows " + std::to_string(bound) +
+                  " at e_high " + std::to_string(n.e_high));
+    }
+  }
+}
+
 void CheckTreeLinks(const LoadedNodes& ln, Reporter& rep) {
   const int64_t total = static_cast<int64_t>(ln.nodes.size());
   auto in_range = [&](VertexId v) { return v >= 0 && v < total; };
@@ -409,6 +434,7 @@ Result<InvariantReport> VerifyDmStore(const DmStore& store,
 
   CheckLodIntervals(ln, store.meta(), rep);
   CheckTreeLinks(ln, rep);
+  CheckParentReach(ln, store.meta().reach, rep);
   report.connections_checked =
       CheckConnectionLists(ln, IsPartialStore(store.meta()), rep);
   report.rtree_nodes_checked = CheckRTree(store, ln, rep);

@@ -31,6 +31,7 @@ inline constexpr char kInvariantConnectionExact[] = "connection-exactness";
 inline constexpr char kInvariantRTreeMbb[] = "rtree-mbb";
 inline constexpr char kInvariantRTreeEntry[] = "rtree-entry";
 inline constexpr char kInvariantPinBalance[] = "pin-balance";
+inline constexpr char kInvariantParentReach[] = "parent-reach";
 
 /// Outcome of an invariant audit. `ok()` iff nothing was violated; the
 /// counters record how much evidence backs a clean report.
@@ -79,6 +80,11 @@ struct InvariantOptions {
 ///                      decrease by one per step; leaf entry boxes are
 ///                      the vertical (x, y, [e_low, e_high]) segment of
 ///                      the record they point to.
+///  - parent-reach:     every node's xy distance to its parent is at
+///                      most D(node.e_high) of the catalog's reach
+///                      table (skipped for stores without one) — an
+///                      understated D would make bounded fetches drop
+///                      nodes refinement needs.
 ///  - pin-balance:      the buffer pool is quiescent (zero pinned
 ///                      frames) once the audit's own guards are
 ///                      released.

@@ -26,6 +26,9 @@ Status SaveDmMeta(const std::string& path, const DmMeta& meta,
   // Written only when set, so complete-store meta files stay
   // byte-identical to pre-shard builds.
   if (meta.id_space > 0) out << "id_space=" << meta.id_space << "\n";
+  for (const ReachStep& r : meta.reach) {
+    out << "reach=" << r.e_high << "," << r.dist << "\n";
+  }
   for (const auto& [f, e] : quantiles) {
     out << "quantile=" << f << "," << e << "\n";
   }
@@ -80,6 +83,16 @@ Result<LoadedDmMeta> LoadDmMeta(const std::string& path) {
       ss >> lm.meta.bounds.lo_x >> c >> lm.meta.bounds.lo_y >> c >>
           lm.meta.bounds.hi_x >> c >> lm.meta.bounds.hi_y;
     }
+    if (key == "reach") {
+      ReachStep r;
+      char c = 0;
+      ss >> r.e_high >> c >> r.dist;
+      if (!ss || c != ',') {
+        return Status::Corruption("meta file: malformed reach entry '" +
+                                  value + "'");
+      }
+      lm.meta.reach.push_back(r);
+    }
     if (key == "quantile") {
       double f;
       double e;
@@ -96,6 +109,7 @@ Result<LoadedDmMeta> LoadDmMeta(const std::string& path) {
       }
     }
   }
+  DM_RETURN_NOT_OK(ValidateReachTable(lm.meta.reach));
   return lm;
 }
 

@@ -31,7 +31,10 @@ Status SaveDmMeta(
     const std::vector<std::pair<std::string, double>>& stages = {});
 
 /// Parses a sidecar written by SaveDmMeta (including legacy v5 files
-/// with the boolean `compressed` key).
+/// with the boolean `compressed` key). The parent-reach table is one
+/// `reach=h,d` line per breakpoint; a malformed, negative, non-finite
+/// or non-monotone entry is Corruption, and a file without any opens
+/// with an empty table (no bounded fetch).
 Result<LoadedDmMeta> LoadDmMeta(const std::string& path);
 
 }  // namespace dm

@@ -622,7 +622,9 @@ Status RStarTree::RangeQuery(const Box& query,
   }
   for (auto it = root->entries.rbegin(); it != root->entries.rend(); ++it) {
     if (it->box.Intersects(query)) {
-      frontier.push_back(static_cast<PageId>(it->payload));
+      if (ScopedRangeFilter::Admits(it->box)) {
+        frontier.push_back(static_cast<PageId>(it->payload));
+      }
     } else if (pf_depth > 0 && level == 1 && it->box.Intersects(widened)) {
       pf_cand.push_back(static_cast<PageId>(it->payload));
     }
@@ -697,7 +699,9 @@ Status RStarTree::RangeQuery(const Box& query,
               std::memcpy(box.hi.data(), p + 24, 24);
               std::memcpy(&payload, p + 48, 8);
               if (box.Intersects(query)) {
-                slot.push_back(static_cast<PageId>(payload));
+                if (ScopedRangeFilter::Admits(box)) {
+                  slot.push_back(static_cast<PageId>(payload));
+                }
               } else if (pf_depth > 0 && level == 1 &&
                          box.Intersects(widened)) {
                 pf_cand.push_back(static_cast<PageId>(payload));
@@ -800,7 +804,9 @@ Status RStarTree::RangeQuery(const Box& query,
             std::memcpy(box.lo.data(), p, 24);
             std::memcpy(box.hi.data(), p + 24, 24);
             std::memcpy(&payload, p + 48, 8);
-            if (box.Intersects(query)) slot.push_back(payload);
+            if (box.Intersects(query) && ScopedRangeFilter::Admits(box)) {
+              slot.push_back(payload);
+            }
           }
         }
       }));
@@ -836,7 +842,9 @@ Status RStarTree::RangeQueryEntries(
   {
     DM_ASSIGN_OR_RETURN(std::shared_ptr<const Node> root, CachedRoot());
     for (const Entry& e : root->entries) {
-      if (!e.box.Intersects(query)) continue;
+      if (!e.box.Intersects(query) || !ScopedRangeFilter::Admits(e.box)) {
+        continue;
+      }
       if (root->level == 0) {
         if (!callback(e.box, e.payload)) return Status::OK();
       } else {
@@ -868,7 +876,7 @@ Status RStarTree::RangeQueryEntries(
       std::memcpy(box.lo.data(), p, 24);
       std::memcpy(box.hi.data(), p + 24, 24);
       std::memcpy(&payload, p + 48, 8);
-      if (!box.Intersects(query)) continue;
+      if (!box.Intersects(query) || !ScopedRangeFilter::Admits(box)) continue;
       if (level == 0) {
         if (!callback(box, payload)) return Status::OK();
       } else {

@@ -9,6 +9,7 @@
 #include "common/geometry.h"
 #include "common/parallel.h"
 #include "common/status.h"
+#include "index/rtree/range_filter.h"
 #include "storage/db_env.h"
 #include "storage/page.h"
 
@@ -87,6 +88,10 @@ class RStarTree {
   /// same sequence. Sibling leaves that barely miss the query's LOD
   /// range feed the pool's speculative prefetcher
   /// (DbOptions::prefetch_depth).
+  ///
+  /// Both traversals also honour the thread's ScopedRangeFilter: an
+  /// internal entry or leaf entry that intersects `query` but fails
+  /// the armed filter is pruned inside the same traversal.
   Status RangeQuery(const Box& query, std::vector<uint64_t>* out) const;
 
   /// Streaming depth-first variant exposing entry boxes, one pinned

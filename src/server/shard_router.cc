@@ -160,11 +160,17 @@ ShardRouter::ShardRouter(ShardSet* shards, const ShardRouterOptions& options)
   // so the K disjoint trees contribute exactly their concatenated
   // extents; data space and record totals are global (every shard meta
   // carries the source bounds).
+  bool missing_reach = false;
   for (int s = 0; s < K; ++s) {
     const DmStore& store = *shards_->shard(s).replicas[0]->store;
     merged_extents_.insert(merged_extents_.end(), store.node_extents().begin(),
                            store.node_extents().end());
     const CostModelInputs ci = store.cost_inputs();
+    if (ci.reach != nullptr) {
+      merged_reach_ = MergeReachTables(merged_reach_, *ci.reach);
+    } else {
+      missing_reach = true;
+    }
     merged_inputs_.segment_sample.insert(merged_inputs_.segment_sample.end(),
                                          ci.segment_sample.begin(),
                                          ci.segment_sample.end());
@@ -188,6 +194,8 @@ ShardRouter::ShardRouter(ShardSet* shards, const ShardRouterOptions& options)
   merged_inputs_.e_map = EAxisMap::FromNodeExtents(merged_extents_);
   merged_inputs_.total_records = shards_->source_meta().num_nodes;
   merged_inputs_.nodes = &merged_extents_;
+  // A bound is only valid if it covers every shard's links.
+  if (missing_reach) merged_reach_.clear();
 }
 
 Status ShardRouter::FetchBox(const Box& box, bool allow_degraded,
@@ -387,6 +395,7 @@ IoStats ShardRouter::io_stats() const {
 CostModelInputs ShardRouter::cost_inputs() const {
   CostModelInputs ci = merged_inputs_;
   ci.nodes = &merged_extents_;
+  ci.reach = merged_reach_.empty() ? nullptr : &merged_reach_;
   return ci;
 }
 

@@ -217,6 +217,9 @@ class ShardRouter final : public DmDataSource {
   /// sample, global data space.
   std::vector<RTreeNodeExtent> merged_extents_;
   CostModelInputs merged_inputs_;
+  /// Pointwise max of the shards' parent-reach tables; empty (no
+  /// bounded fetch) when any shard lacks one.
+  ReachTable merged_reach_;
 };
 
 }  // namespace dm

@@ -22,6 +22,8 @@ const char* MethodName(Method m) {
       return "HDoV";
     case Method::kDmRepacked:
       return "DM-RP";
+    case Method::kDmBounded:
+      return "DM-BF";
   }
   return "?";
 }
@@ -76,7 +78,8 @@ Result<QueryStats> BenchContext::RunUniform(Method m, const Rect& roi,
   DM_RETURN_NOT_OK(FlushAll());
   switch (m) {
     case Method::kDmSingleBase:
-    case Method::kDmMultiBase: {
+    case Method::kDmMultiBase:
+    case Method::kDmBounded: {
       DmQueryProcessor proc(&*ds_.dm);
       DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.ViewpointIndependent(roi, e));
       return r.stats;
@@ -105,15 +108,23 @@ Result<QueryStats> BenchContext::RunUniform(Method m, const Rect& roi,
 
 Result<QueryStats> BenchContext::RunView(Method m, const ViewQuery& q) {
   DM_RETURN_NOT_OK(FlushAll());
+  // The paper's protocol fetches the whole cube; only DM-BF bounds it.
+  DmQueryOptions paper;
+  paper.bounded_fetch = false;
   switch (m) {
     case Method::kDmSingleBase: {
-      DmQueryProcessor proc(&*ds_.dm);
+      DmQueryProcessor proc(&*ds_.dm, paper);
       DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.SingleBase(q));
       return r.stats;
     }
     case Method::kDmMultiBase: {
-      DmQueryProcessor proc(&*ds_.dm);
+      DmQueryProcessor proc(&*ds_.dm, paper);
       DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.MultiBase(q));
+      return r.stats;
+    }
+    case Method::kDmBounded: {
+      DmQueryProcessor proc(&*ds_.dm);
+      DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.SingleBase(q));
       return r.stats;
     }
     case Method::kPm: {
@@ -138,7 +149,7 @@ Result<QueryStats> BenchContext::RunView(Method m, const ViewQuery& q) {
         return Status::NotFound(
             "repacked DM store not built (pass repack_dm to Create)");
       }
-      DmQueryProcessor proc(&*ds_.dm_rp);
+      DmQueryProcessor proc(&*ds_.dm_rp, paper);
       DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.SingleBase(q));
       return r.stats;
     }

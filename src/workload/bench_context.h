@@ -8,9 +8,19 @@
 
 namespace dm {
 
-/// The competing methods of the paper's evaluation, plus DM over the
-/// repacked (cut-locality) layout as a repo-local A/B arm.
-enum class Method { kDmSingleBase, kDmMultiBase, kPm, kHdov, kDmRepacked };
+/// The competing methods of the paper's evaluation, plus two
+/// repo-local arms: DM over the repacked (cut-locality) layout, and
+/// single-base DM with the surface-bounded fetch (DESIGN.md §18). The
+/// paper arms (DM-SB, DM-MB, and DM-RP, which A/Bs the layout under
+/// DM-SB's protocol) fetch the plain cube.
+enum class Method {
+  kDmSingleBase,
+  kDmMultiBase,
+  kPm,
+  kHdov,
+  kDmRepacked,
+  kDmBounded
+};
 
 const char* MethodName(Method m);
 

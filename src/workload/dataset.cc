@@ -198,7 +198,10 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
         mf.Has("spec.side") && mf.GetInt("spec.side") == spec.side &&
         mf.GetInt("spec.seed") == static_cast<int64_t>(spec.seed) &&
         mf.GetInt("spec.page_size") ==
-            static_cast<int64_t>(options.page_size);
+            static_cast<int64_t>(options.page_size) &&
+        // Caches written before the parent-reach table rebuild, so the
+        // bounded-fetch arm never silently measures the plain cube.
+        mf.Has("dm.reach.count");
     if (match) {
       DbOptions open = options;
       open.truncate = false;
@@ -221,6 +224,12 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
       dmm.codec = mf.Has("dm.codec")
                       ? static_cast<DmCodec>(mf.GetInt("dm.codec"))
                       : DmCodec::kFlat;
+      const int64_t nr = mf.GetInt("dm.reach.count");
+      for (int64_t i = 0; i < nr; ++i) {
+        const std::string p = "dm.reach." + std::to_string(i);
+        dmm.reach.push_back({mf.GetDouble(p + ".h"), mf.GetDouble(p + ".d")});
+      }
+      DM_RETURN_NOT_OK(ValidateReachTable(dmm.reach));
       DM_ASSIGN_OR_RETURN(ds.dm, DmStore::Open(ds.dm_env.get(), dmm));
 
       PmDbMeta pmm;
@@ -383,6 +392,13 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   mf.Set("dm.rtree_root", static_cast<int64_t>(ds.dm->meta().rtree_root));
   mf.Set("dm.rtree_size", ds.dm->meta().rtree_size);
   mf.Set("dm.codec", static_cast<int64_t>(ds.dm->meta().codec));
+  const ReachTable& reach = ds.dm->meta().reach;
+  mf.Set("dm.reach.count", static_cast<int64_t>(reach.size()));
+  for (size_t i = 0; i < reach.size(); ++i) {
+    const std::string p = "dm.reach." + std::to_string(i);
+    mf.Set(p + ".h", reach[i].e_high);
+    mf.Set(p + ".d", reach[i].dist);
+  }
   mf.Set("pm.heap_first", static_cast<int64_t>(ds.pm->meta().heap_first));
   mf.Set("pm.quadtree_root",
          static_cast<int64_t>(ds.pm->meta().quadtree_root));

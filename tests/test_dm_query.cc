@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "dm/dm_store.h"
 #include "mesh/validate.h"
@@ -262,6 +264,74 @@ TEST_F(DmQueryTest, StatsArepopulated) {
   EXPECT_GT(s.disk_accesses, 0);
   EXPECT_GT(s.nodes_fetched, 0);
   EXPECT_EQ(s.range_queries, 1);
+}
+
+// Malformed queries are rejected up front instead of answering from
+// an inverted cube (which silently drops every cut node whose interval
+// ends below e_min) or hitting std::clamp with lo > hi.
+TEST_F(DmQueryTest, MalformedQueriesAreInvalidArgument) {
+  DmQueryProcessor proc(store_);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  ViewQuery good;
+  good.roi = Roi(0.1, 0.1, 0.9, 0.9);
+  good.e_min = 0.01 * scene_->tree.max_lod();
+  good.e_max = 0.3 * scene_->tree.max_lod();
+  ASSERT_TRUE(proc.SingleBase(good).ok());
+
+  std::vector<ViewQuery> bad_views;
+  ViewQuery inverted = good;
+  std::swap(inverted.e_min, inverted.e_max);
+  bad_views.push_back(inverted);
+  ViewQuery v = good;
+  v.e_min = nan;
+  bad_views.push_back(v);
+  v = good;
+  v.e_max = inf;
+  bad_views.push_back(v);
+  v = good;
+  v.roi.hi_x = nan;
+  bad_views.push_back(v);
+  v = good;
+  v.roi = Rect::Of(5, 5, 1, 1);  // empty (lo > hi)
+  bad_views.push_back(v);
+  for (size_t i = 0; i < bad_views.size(); ++i) {
+    EXPECT_EQ(proc.SingleBase(bad_views[i]).status().code(),
+              StatusCode::kInvalidArgument)
+        << "view " << i;
+    EXPECT_EQ(proc.MultiBase(bad_views[i]).status().code(),
+              StatusCode::kInvalidArgument)
+        << "view " << i;
+  }
+
+  PerspectiveQuery p;
+  p.roi = good.roi;
+  p.viewer = Point2{good.roi.lo_x, good.roi.lo_y};
+  p.tolerance = 0.1;
+  p.e_floor = 0.0;
+  p.e_cap = scene_->tree.max_lod();
+  ASSERT_TRUE(proc.Perspective(p).ok());
+  std::vector<PerspectiveQuery> bad_persp;
+  PerspectiveQuery q = p;
+  q.e_cap = -1.0;  // below e_floor
+  bad_persp.push_back(q);
+  q = p;
+  q.tolerance = -0.5;
+  bad_persp.push_back(q);
+  q = p;
+  q.viewer.y = inf;
+  bad_persp.push_back(q);
+  q = p;
+  q.e_floor = nan;
+  bad_persp.push_back(q);
+  q = p;
+  q.roi = Rect::Of(5, 5, 1, 1);
+  bad_persp.push_back(q);
+  for (size_t i = 0; i < bad_persp.size(); ++i) {
+    EXPECT_EQ(proc.Perspective(bad_persp[i]).status().code(),
+              StatusCode::kInvalidArgument)
+        << "perspective " << i;
+  }
 }
 
 TEST(ViewQueryTest, RequiredEInterpolatesAcrossRoi) {

@@ -3,8 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "dm/dm_query.h"
+#include "dm/meta_io.h"
+#include "dm/reach.h"
 #include "test_util.h"
 
 namespace dm {
@@ -248,6 +257,142 @@ TEST_F(DmStoreTest, GroupStoreAnswersIdenticallyWithHigherDensity) {
                               })
                   .ok());
   EXPECT_EQ(delivered, all.size());
+}
+
+// The parent-reach table bounds every parent link, is as tight as the
+// links allow (each breakpoint is some link's distance), and stores
+// only rises.
+TEST_F(DmStoreTest, ReachTableBoundsEveryParentLink) {
+  const ReachTable& reach = store_->meta().reach;
+  ASSERT_FALSE(reach.empty());
+  EXPECT_TRUE(ValidateReachTable(reach).ok());
+  EXPECT_EQ(store_->cost_inputs().reach, &reach);
+  std::set<std::pair<double, double>> links;
+  for (const PmNode& n : scene_->tree.nodes()) {
+    if (n.is_root()) continue;
+    const double d = XyDistance(n.pos, scene_->tree.node(n.parent).pos);
+    EXPECT_LE(d, ReachAt(reach, n.e_high)) << "node " << n.id;
+    links.emplace(n.e_high, d);
+  }
+  for (const ReachStep& step : reach) {
+    EXPECT_TRUE(links.count({step.e_high, step.dist}))
+        << "breakpoint (" << step.e_high << ", " << step.dist
+        << ") is no parent link";
+  }
+  EXPECT_EQ(ReachAt(reach, reach.front().e_high - 1.0), 0.0);
+  EXPECT_EQ(ReachAt(reach, 1e300), reach.back().dist);
+}
+
+TEST(ReachTableTest, MergeIsThePointwiseMax) {
+  const ReachTable a = {{1.0, 1.0}, {3.0, 4.0}, {6.0, 5.0}};
+  const ReachTable b = {{2.0, 2.0}, {3.0, 3.0}, {5.0, 6.0}};
+  const ReachTable m = MergeReachTables(a, b);
+  EXPECT_TRUE(ValidateReachTable(m).ok());
+  for (double h = 0.0; h < 8.0; h += 0.25) {
+    EXPECT_EQ(ReachAt(m, h), std::max(ReachAt(a, h), ReachAt(b, h)))
+        << "h = " << h;
+  }
+  EXPECT_EQ(m, (ReachTable{{1.0, 1.0}, {2.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}}));
+  EXPECT_EQ(MergeReachTables(a, {}), a);
+}
+
+class ReachMetaFileTest : public DmStoreTest {
+ protected:
+  void SetUp() override {
+    meta_path_ = testing::TempDbPath("reach") + ".meta";
+    ASSERT_TRUE(SaveDmMeta(meta_path_, store_->meta()).ok());
+    std::ifstream in(meta_path_);
+    for (std::string line; std::getline(in, line);) lines_.push_back(line);
+  }
+  void TearDown() override { std::remove(meta_path_.c_str()); }
+
+  /// Rewrites the meta file with `edit` applied to its lines.
+  template <typename Edit>
+  void Rewrite(const Edit& edit) {
+    std::vector<std::string> lines = lines_;
+    edit(&lines);
+    std::ofstream out(meta_path_);
+    for (const std::string& l : lines) out << l << "\n";
+  }
+
+  /// Index of the n-th `reach=` line.
+  size_t ReachLine(size_t n) const {
+    for (size_t i = 0; i < lines_.size(); ++i) {
+      if (lines_[i].rfind("reach=", 0) == 0 && n-- == 0) return i;
+    }
+    ADD_FAILURE() << "too few reach lines";
+    return 0;
+  }
+
+  std::string meta_path_;
+  std::vector<std::string> lines_;
+};
+
+TEST_F(ReachMetaFileTest, RoundTripsExactly) {
+  auto loaded = LoadDmMeta(meta_path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().meta.reach, store_->meta().reach);
+}
+
+TEST_F(ReachMetaFileTest, DamagedEntriesAreCorruption) {
+  ASSERT_GE(store_->meta().reach.size(), 3u);
+  const size_t first = ReachLine(0);
+  const size_t second = ReachLine(1);
+  const std::vector<std::string> damaged = {
+      "reach=-1,0",     // negative
+      "reach=0,-2",     // negative
+      "reach=nan,1",    // not finite
+      "reach=1,inf",    // not finite
+      "reach=1;2",      // malformed
+  };
+  for (const std::string& bad : damaged) {
+    Rewrite([&](std::vector<std::string>* l) { (*l)[second] = bad; });
+    EXPECT_EQ(LoadDmMeta(meta_path_).status().code(), StatusCode::kCorruption)
+        << bad;
+  }
+  // Out of order.
+  Rewrite([&](std::vector<std::string>* l) {
+    std::swap((*l)[first], (*l)[second]);
+  });
+  EXPECT_EQ(LoadDmMeta(meta_path_).status().code(), StatusCode::kCorruption);
+}
+
+// A meta file from before the table existed opens with no bound and
+// fetches the whole cube — with the same geometry as a bounded fetch.
+TEST_F(ReachMetaFileTest, MissingTableFetchesTheCube) {
+  Rewrite([](std::vector<std::string>* l) {
+    l->erase(std::remove_if(l->begin(), l->end(),
+                            [](const std::string& s) {
+                              return s.rfind("reach=", 0) == 0;
+                            }),
+             l->end());
+  });
+  auto loaded = LoadDmMeta(meta_path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().meta.reach.empty());
+  auto legacy = DmStore::Open(env_, loaded.value().meta);
+  ASSERT_TRUE(legacy.ok());
+  EXPECT_EQ(legacy.value().cost_inputs().reach, nullptr);
+
+  const Rect b = scene_->tree.bounds();
+  ViewQuery q = ViewQuery::FromAngle(
+      Rect::Of(b.lo_x + 0.1 * b.width(), b.lo_y + 0.2 * b.height(),
+               b.lo_x + 0.8 * b.width(), b.lo_y + 0.9 * b.height()),
+      0.01 * scene_->tree.max_lod(), 0.5, scene_->tree.max_lod());
+  DmQueryOptions cube;
+  cube.bounded_fetch = false;
+  auto on_legacy = DmQueryProcessor(&legacy.value()).SingleBase(q);
+  auto cube_fetch = DmQueryProcessor(store_, cube).SingleBase(q);
+  auto bounded = DmQueryProcessor(store_).SingleBase(q);
+  ASSERT_TRUE(on_legacy.ok() && cube_fetch.ok() && bounded.ok());
+  EXPECT_EQ(on_legacy.value().stats.nodes_fetched,
+            cube_fetch.value().stats.nodes_fetched);
+  EXPECT_LT(bounded.value().stats.nodes_fetched,
+            cube_fetch.value().stats.nodes_fetched);
+  EXPECT_EQ(on_legacy.value().vertices, bounded.value().vertices);
+  EXPECT_EQ(on_legacy.value().positions, bounded.value().positions);
+  EXPECT_EQ(on_legacy.value().triangles.size(),
+            bounded.value().triangles.size());
 }
 
 }  // namespace

@@ -257,6 +257,26 @@ TEST(InvariantsTest, DetectsBadRTreeMbb) {
   EXPECT_TRUE(Violates(report, kInvariantRTreeMbb)) << report.ToString();
 }
 
+// An understated reach table would make bounded fetches drop nodes;
+// the audit compares every parent link against it.
+TEST(InvariantsTest, DetectsUnderstatedReachTable) {
+  TestStore ts = MakeStore("inv_reach");
+  DmMeta meta = ts.store->meta();
+  ASSERT_GE(meta.reach.size(), 2u);
+  ReachStep& last = meta.reach.back();
+  last.dist = (last.dist + meta.reach[meta.reach.size() - 2].dist) / 2;
+  auto shrunk = DmStore::Open(ts.env.get(), meta);
+  ASSERT_TRUE(shrunk.ok());
+  auto report_or = VerifyDmStore(shrunk.value());
+  ASSERT_TRUE(report_or.ok());
+  EXPECT_TRUE(Violates(report_or.value(), kInvariantParentReach))
+      << report_or.value().ToString();
+  // Only that invariant: the store itself is intact.
+  for (const InvariantViolation& v : report_or.value().violations) {
+    EXPECT_EQ(v.invariant, kInvariantParentReach) << v.detail;
+  }
+}
+
 TEST(InvariantsTest, DetectsLeakedPin) {
   TestStore ts = MakeStore("inv_pin_leak");
   // Hold a guard across the audit: the quiescence check must see the

@@ -6,13 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <tuple>
 
+#include "common/rng.h"
 #include "dm/connectivity.h"
 #include "dm/dm_query.h"
 #include "dm/dm_store.h"
+#include "dm/repack.h"
 #include "pm/cut_replay.h"
+#include "server/shard_router.h"
+#include "server/shard_set.h"
 #include "test_util.h"
 
 namespace dm {
@@ -112,6 +118,227 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) +
              (std::get<2>(info.param) ? "_crater" : "_fractal");
     });
+
+// Differential oracle for the surface-bounded fetch (DESIGN.md §18):
+// over seeded random view and perspective queries, the bounded fetch
+// must return byte-identical geometry to the paper's cube fetch while
+// reading no more nodes and no more pages, on every codec, layout and
+// shard layout.
+class BoundedFetchDifferential : public ::testing::Test {
+ protected:
+  /// One store layout under test: a data source plus a way to empty
+  /// every buffer pool behind it.
+  struct Target {
+    std::string name;
+    DmDataSource* source = nullptr;
+    std::vector<DbEnv*> envs;
+  };
+
+  static void SetUpTestSuite() {
+    scene_ = new Scene(MakeScene(49, 11, /*crater=*/true));
+    for (DmCodec codec : {DmCodec::kFlat, DmCodec::kGroup}) {
+      const std::string tag = codec == DmCodec::kFlat ? "flat" : "group";
+      DbEnv* env = Own(testing::OpenTempEnv("bf_" + tag));
+      DmStoreOptions so;
+      so.codec = codec;
+      auto built = DmStore::Build(env, scene_->base, scene_->tree, scene_->sr,
+                                  so);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      DmStore* store = Own(std::move(built).value());
+      AddTarget(tag + "/built", store, {env});
+
+      DbEnv* rp_env = Own(testing::OpenTempEnv("bf_rp_" + tag));
+      auto rp = RepackDmStore(*store, rp_env);
+      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+      AddTarget(tag + "/repacked", Own(std::move(rp).value()), {rp_env});
+
+      if (codec == DmCodec::kFlat) {
+        ShardSetOptions opt;
+        opt.shards = 4;  // 2 x 2 grid
+        opt.replicas = 1;
+        const char* tmp = std::getenv("TMPDIR");
+        auto set = ShardSet::Build(
+            *store,
+            std::string(tmp != nullptr ? tmp : "/tmp") + "/dm_test_bf_" +
+                std::to_string(::getpid()),
+            opt);
+        ASSERT_TRUE(set.ok()) << set.status().ToString();
+        shards_ = set.value().release();
+        router_ = new ShardRouter(shards_);
+        Target t;
+        t.name = "flat/2x2-shards";
+        t.source = router_;
+        for (int k = 0; k < shards_->num_shards(); ++k) {
+          t.envs.push_back(shards_->shard(k).replicas[0]->env.get());
+        }
+        targets_->push_back(std::move(t));
+      }
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete router_;
+    delete shards_;
+    delete targets_;
+    // Stores before the environments they live in.
+    for (auto it = owned_.rbegin(); it != owned_.rend(); ++it) it->reset();
+    owned_.clear();
+    delete scene_;
+  }
+
+  template <typename T>
+  static T* Own(T value) {
+    auto holder = std::make_shared<T>(std::move(value));
+    owned_.push_back(holder);
+    return holder.get();
+  }
+  static DbEnv* Own(std::unique_ptr<DbEnv> env) {
+    std::shared_ptr<DbEnv> holder = std::move(env);
+    owned_.push_back(holder);
+    return holder.get();
+  }
+  static void AddTarget(const std::string& name, DmStore* store,
+                        std::vector<DbEnv*> envs) {
+    sources_.push_back(std::make_shared<DmStoreSource>(store));
+    targets_->push_back(Target{name, sources_.back().get(), std::move(envs)});
+  }
+
+  /// Runs `run` cold with the bounded fetch off and on, and checks the
+  /// differential contract. Returns the nodes fetched (cube, bounded).
+  template <typename Run>
+  static std::pair<int64_t, int64_t> Compare(const Target& t, const Run& run,
+                                             const std::string& what) {
+    Result<DmQueryResult> results[2] = {Status::Internal("unset"),
+                                        Status::Internal("unset")};
+    for (int bounded = 0; bounded < 2; ++bounded) {
+      for (DbEnv* env : t.envs) EXPECT_TRUE(env->FlushAll().ok());
+      DmQueryOptions opt;
+      opt.bounded_fetch = bounded == 1;
+      DmQueryProcessor proc(t.source, opt);
+      results[bounded] = run(&proc);
+      EXPECT_TRUE(results[bounded].ok())
+          << t.name << " " << what << ": "
+          << results[bounded].status().ToString();
+      if (!results[bounded].ok()) return {0, 0};
+    }
+    const DmQueryResult& cube = results[0].value();
+    const DmQueryResult& bf = results[1].value();
+    const auto same_bytes = [](const auto& a, const auto& b) {
+      return a.size() == b.size() &&
+             (a.empty() ||
+              std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+    };
+    EXPECT_EQ(bf.vertices, cube.vertices) << t.name << " " << what;
+    EXPECT_TRUE(same_bytes(bf.positions, cube.positions))
+        << t.name << " " << what;
+    EXPECT_TRUE(same_bytes(bf.triangles, cube.triangles))
+        << t.name << " " << what;
+    EXPECT_EQ(bf.stats.refinement_splits, cube.stats.refinement_splits)
+        << t.name << " " << what;
+    EXPECT_LE(bf.stats.nodes_fetched, cube.stats.nodes_fetched)
+        << t.name << " " << what;
+    EXPECT_LE(bf.stats.disk_accesses, cube.stats.disk_accesses)
+        << t.name << " " << what;
+    return {cube.stats.nodes_fetched, bf.stats.nodes_fetched};
+  }
+
+  /// A random ROI; about a third of them touch the terrain edge.
+  static Rect RandomRoi(Rng* rng) {
+    const Rect b = scene_->tree.bounds();
+    const double w = b.width() * rng->Uniform(0.15, 0.8);
+    const double h = b.height() * rng->Uniform(0.15, 0.8);
+    double x = rng->Uniform(b.lo_x, b.hi_x - w);
+    double y = rng->Uniform(b.lo_y, b.hi_y - h);
+    switch (rng->NextBelow(6)) {
+      case 0:
+        x = b.lo_x;
+        break;
+      case 1:
+        y = b.hi_y - h;
+        break;
+      default:
+        break;
+    }
+    return Rect::Of(x, y, x + w, y + h);
+  }
+
+  static Scene* scene_;
+  static std::vector<std::shared_ptr<void>> owned_;
+  static std::vector<std::shared_ptr<DmStoreSource>> sources_;
+  static std::vector<Target>* targets_;
+  static ShardSet* shards_;
+  static ShardRouter* router_;
+};
+Scene* BoundedFetchDifferential::scene_ = nullptr;
+std::vector<std::shared_ptr<void>> BoundedFetchDifferential::owned_;
+std::vector<std::shared_ptr<DmStoreSource>> BoundedFetchDifferential::sources_;
+std::vector<BoundedFetchDifferential::Target>*
+    BoundedFetchDifferential::targets_ =
+        new std::vector<BoundedFetchDifferential::Target>();
+ShardSet* BoundedFetchDifferential::shards_ = nullptr;
+ShardRouter* BoundedFetchDifferential::router_ = nullptr;
+
+TEST_F(BoundedFetchDifferential, ViewQueriesMatchTheCubeFetch) {
+  ASSERT_EQ(targets_->size(), 5u);
+  const double max_lod = scene_->tree.max_lod();
+  Rng rng(2024);
+  for (const Target& t : *targets_) {
+    int64_t cube_nodes = 0;
+    int64_t bounded_nodes = 0;
+    for (int i = 0; i < 48; ++i) {
+      const Rect roi = RandomRoi(&rng);
+      const bool along_y = rng.NextBelow(2) == 0;
+      // Angles down to 0 (a flat plane, e_max == e_min).
+      const double angle = i % 6 == 0 ? 0.0 : rng.NextDouble();
+      const double e_min = max_lod * std::pow(rng.NextDouble(), 3.0) * 0.2;
+      const ViewQuery q =
+          ViewQuery::FromAngle(roi, e_min, angle, max_lod, along_y);
+      const std::string what = "view #" + std::to_string(i);
+      const auto sb = Compare(
+          t, [&](DmQueryProcessor* p) { return p->SingleBase(q); },
+          what + " single-base");
+      const auto mb = Compare(
+          t, [&](DmQueryProcessor* p) { return p->MultiBase(q); },
+          what + " multi-base");
+      cube_nodes += sb.first + mb.first;
+      bounded_nodes += sb.second + mb.second;
+    }
+    // The bound must actually prune on a sloped plane.
+    EXPECT_LT(bounded_nodes, cube_nodes) << t.name;
+  }
+}
+
+TEST_F(BoundedFetchDifferential, PerspectiveQueriesMatchTheCubeFetch) {
+  const double max_lod = scene_->tree.max_lod();
+  Rng rng(77);
+  for (const Target& t : *targets_) {
+    int64_t cube_nodes = 0;
+    int64_t bounded_nodes = 0;
+    for (int i = 0; i < 48; ++i) {
+      PerspectiveQuery q;
+      q.roi = RandomRoi(&rng);
+      const Rect b = scene_->tree.bounds();
+      if (i % 2 == 0) {
+        q.viewer = Point2{rng.Uniform(q.roi.lo_x, q.roi.hi_x),
+                          rng.Uniform(q.roi.lo_y, q.roi.hi_y)};
+      } else {
+        // Outside the ROI, possibly outside the terrain.
+        q.viewer = Point2{q.roi.lo_x - rng.Uniform(0.0, b.width()),
+                          rng.Uniform(b.lo_y - b.height(), b.hi_y)};
+      }
+      const double diag = std::hypot(q.roi.width(), q.roi.height());
+      q.tolerance = rng.Uniform(0.05, 1.0) * max_lod / diag;
+      q.e_floor = max_lod * std::pow(rng.NextDouble(), 3.0) * 0.1;
+      q.e_cap = i % 3 == 0 ? max_lod : rng.Uniform(q.e_floor, max_lod);
+      const auto r = Compare(
+          t, [&](DmQueryProcessor* p) { return p->Perspective(q); },
+          "perspective #" + std::to_string(i));
+      cube_nodes += r.first;
+      bounded_nodes += r.second;
+    }
+    EXPECT_LT(bounded_nodes, cube_nodes) << t.name;
+  }
+}
 
 }  // namespace
 }  // namespace dm

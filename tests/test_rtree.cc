@@ -372,6 +372,74 @@ TEST_P(RStarTreeEngineTest, InsertBuiltOrderParity) {
   ExpectParity(InsertBuilt());
 }
 
+// An armed ScopedRangeFilter prunes inside both traversals: they
+// still return the same sequence, that sequence is exactly the
+// brute-force filter over every leaf entry, and pruning never reads
+// more pages. Nested guards tighten and restore the outer filter.
+TEST_P(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
+  const RStarTree tree = BulkLoaded();
+  ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+  // Monotone in the box's upper corner, hence conservative: any MBB
+  // containing an admitted entry is admitted too.
+  struct UpperCornerFilter final : RangeFilter {
+    double threshold = 0;
+    bool MayMatch(const Box& b) const override {
+      return b.hi[2] + 0.5 * b.hi[0] >= threshold;
+    }
+  };
+  UpperCornerFilter loose;
+  loose.threshold = 70;
+  UpperCornerFilter tight;
+  tight.threshold = 110;
+
+  Rng rng(53);
+  for (int q = 0; q < 30; ++q) {
+    const Box query = RandomBox(&rng, 100.0, q % 3 == 0 ? 80.0 : 30.0);
+    std::vector<uint64_t> unfiltered;
+    ASSERT_TRUE(env_->FlushAll().ok());
+    env_->ResetStats();
+    ASSERT_TRUE(tree.RangeQuery(query, &unfiltered).ok());
+    const int64_t unfiltered_reads = env_->stats().disk_reads;
+
+    for (const UpperCornerFilter* f : {&loose, &tight}) {
+      std::vector<uint64_t> brute;
+      for (size_t i = 0; i < boxes_.size(); ++i) {
+        if (boxes_[i].Intersects(query) && f->MayMatch(boxes_[i])) {
+          brute.push_back(i);
+        }
+      }
+      std::vector<uint64_t> want;  // unfiltered DFS order, then filtered
+      for (uint64_t p : unfiltered) {
+        if (f->MayMatch(boxes_[p])) want.push_back(p);
+      }
+
+      std::vector<uint64_t> got;
+      std::vector<uint64_t> visited;
+      ASSERT_TRUE(env_->FlushAll().ok());
+      env_->ResetStats();
+      {
+        ScopedRangeFilter outer(&loose);
+        ScopedRangeFilter inner(f);
+        ASSERT_TRUE(tree.RangeQuery(query, &got).ok());
+        EXPECT_LE(env_->stats().disk_reads, unfiltered_reads) << "query " << q;
+        ASSERT_TRUE(tree.RangeQueryEntries(query, [&](const Box&, uint64_t p) {
+                          visited.push_back(p);
+                          return true;
+                        }).ok());
+      }
+      EXPECT_EQ(got, want) << "query " << q;
+      EXPECT_EQ(visited, want) << "query " << q;
+      std::vector<uint64_t> sorted = got;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, brute) << "query " << q;
+    }
+    // Guards restored: unfiltered again.
+    std::vector<uint64_t> after;
+    ASSERT_TRUE(tree.RangeQuery(query, &after).ok());
+    EXPECT_EQ(after, unfiltered) << "query " << q;
+  }
+}
+
 // A node whose stored level disagrees with its parent (valid CRC, so
 // only the structure check can catch it) fails both traversals with a
 // Corruption naming the page, instead of reading child page ids as

@@ -954,6 +954,12 @@ int Main(int argc, char** argv) {
   }
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    // A malformed view query (inverted or non-finite LOD range, empty
+    // ROI) is a usage error.
+    if (args.command == "view" &&
+        st.code() == StatusCode::kInvalidArgument) {
+      return 2;
+    }
     return 1;
   }
   return 0;
