@@ -1,5 +1,5 @@
-// Fault-sweep serving benchmark: replays the same deterministic mixed
-// workload as bench_throughput through the QueryService while the
+// Fault-sweep serving benchmark: replays a deterministic mixed
+// workload (MakeMixedWorkload) through the QueryService while the
 // fault-injection shim (storage/fault_env.h) fails a growing fraction
 // of device reads, and reports what graceful degradation costs.
 //

@@ -265,6 +265,12 @@ void DmQueryProcessor::Triangulate(const NodeMap& nodes,
 
 Result<DmQueryResult> DmQueryProcessor::ViewpointIndependent(const Rect& r,
                                                              double e) {
+  // A NaN field would make every index box intersect and no node alive
+  // at `e`: the whole ROI read over all LODs for an empty mesh.
+  if (!FiniteRect(r) || !std::isfinite(e)) {
+    return Status::InvalidArgument("uniform query has a non-finite field");
+  }
+  if (r.empty()) return Status::InvalidArgument("uniform query ROI is empty");
   QueryStats stats;
   BeginQuery();
   const IoStats io0 = source_->io_stats();

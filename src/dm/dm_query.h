@@ -151,12 +151,6 @@ struct DmQueryResult {
 
 /// Tuning knobs of a query processor.
 struct DmQueryOptions {
-  /// Route per-query scratch (the node map, adjacency lists, cut
-  /// membership, work stacks) through a per-processor bump arena that
-  /// is rewound between queries; a warm worker then runs a query with
-  /// near-zero heap traffic. Off = the same container types backed by
-  /// the global heap, which bench_hotpath uses for the A/B.
-  bool use_arena = true;
   /// Degraded result mode: an unreadable/corrupt node page fails only
   /// the nodes on it — affected regions fall back to coarser live
   /// ancestors (legal by the LOD-interval tiling) and the loss is
@@ -218,9 +212,11 @@ class DmQueryProcessor {
   /// and does not apply).
   Result<DmQueryResult> Perspective(const PerspectiveQuery& q);
 
-  /// The arena backing this processor's scratch, or nullptr when
-  /// `use_arena` is off (containers fall back to the global heap).
-  Arena* scratch_arena() { return options_.use_arena ? &arena_ : nullptr; }
+  /// The bump arena backing this processor's per-query scratch (the
+  /// node map, adjacency lists, cut membership, work stacks). It is
+  /// rewound between queries, so a warm worker runs a query with
+  /// near-zero heap traffic.
+  Arena* scratch_arena() { return &arena_; }
 
   /// Arms an absolute deadline for subsequent queries, on top of (and
   /// taking the minimum with) the per-query `deadline_millis` budget.

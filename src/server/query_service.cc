@@ -251,8 +251,7 @@ std::string ThroughputReport::ToString() const {
                 "queue_p50=%.2fms queue_p99=%.2fms "
                 "exec_p50=%.2fms exec_p99=%.2fms "
                 "disk_reads=%lld failed=%lld shed=%lld degraded=%lld "
-                "io_retries=%lld pf_hits=%lld pf_waste=%lld "
-                "async_subs=%lld async_reqs=%lld async_hwm=%lld",
+                "io_retries=%lld pf_hits=%lld pf_waste=%lld",
                 threads, static_cast<long long>(queries), wall_millis, qps,
                 p50_millis, p99_millis, p999_millis, queue_p50_millis,
                 queue_p99_millis, exec_p50_millis, exec_p99_millis,
@@ -261,10 +260,7 @@ std::string ThroughputReport::ToString() const {
                 static_cast<long long>(degraded),
                 static_cast<long long>(io_retries),
                 static_cast<long long>(prefetch_hits),
-                static_cast<long long>(prefetch_waste),
-                static_cast<long long>(async_submissions),
-                static_cast<long long>(async_requests),
-                static_cast<long long>(async_inflight_hwm));
+                static_cast<long long>(prefetch_waste));
   return buf;
 }
 
@@ -334,21 +330,17 @@ void RunWorkload(QueryService& service,
 
 Result<ThroughputReport> RunThroughput(
     DmStore* store, const std::vector<QueryRequest>& workload, int threads,
-    const DmQueryOptions& query, double max_queue_wait_millis) {
+    const DmQueryOptions& query) {
   // Warm-cache steady state: write back dirt, keep everything
   // resident (the cold-cache FlushAll stays with the paper benches).
   DM_RETURN_NOT_OK(store->env()->FlushDirty());
   const IoStats io0 = store->env()->stats();
-  AsyncPageDevice* async_dev = store->env()->async_device();
-  const AsyncIoStats async0 =
-      async_dev != nullptr ? async_dev->stats() : AsyncIoStats{};
 
   QueryServiceOptions options;
   options.num_threads = threads;
   options.queue_capacity =
       std::max<size_t>(8, 2 * static_cast<size_t>(threads));
   options.query = query;
-  options.max_queue_wait_millis = max_queue_wait_millis;
   ThroughputReport report;
   {
     QueryService service(store, options);
@@ -361,18 +353,12 @@ Result<ThroughputReport> RunThroughput(
   report.io_retries = io1.io_retries - io0.io_retries;
   report.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
   report.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
-  if (async_dev != nullptr) {
-    const AsyncIoStats async1 = async_dev->stats();
-    report.async_submissions = async1.submissions - async0.submissions;
-    report.async_requests = async1.requests - async0.requests;
-    report.async_inflight_hwm = async1.inflight_hwm;  // high-water, not delta
-  }
   return report;
 }
 
 Result<ThroughputReport> RunThroughput(
     DmDataSource* source, const std::vector<QueryRequest>& workload,
-    int threads, const DmQueryOptions& query, double max_queue_wait_millis) {
+    int threads, const DmQueryOptions& query) {
   const IoStats io0 = source->io_stats();
 
   QueryServiceOptions options;
@@ -380,7 +366,6 @@ Result<ThroughputReport> RunThroughput(
   options.queue_capacity =
       std::max<size_t>(8, 2 * static_cast<size_t>(threads));
   options.query = query;
-  options.max_queue_wait_millis = max_queue_wait_millis;
   ThroughputReport report;
   {
     QueryService service(source, options);

@@ -180,7 +180,11 @@ class QueryService {
 /// `persp_pct`% perspective queries, `mb_pct`% of the remaining view
 /// queries multi-base, ROIs of `roi_fraction` of the bounds area at
 /// seeded random positions, LOD planes spanning up to half the LOD
-/// range. Shared by bench_throughput and `dmctl bench-serve`.
+/// range. Used by the fault and chaos benches, the concurrency tests
+/// and `dmctl cache-stats` / `io-stats`. LODs are percentages of
+/// `max_lod`: on crater 385² `e_min` (1%) is far above the 0.5%-cut LOD,
+/// so the median request returns 0 vertices. It exercises the serving
+/// path, not meshing; perfbench picks its LODs from the cut catalog.
 std::vector<QueryRequest> MakeMixedWorkload(const Rect& bounds,
                                             double max_lod, int count,
                                             uint64_t seed,
@@ -214,12 +218,6 @@ struct ThroughputReport {
   /// Speculative-prefetch outcome over the run (0 with prefetch off).
   int64_t prefetch_hits = 0;
   int64_t prefetch_waste = 0;
-  /// Async device activity over the run (all 0 when async is off):
-  /// batch submissions, read requests, and the in-flight high-water
-  /// mark — how deep the batched read path actually drove the queue.
-  int64_t async_submissions = 0;
-  int64_t async_requests = 0;
-  int64_t async_inflight_hwm = 0;
 
   std::string ToString() const;
 };
@@ -227,14 +225,13 @@ struct ThroughputReport {
 /// Replays `workload` through a QueryService with `threads` workers
 /// and reports throughput and latency percentiles. The cache is
 /// warmed (FlushDirty steady state), not flushed, so repeated runs
-/// measure serving capacity rather than cold-start I/O. `query` and
-/// `max_queue_wait_millis` pass through to QueryServiceOptions so
-/// fault benches can run degraded-with-deadline and shedding modes.
+/// measure serving capacity rather than cold-start I/O. `query`
+/// passes through to QueryServiceOptions so fault benches can run
+/// degraded-with-deadline mode.
 Result<ThroughputReport> RunThroughput(DmStore* store,
                                        const std::vector<QueryRequest>& workload,
                                        int threads,
-                                       const DmQueryOptions& query = {},
-                                       double max_queue_wait_millis = 0.0);
+                                       const DmQueryOptions& query = {});
 
 /// Source-generic variant (used with a ShardRouter): aggregate I/O
 /// comes from the source's pooled counters; no cache conditioning is
@@ -242,8 +239,7 @@ Result<ThroughputReport> RunThroughput(DmStore* store,
 Result<ThroughputReport> RunThroughput(DmDataSource* source,
                                        const std::vector<QueryRequest>& workload,
                                        int threads,
-                                       const DmQueryOptions& query = {},
-                                       double max_queue_wait_millis = 0.0);
+                                       const DmQueryOptions& query = {});
 
 }  // namespace dm
 

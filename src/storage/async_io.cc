@@ -44,8 +44,13 @@ struct GroupState {
 
 class ThreadPoolAsyncDevice final : public AsyncPageDevice {
  public:
-  ThreadPoolAsyncDevice(PageDevice* chain, int io_threads) : chain_(chain) {
-    threads_.Start(io_threads, [this](int) { WorkerLoop(); });
+  // Sized for read/decode overlap, not CPU parallelism: at 150 µs
+  // simulated latency one query keeps about a dozen 1-page reads in
+  // flight, so the pool is deliberately wider than the core count.
+  static constexpr int kIoThreads = 4;
+
+  explicit ThreadPoolAsyncDevice(PageDevice* chain) : chain_(chain) {
+    threads_.Start(kIoThreads, [this](int) { WorkerLoop(); });
   }
 
   ~ThreadPoolAsyncDevice() override {
@@ -662,8 +667,7 @@ bool UringSupported() {
 }
 
 std::unique_ptr<AsyncPageDevice> CreateAsyncPageDevice(
-    PageDevice* chain, const std::string& backend, int io_threads) {
-  const int threads = io_threads > 0 ? io_threads : 4;
+    PageDevice* chain, const std::string& backend) {
 #ifdef DM_HAS_URING
   if (backend == "uring" || backend == "auto" || backend.empty()) {
     if (UringSupported()) {
@@ -672,7 +676,7 @@ std::unique_ptr<AsyncPageDevice> CreateAsyncPageDevice(
     }
   }
 #endif
-  return std::make_unique<ThreadPoolAsyncDevice>(chain, threads);
+  return std::make_unique<ThreadPoolAsyncDevice>(chain);
 }
 
 }  // namespace dm

@@ -138,9 +138,8 @@ bool UringSupported();
 ///                  thread pool otherwise (runtime detection).
 ///   "auto"       — same as "uring".
 ///   "threadpool" — portable pread pool over chain->ReadPages.
-/// `io_threads` sizes the thread-pool backend (ignored by uring).
 std::unique_ptr<AsyncPageDevice> CreateAsyncPageDevice(
-    PageDevice* chain, const std::string& backend, int io_threads);
+    PageDevice* chain, const std::string& backend);
 
 }  // namespace dm
 

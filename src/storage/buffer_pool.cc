@@ -162,7 +162,6 @@ Status BufferPool::ReadWithRetry(PageId first, uint32_t n, uint8_t* out) {
 }
 
 Status BufferPool::VerifyPages(PageId first, uint32_t n, const uint8_t* buf) {
-  if (!verify_checksums_) return Status::OK();
   const uint32_t page_size = disk_->page_size();
   for (uint32_t i = 0; i < n; ++i) {
     const Status v = VerifyPageTrailer(
@@ -741,16 +740,14 @@ void BufferPool::InstallPrefetched(const PrefetchSlot& slot,
   for (uint32_t i = 0; i < slot.n; ++i) {
     const PageId id = slot.first + i;
     const uint8_t* data = slot.buf.data() + static_cast<size_t>(i) * page_size;
-    if (verify_checksums_) {
-      const Status v = VerifyPageTrailer(data, page_size, id);
-      if (!v.ok()) {
-        // Count the corruption (the zero-silent-escape audit sums
-        // corrupt_pages) and drop the page; the demand fetch that
-        // would have hit it re-reads and reports.
-        corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
-        prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
+    const Status v = VerifyPageTrailer(data, page_size, id);
+    if (!v.ok()) {
+      // Count the corruption (the zero-silent-escape audit sums
+      // corrupt_pages) and drop the page; the demand fetch that
+      // would have hit it re-reads and reports.
+      corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
+      prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
     Shard& s = ShardFor(id);
     MutexLock lock(s.mu);

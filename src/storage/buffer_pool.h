@@ -112,8 +112,8 @@ class PageGuard {
 /// default, used by every paper bench and by `DbOptions`) a single
 /// query stream sees exactly the eviction decisions — and therefore
 /// exactly the `disk_reads` counts — of the original single-threaded
-/// pool. Concurrent servers (QueryService, bench_throughput) pass
-/// `kDefaultShards`.
+/// pool. Concurrent servers (perfbench `serve_warm`, the fault and
+/// chaos benches) pass `kDefaultShards`.
 class BufferPool {
  public:
   /// Shard count used by the concurrent serving paths.
@@ -140,12 +140,6 @@ class BufferPool {
     return disk_->page_size() - kPageTrailerSize;
   }
 
-  /// Toggles trailer verification on fetch (stamping on flush is
-  /// unconditional, so the file stays valid either way). On by
-  /// default; the throughput bench turns it off to measure checksum
-  /// overhead. Set before serving starts.
-  void set_verify_checksums(bool verify) { verify_checksums_ = verify; }
-  bool verify_checksums() const { return verify_checksums_; }
   /// Aggregated counters (sum over shards).
   IoStats stats() const;
   void ResetStats();
@@ -372,7 +366,6 @@ class BufferPool {
 
   PageDevice* disk_;
   uint32_t capacity_;
-  bool verify_checksums_ = true;
   std::atomic<int64_t> io_retries_{0};
   std::atomic<int64_t> corrupt_pages_{0};
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -40,19 +40,17 @@ Result<std::unique_ptr<DbEnv>> DbEnv::Open(const std::string& path,
   }
   auto pool = std::make_unique<BufferPool>(device, options.pool_pages,
                                            options.pool_shards);
-  pool->set_verify_checksums(options.verify_checksums);
   auto env = std::unique_ptr<DbEnv>(new DbEnv(
       std::move(disk), std::move(fault), std::move(pool), options));
-  env->EnableAsync(ResolveAsyncBackend(options.async_backend),
-                   options.async_io_threads);
+  env->EnableAsync(ResolveAsyncBackend(options.async_backend));
   return env;
 }
 
-const char* DbEnv::EnableAsync(const std::string& backend, int io_threads) {
+const char* DbEnv::EnableAsync(const std::string& backend) {
   pool_->set_async_device(nullptr);  // drains prefetch, unbinds
   async_.reset();
   if (backend == "off" || backend.empty()) return "off";
-  async_ = CreateAsyncPageDevice(read_chain(), backend, io_threads);
+  async_ = CreateAsyncPageDevice(read_chain(), backend);
   pool_->set_async_device(async_.get());
   return async_->backend_name();
 }

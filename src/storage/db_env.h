@@ -33,9 +33,6 @@ struct DbOptions {
   /// Shards for the decoded-node cache (NodeCache::kDefaultShards).
   uint32_t node_cache_shards = 16;
   bool truncate = true;
-  /// Verify every fetched page's CRC32C trailer (DESIGN.md §11). On by
-  /// default; benches toggle it to measure checksum overhead.
-  bool verify_checksums = true;
   /// Interpose a FaultInjectingDevice between the pool and the disk.
   /// The shim starts with an empty plan (no faults); tests arm it via
   /// `fault_device()->set_plan(...)` after building their store.
@@ -48,11 +45,6 @@ struct DbOptions {
   ///                  falling back to the thread pool (runtime probe).
   ///   "threadpool" — portable pread worker pool.
   std::string async_backend = "";  // NOLINT(readability-redundant-string-init)
-  /// Worker threads for the thread-pool backend (<= 0 picks the
-  /// default). Sized for read/decode overlap, not CPU parallelism: at
-  /// 150 µs simulated latency a single query keeps ~a dozen 1-page
-  /// reads in flight, so the default is deliberately wider than cores.
-  int async_io_threads = 0;
   /// Cut-aware speculative prefetch depth: how many predicted pages
   /// (sibling R*-tree leaves, adjacent LOD-band heap pages) a query may
   /// stage as low-priority reads. 0 = off (default), so fault-injection
@@ -100,7 +92,7 @@ class DbEnv {
   /// like FlushAll — benches call it between A/B phases. Returns the
   /// backend actually running ("off", "uring", or "threadpool" — e.g.
   /// "uring" falls back to "threadpool" on kernels without io_uring).
-  const char* EnableAsync(const std::string& backend, int io_threads = 0);
+  const char* EnableAsync(const std::string& backend);
   void DisableAsync() { (void)EnableAsync("off"); }
 
   IoStats stats() const { return pool_->stats(); }

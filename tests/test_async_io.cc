@@ -91,8 +91,7 @@ class AsyncIoTest : public ::testing::TestWithParam<const char*> {
       g.value().MarkDirty();
     }
     ASSERT_TRUE(pool_->FlushAll().ok());
-    device_ = CreateAsyncPageDevice(disk_.get(), GetParam(),
-                                    /*io_threads=*/0);
+    device_ = CreateAsyncPageDevice(disk_.get(), GetParam());
     ASSERT_NE(device_, nullptr);
     ASSERT_STREQ(device_->backend_name(), GetParam());
     pool_->set_async_device(device_.get());

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "dm/dm_store.h"
@@ -331,6 +332,27 @@ TEST_F(DmQueryTest, MalformedQueriesAreInvalidArgument) {
     EXPECT_EQ(proc.Perspective(bad_persp[i]).status().code(),
               StatusCode::kInvalidArgument)
         << "perspective " << i;
+  }
+
+  // Uniform plane queries: a NaN LOD or ROI field used to intersect
+  // every index box and return an empty mesh with OK.
+  const double e = 0.1 * scene_->tree.max_lod();
+  ASSERT_TRUE(proc.ViewpointIndependent(good.roi, e).ok());
+  std::vector<std::pair<Rect, double>> bad_uniform = {
+      {good.roi, nan},
+      {good.roi, inf},
+      {good.roi, -inf},
+      {Rect::Of(nan, 0.1, 0.9, 0.9), e},
+      {Rect::Of(0.1, 0.1, 0.9, inf), e},
+      {Rect::Of(5, 5, 1, 1), e},  // empty (lo > hi)
+  };
+  for (size_t i = 0; i < bad_uniform.size(); ++i) {
+    EXPECT_EQ(proc.ViewpointIndependent(bad_uniform[i].first,
+                                        bad_uniform[i].second)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "uniform " << i;
   }
 }
 

@@ -1,7 +1,7 @@
 // Unit tests for the query hot-path machinery added with the
 // decoded-node cache: the bump arena, the open-addressing flat hash
 // containers, the NodeCache itself, and end-to-end equivalence of
-// query results with the cache and arena toggled.
+// query results with the cache toggled.
 
 #include <gtest/gtest.h>
 
@@ -254,28 +254,26 @@ void ExpectSameGeometry(const DmQueryResult& a, const DmQueryResult& b) {
   }
 }
 
-TEST_F(HotPathQueryTest, CacheAndArenaPreserveGeometry) {
+TEST_F(HotPathQueryTest, NodeCachePreservesGeometry) {
   const Rect b = scene_->tree.bounds();
   const Rect roi = Rect::Of(b.lo_x + 0.1 * b.width(), b.lo_y + 0.1 * b.height(),
                             b.lo_x + 0.9 * b.width(), b.lo_y + 0.9 * b.height());
   const double lod = scene_->tree.max_lod();
+  ViewQuery vq;
+  vq.roi = roi;
+  vq.e_min = 0.01 * lod;
+  vq.e_max = 0.3 * lod;
 
-  // Reference: cache off, arena off (the seed configuration).
+  // Reference: cache off (the seed configuration).
   store_->EnableNodeCache(0);
-  DmQueryOptions off;
-  off.use_arena = false;
   std::vector<DmQueryResult> ref;
   {
-    DmQueryProcessor proc(store_, off);
+    DmQueryProcessor proc(store_);
     for (double frac : {0.02, 0.1, 0.4}) {
       auto r = proc.ViewpointIndependent(roi, frac * lod);
       ASSERT_TRUE(r.ok());
       ref.push_back(std::move(r).value());
     }
-    ViewQuery vq;
-    vq.roi = roi;
-    vq.e_min = 0.01 * lod;
-    vq.e_max = 0.3 * lod;
     auto r = proc.SingleBase(vq);
     ASSERT_TRUE(r.ok());
     ref.push_back(std::move(r).value());
@@ -284,39 +282,28 @@ TEST_F(HotPathQueryTest, CacheAndArenaPreserveGeometry) {
     ref.push_back(std::move(m).value());
   }
 
-  // All three other configurations must produce byte-identical
-  // geometry — and with the cache enabled the second pass must hit.
-  for (const bool use_cache : {false, true}) {
-    for (const bool use_arena : {false, true}) {
-      if (!use_cache && !use_arena) continue;
-      store_->EnableNodeCache(use_cache ? (8u << 20) : 0);
-      DmQueryOptions qo;
-      qo.use_arena = use_arena;
-      for (int pass = 0; pass < 2; ++pass) {
-        DmQueryProcessor proc(store_, qo);
-        size_t k = 0;
-        for (double frac : {0.02, 0.1, 0.4}) {
-          auto r = proc.ViewpointIndependent(roi, frac * lod);
-          ASSERT_TRUE(r.ok());
-          ExpectSameGeometry(r.value(), ref[k]);
-          ++k;
-        }
-        ViewQuery vq;
-        vq.roi = roi;
-        vq.e_min = 0.01 * lod;
-        vq.e_max = 0.3 * lod;
-        auto r = proc.SingleBase(vq);
-        ASSERT_TRUE(r.ok());
-        ExpectSameGeometry(r.value(), ref[k]);
-        ++k;
-        auto m = proc.MultiBase(vq);
-        ASSERT_TRUE(m.ok());
-        ExpectSameGeometry(m.value(), ref[k]);
-        if (use_cache && pass == 1) {
-          EXPECT_GT(m.value().stats.cache_hits, 0);
-          EXPECT_EQ(m.value().stats.cache_misses, 0);
-        }
-      }
+  // With the cache on, both passes must produce byte-identical
+  // geometry, and the second pass must hit.
+  store_->EnableNodeCache(8u << 20);
+  for (int pass = 0; pass < 2; ++pass) {
+    DmQueryProcessor proc(store_);
+    size_t k = 0;
+    for (double frac : {0.02, 0.1, 0.4}) {
+      auto r = proc.ViewpointIndependent(roi, frac * lod);
+      ASSERT_TRUE(r.ok());
+      ExpectSameGeometry(r.value(), ref[k]);
+      ++k;
+    }
+    auto r = proc.SingleBase(vq);
+    ASSERT_TRUE(r.ok());
+    ExpectSameGeometry(r.value(), ref[k]);
+    ++k;
+    auto m = proc.MultiBase(vq);
+    ASSERT_TRUE(m.ok());
+    ExpectSameGeometry(m.value(), ref[k]);
+    if (pass == 1) {
+      EXPECT_GT(m.value().stats.cache_hits, 0);
+      EXPECT_EQ(m.value().stats.cache_misses, 0);
     }
   }
   store_->EnableNodeCache(0);

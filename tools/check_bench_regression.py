@@ -2,52 +2,10 @@
 """Compare a fresh bench run against a committed baseline.
 
 Usage:
-  check_bench_regression.py --baseline bench/baselines/BENCH_throughput_tiny.json \
-      --current BENCH_smoke.json [--max-qps-drop-pct 30]
-  check_bench_regression.py --baseline bench/baselines/BENCH_build_tiny.json \
-      --current BENCH_build_smoke.json [--max-slowdown-pct 75]
   check_bench_regression.py --baseline bench/baselines/BENCH_faults_tiny.json \
       --current BENCH_faults_smoke.json [--max-qps-drop-pct 40]
 
 The baseline's `bench` field selects the rule set:
-
-bench_throughput:
-  * fails if any `threads_N/qps` dropped more than --max-qps-drop-pct
-    relative to the baseline;
-  * fails if any `threads_N/failed` metric in the current run is
-    non-zero;
-  * fails if `checksum_overhead_pct` (CRC-verification A/B) exceeds
-    --max-checksum-overhead-pct;
-  * when both files carry the async A/B headline `async_speedup_1t`
-    (single-thread qps with the async read path vs sync at the default
-    simulated latency), fails if the current speedup fell below
-    --min-async-speedup OR lost more than --max-qps-drop-pct of the
-    baseline's speedup — batched submission quietly degrading to
-    serial reads is exactly the regression this bench exists to catch;
-  * fails if `async_p999_ratio` (async p999 / sync p999) exceeds
-    --max-async-p999-ratio — overlap must not buy throughput by
-    wrecking the tail;
-  * repack layout gates (all skipped when the metrics are absent, but
-    a baseline that has them and a current run that lost them fails):
-    `repack_heap_reads_ratio_uniform` and `..._view` (build-order heap
-    reads / repacked heap reads per query, cold) must stay above
-    --min-repack-uniform-ratio / --min-repack-view-ratio — the
-    repacked layout holding level with the already-STR-clustered build
-    order on page counts; `repack_mixed_runs_ratio` (heap fetch
-    batches per query, build order / repacked, on the cold mixed
-    serving workload) must stay above --min-repack-mixed-runs-ratio —
-    run coalescing is the layout's actual win and quietly losing it is
-    the regression this gate exists for; `repack_mixed_qps_ratio`
-    must stay above --min-repack-qps-ratio; and the mean coalesced run
-    length must not shrink: repack_rp_run_pages_mean >=
-    --min-repack-run-growth x repack_base_run_pages_mean.
-
-bench_build:
-  * fails if any `threads_N/total_millis` rose more than
-    --max-slowdown-pct relative to the baseline;
-  * fails if the current run's `determinism_ok` is not 1 (stores built
-    at different thread counts must be byte-identical — this is a
-    correctness gate, not a performance one).
 
 bench_faults:
   * fails if the zero-fault configuration (`rate_0/...`) has failed or
@@ -82,10 +40,11 @@ ablation_compression:
     (`decode_overhead_pct`) — the ISSUE's density/IO/CPU contract for
     the compressed page format.
 
-Improvements never fail, and thread counts present in only one of the
+Improvements never fail, and fault rates present in only one of the
 two files are reported but ignored — the gate is meant to catch
 "someone made the pipeline 2x slower", not to pin exact numbers on
-noisy shared CI runners. Keep the thresholds generous.
+noisy shared CI runners. Keep the thresholds generous. Wall-clock
+performance with its spread is perfbench's job (perfbench/README.md).
 """
 
 import argparse
@@ -97,17 +56,16 @@ def load_doc(path, expect_bench=None):
     with open(path) as f:
         doc = json.load(f)
     bench = doc.get("bench")
-    if bench not in ("bench_throughput", "bench_build", "bench_faults",
-                     "bench_chaos", "ablation_compression"):
+    if bench not in ("bench_faults", "bench_chaos", "ablation_compression"):
         sys.exit(f"{path}: unsupported bench kind ({bench!r})")
     if expect_bench is not None and bench != expect_bench:
         sys.exit(f"{path}: bench kind {bench!r}, expected {expect_bench!r}")
     return bench, doc["metrics"]
 
 
-def compare_series(base, cur, suffix, max_worse_pct, higher_is_better,
-                   failures):
-    """Compares every `<config>/<suffix>` metric; returns the count."""
+def compare_series(base, cur, suffix, max_worse_pct, failures):
+    """Compares every higher-is-better `<config>/<suffix>` metric;
+    returns the count."""
     compared = 0
     for key, base_val in sorted(base.items()):
         if not key.endswith("/" + suffix):
@@ -117,10 +75,7 @@ def compare_series(base, cur, suffix, max_worse_pct, higher_is_better,
             continue
         cur_val = cur[key]
         if base_val > 0:
-            if higher_is_better:
-                worse_pct = 100.0 * (base_val - cur_val) / base_val
-            else:
-                worse_pct = 100.0 * (cur_val - base_val) / base_val
+            worse_pct = 100.0 * (base_val - cur_val) / base_val
         else:
             worse_pct = 0.0
         status = "ok"
@@ -141,28 +96,6 @@ def main():
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--current", required=True)
     ap.add_argument("--max-qps-drop-pct", type=float, default=30.0)
-    ap.add_argument("--max-slowdown-pct", type=float, default=75.0)
-    ap.add_argument("--max-checksum-overhead-pct", type=float, default=10.0)
-    ap.add_argument("--min-async-speedup", type=float, default=1.0,
-                    help="floor for async_speedup_1t; 1.0 just demands "
-                    "async is not slower than sync (tiny CI datasets run "
-                    "warm, so the real >=3x bar only applies to the full "
-                    "benchmark baseline)")
-    ap.add_argument("--max-async-p999-ratio", type=float, default=2.0)
-    ap.add_argument("--min-repack-uniform-ratio", type=float, default=0.80,
-                    help="floor for repack_heap_reads_ratio_uniform; the "
-                    "build-order heap is already STR-clustered, so the gate "
-                    "demands the repacked layout holds level on the "
-                    "adversarial uniform-cut class, not that it wins it")
-    ap.add_argument("--min-repack-view-ratio", type=float, default=0.75)
-    ap.add_argument("--min-repack-mixed-runs-ratio", type=float, default=1.10,
-                    help="floor for repack_mixed_runs_ratio (heap I/O "
-                    "batches per query, build order / repacked, cold mixed "
-                    "workload) — the layout's headline win")
-    ap.add_argument("--min-repack-qps-ratio", type=float, default=0.70)
-    ap.add_argument("--min-repack-run-growth", type=float, default=0.95,
-                    help="repack_rp_run_pages_mean must be at least this "
-                    "times repack_base_run_pages_mean")
     ap.add_argument("--min-availability", type=float, default=0.999,
                     help="floor for bench_chaos availability (fraction of "
                     "queries answered, degraded included)")
@@ -185,94 +118,9 @@ def main():
     _, cur = load_doc(args.current, expect_bench=bench)
 
     failures = []
-    if bench == "bench_throughput":
+    if bench == "bench_faults":
         compared = compare_series(base, cur, "qps", args.max_qps_drop_pct,
-                                  higher_is_better=True, failures=failures)
-        for key, value in sorted(cur.items()):
-            if key.endswith("/failed") and value != 0:
-                failures.append(f"{key}: {int(value)} queries failed")
-        overhead = cur.get("checksum_overhead_pct")
-        if overhead is not None:
-            status = "ok"
-            if overhead > args.max_checksum_overhead_pct:
-                status = "REGRESSION"
-                failures.append(
-                    f"checksum_overhead_pct: {overhead:.2f}% > "
-                    f"{args.max_checksum_overhead_pct:.0f}% allowed")
-            print(f"checksum_overhead_pct: {overhead:.2f}% "
-                  f"(limit {args.max_checksum_overhead_pct:.0f}%) {status}")
-            compared += 1
-        else:
-            print("note: checksum_overhead_pct missing from current run")
-        speedup = cur.get("async_speedup_1t")
-        base_speedup = base.get("async_speedup_1t")
-        if speedup is not None and base_speedup is not None:
-            status = "ok"
-            floor = max(args.min_async_speedup,
-                        base_speedup *
-                        (1.0 - args.max_qps_drop_pct / 100.0))
-            if speedup < floor:
-                status = "REGRESSION"
-                failures.append(
-                    f"async_speedup_1t: {base_speedup:.2f}x -> "
-                    f"{speedup:.2f}x (below {floor:.2f}x floor)")
-            print(f"async_speedup_1t: baseline {base_speedup:.2f}x "
-                  f"current {speedup:.2f}x (floor {floor:.2f}x) {status}")
-            compared += 1
-        elif speedup is None and base_speedup is not None:
-            failures.append("async_speedup_1t present in baseline but "
-                            "missing from current run")
-        p999_ratio = cur.get("async_p999_ratio")
-        if p999_ratio is not None:
-            status = "ok"
-            if p999_ratio > args.max_async_p999_ratio:
-                status = "REGRESSION"
-                failures.append(
-                    f"async_p999_ratio: {p999_ratio:.2f} > "
-                    f"{args.max_async_p999_ratio:.2f} allowed")
-            print(f"async_p999_ratio: {p999_ratio:.2f} "
-                  f"(limit {args.max_async_p999_ratio:.2f}) {status}")
-            compared += 1
-        repack_floors = [
-            ("repack_heap_reads_ratio_uniform", args.min_repack_uniform_ratio),
-            ("repack_heap_reads_ratio_view", args.min_repack_view_ratio),
-            ("repack_mixed_runs_ratio", args.min_repack_mixed_runs_ratio),
-            ("repack_mixed_qps_ratio", args.min_repack_qps_ratio),
-        ]
-        for key, floor in repack_floors:
-            value = cur.get(key)
-            if value is None:
-                if key in base:
-                    failures.append(
-                        f"{key} present in baseline but missing from "
-                        "current run")
-                continue
-            status = "ok"
-            if value < floor:
-                status = "REGRESSION"
-                failures.append(
-                    f"{key}: {value:.2f} < {floor:.2f} floor")
-            print(f"{key}: {value:.2f} (floor {floor:.2f}) {status}")
-            compared += 1
-        base_run = cur.get("repack_base_run_pages_mean")
-        rp_run = cur.get("repack_rp_run_pages_mean")
-        if base_run is not None and rp_run is not None and base_run > 0:
-            growth = rp_run / base_run
-            status = "ok"
-            if growth < args.min_repack_run_growth:
-                status = "REGRESSION"
-                failures.append(
-                    f"repack run length: {base_run:.2f} -> {rp_run:.2f} "
-                    f"pages/run (growth {growth:.2f} < "
-                    f"{args.min_repack_run_growth:.2f} floor)")
-            print(f"repack run length growth: {growth:.2f} "
-                  f"(floor {args.min_repack_run_growth:.2f}) {status}")
-            compared += 1
-        if compared == 0:
-            failures.append("no overlapping threads_N/qps metrics to compare")
-    elif bench == "bench_faults":
-        compared = compare_series(base, cur, "qps", args.max_qps_drop_pct,
-                                  higher_is_better=True, failures=failures)
+                                  failures=failures)
         for key in ("rate_0/failed", "rate_0/degraded"):
             value = cur.get(key, 0)
             if value != 0:
@@ -359,17 +207,6 @@ def main():
         if record_density is not None:
             print(f"note: per-record codec density_x {record_density:.2f} "
                   "(informational)")
-    else:  # bench_build
-        compared = compare_series(base, cur, "total_millis",
-                                  args.max_slowdown_pct,
-                                  higher_is_better=False, failures=failures)
-        if cur.get("determinism_ok") != 1:
-            failures.append(
-                f"determinism_ok = {cur.get('determinism_ok')!r} "
-                "(stores differ across thread counts)")
-        if compared == 0:
-            failures.append(
-                "no overlapping threads_N/total_millis metrics to compare")
 
     if failures:
         print("\nbench regression check FAILED:", file=sys.stderr)

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -99,11 +98,6 @@ int Usage() {
       "[--obj OUT] [--ppm OUT]\n"
       "  dmctl view  --db BASE --roi x0,y0,x1,y1 --emin E --emax E "
       "[--single] [--obj OUT] [--ppm OUT]\n"
-      "  dmctl bench-serve --db BASE [--threads 1,2,4] [--queries N] "
-      "[--duration-ms MS] [--persp-pct P] [--mb-pct P] [--roi-pct P]\n"
-      "              [--shards N] [--read-latency-us N] [--seed S] "
-      "[--json OUT] [--degraded] [--deadline-ms MS] "
-      "[--max-queue-wait-ms MS]\n"
       "  dmctl cache-stats --db BASE [--cache-mb MB] [--queries N] "
       "[--roi-pct P] [--seed S] [--read-latency-us N]\n"
       "  dmctl io-stats --db BASE [--backend off|auto|uring|threadpool] "
@@ -270,17 +264,15 @@ struct OpenDb {
   LoadedMeta lm;
 };
 
-Result<OpenDb> Open(const Args& args, uint32_t default_pool_shards = 1) {
+Result<OpenDb> Open(const Args& args) {
   const std::string base = args.Get("db");
   if (base.empty()) return Status::InvalidArgument("--db required");
   OpenDb db;
   DM_ASSIGN_OR_RETURN(db.lm, LoadMeta(base + ".meta"));
   DbOptions options;
   options.truncate = false;
-  // Paper-exact single shard unless the caller serves concurrently
-  // (bench-serve) or --shards overrides.
-  options.pool_shards =
-      static_cast<uint32_t>(args.GetInt("shards", default_pool_shards));
+  // Paper-exact single shard unless --shards overrides.
+  options.pool_shards = static_cast<uint32_t>(args.GetInt("shards", 1));
   // Decoded-node cache, off by default (paper-exact disk accounting);
   // any command accepts --cache-mb to turn it on.
   options.node_cache_bytes =
@@ -688,94 +680,6 @@ Status RunView(const Args& args) {
   return ExportResult(args, r);
 }
 
-// Replays a deterministic mixed workload through the QueryService at
-// each requested worker count; the CLI analogue of bench_throughput
-// for an already-built database.
-Status RunBenchServe(const Args& args) {
-  DM_ASSIGN_OR_RETURN(OpenDb db, Open(args, BufferPool::kDefaultShards));
-  db.env->disk().set_simulated_read_latency_micros(
-      static_cast<uint32_t>(args.GetInt("read-latency-us", 0)));
-
-  std::vector<int> thread_counts;
-  {
-    std::stringstream ss(args.Get("threads", "1,2,4"));
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      const int t = std::atoi(tok.c_str());
-      if (t <= 0 || t > 256) {
-        return Status::InvalidArgument("bad --threads entry: " + tok);
-      }
-      thread_counts.push_back(t);
-    }
-    if (thread_counts.empty()) {
-      return Status::InvalidArgument("--threads list is empty");
-    }
-  }
-
-  int count = static_cast<int>(args.GetInt("queries", 256));
-  if (count <= 0) return Status::InvalidArgument("--queries must be > 0");
-  const DmMeta& meta = db.lm.meta;
-  const auto make_workload = [&](int n) {
-    return MakeMixedWorkload(
-        meta.bounds, meta.max_lod, n,
-        static_cast<uint64_t>(args.GetInt("seed", 12345)),
-        args.GetDouble("roi-pct", 2.0) / 100.0,
-        static_cast<int>(args.GetInt("persp-pct", 40)),
-        static_cast<int>(args.GetInt("mb-pct", 25)));
-  };
-  std::vector<QueryRequest> workload = make_workload(count);
-
-  // Failure-handling knobs: --degraded turns lost pages into coarser
-  // meshes instead of failed queries, --deadline-ms bounds refinement,
-  // --max-queue-wait-ms sheds jobs that waited too long.
-  DmQueryOptions query;
-  query.allow_degraded = args.Has("degraded");
-  query.deadline_millis = args.GetDouble("deadline-ms", 0.0);
-  const double max_wait = args.GetDouble("max-queue-wait-ms", 0.0);
-
-  // Untimed pass: warms the pool and, with --duration-ms, calibrates
-  // how many queries fill the requested wall time per configuration.
-  DM_ASSIGN_OR_RETURN(const ThroughputReport warm,
-                      RunThroughput(db.store.get(), workload, 1, query));
-  std::printf("warm-up: %s\n", warm.ToString().c_str());
-  const double duration_ms = args.GetDouble("duration-ms", 0.0);
-  if (duration_ms > 0 && warm.qps > 0) {
-    const int scaled = static_cast<int>(warm.qps * duration_ms / 1000.0) + 1;
-    if (scaled > count) workload = make_workload(scaled);
-  }
-
-  std::vector<ThroughputReport> reports;
-  for (int threads : thread_counts) {
-    DM_ASSIGN_OR_RETURN(
-        const ThroughputReport r,
-        RunThroughput(db.store.get(), workload, threads, query, max_wait));
-    std::printf("%s\n", r.ToString().c_str());
-    reports.push_back(r);
-  }
-
-  const std::string json_path = args.Get("json");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) return Status::IOError("cannot write " + json_path);
-    out << "{\"bench\": \"bench_serve\", \"metrics\": {";
-    out << "\"queries\": " << reports.front().queries;
-    for (const ThroughputReport& r : reports) {
-      const std::string p = "\"threads_" + std::to_string(r.threads) + "/";
-      out << ", " << p << "qps\": " << r.qps;
-      out << ", " << p << "p50_millis\": " << r.p50_millis;
-      out << ", " << p << "p99_millis\": " << r.p99_millis;
-      out << ", " << p << "disk_reads\": " << r.disk_reads;
-      out << ", " << p << "failed\": " << r.failed;
-      out << ", " << p << "shed\": " << r.shed;
-      out << ", " << p << "degraded\": " << r.degraded;
-      out << ", " << p << "io_retries\": " << r.io_retries;
-    }
-    out << "}}\n";
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return Status::OK();
-}
-
 // Replays a deterministic query batch twice over a node-cache-enabled
 // store and reports decoded-node-cache and buffer-pool counters for
 // the cold and warm passes. The warm pass shows the steady-state hit
@@ -943,8 +847,6 @@ int Main(int argc, char** argv) {
     st = RunQuery(args);
   } else if (args.command == "view") {
     st = RunView(args);
-  } else if (args.command == "bench-serve") {
-    st = RunBenchServe(args);
   } else if (args.command == "cache-stats") {
     st = RunCacheStats(args);
   } else if (args.command == "io-stats") {
@@ -954,9 +856,9 @@ int Main(int argc, char** argv) {
   }
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    // A malformed view query (inverted or non-finite LOD range, empty
-    // ROI) is a usage error.
-    if (args.command == "view" &&
+    // A malformed query (non-finite LOD, inverted LOD range, empty or
+    // non-finite ROI) is a usage error.
+    if ((args.command == "query" || args.command == "view") &&
         st.code() == StatusCode::kInvalidArgument) {
       return 2;
     }
