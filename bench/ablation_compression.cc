@@ -1,14 +1,14 @@
 // Ablation of record encoding (the compressed-MTM direction of the
 // paper's reference [2], Danovaro et al.): the same Direct Mesh built
-// three ways — flat fixed-width records, per-record delta/varint
-// compression, and the v6 page-level group codec (frame-of-reference
-// coordinates + shared e-value dictionary, DESIGN.md §15) — compared
-// on storage footprint, query disk accesses, and decode CPU.
+// two ways — the paper's flat fixed-width records and the v6
+// page-level group codec (frame-of-reference coordinates + shared
+// e-value dictionary, DESIGN.md §15) — compared on storage footprint,
+// query disk accesses, and decode CPU.
 //
 // Smaller records mean more records per page, so every query's heap
 // portion drops proportionally; the index portion is unchanged. The
-// group codec additionally amortizes the coordinate/LOD redundancy
-// across a whole page, which is where the 2-4x density comes from.
+// group codec amortizes the coordinate/LOD redundancy across a whole
+// page, which is where the 2-4x density comes from.
 // Decode cost is measured separately on a warm pool so the I/O savings
 // and the CPU price are visible as independent numbers.
 
@@ -37,9 +37,6 @@ struct Built {
   Rect bounds;
   double decode_ms = 0.0;  // warm full-scan decode time, pool hits only
 };
-
-constexpr DmCodec kVariants[] = {DmCodec::kFlat, DmCodec::kCompressed,
-                                 DmCodec::kGroup};
 
 /// Warm decode cost: fetch-and-decode every record with the whole store
 /// resident in the buffer pool, so the measurement is pure codec CPU.
@@ -93,23 +90,25 @@ Built BuildVariant(DmCodec codec) {
   return b;
 }
 
-Built& Variant(int index) {
-  static Built variants[3] = {BuildVariant(kVariants[0]),
-                              BuildVariant(kVariants[1]),
-                              BuildVariant(kVariants[2])};
-  return variants[index];
+/// The store built with `codec`; both variants are built on first use.
+Built& Variant(DmCodec codec) {
+  static Built flat = BuildVariant(DmCodec::kFlat);
+  static Built group = BuildVariant(DmCodec::kGroup);
+  return codec == DmCodec::kFlat ? flat : group;
 }
 
 // Cold disk-access counts from the flat (Arg(0)) run, filled in before
-// the compressed variants run — google-benchmark executes registered
-// args in order, so Arg(1)/Arg(2) can report ratios against them.
+// the group variant runs — google-benchmark executes registered args
+// in order, so Arg(2) can report ratios against them.
 double g_flat_da_uniform = 0.0;
 double g_flat_da_view = 0.0;
 
 void Compression(benchmark::State& state) {
-  const int index = static_cast<int>(state.range(0));
-  Built& b = Variant(index);
-  Built& flat = Variant(0);
+  // The argument is the persisted codec value, so result keys read
+  // Compression/0 (flat) and Compression/2 (group).
+  const DmCodec codec = static_cast<DmCodec>(state.range(0));
+  Built& b = Variant(codec);
+  Built& flat = Variant(DmCodec::kFlat);
   DmQueryProcessor proc(b.store.get());
 
   // A uniform query at a fine LOD plus a steep view-dependent query,
@@ -156,7 +155,7 @@ void Compression(benchmark::State& state) {
     state.counters["cpu_ms"] = uni_or.value().stats.cpu_millis +
                                view_or.value().stats.cpu_millis;
     state.counters["decode_ms"] = b.decode_ms;
-    if (index == 0) {
+    if (codec == DmCodec::kFlat) {
       g_flat_da_uniform = da_uniform;
       g_flat_da_view = da_view;
     } else {
@@ -177,7 +176,7 @@ void Compression(benchmark::State& state) {
   }
 }
 
-BENCHMARK(Compression)->Arg(0)->Arg(1)->Arg(2)->Iterations(1)->Unit(
+BENCHMARK(Compression)->Arg(0)->Arg(2)->Iterations(1)->Unit(
     benchmark::kMillisecond);
 
 }  // namespace

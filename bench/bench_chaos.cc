@@ -93,20 +93,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
   return true;
 }
 
-Result<DmQueryResult> ExecuteOn(DmQueryProcessor* proc,
-                                const QueryRequest& req) {
-  switch (req.kind) {
-    case QueryRequest::Kind::kUniform:
-      return proc->ViewpointIndependent(req.roi, req.e);
-    case QueryRequest::Kind::kView:
-      return req.multi_base ? proc->MultiBase(req.view)
-                            : proc->SingleBase(req.view);
-    case QueryRequest::Kind::kPerspective:
-      return proc->Perspective(req.perspective);
-  }
-  return Status::InvalidArgument("unknown query kind");
-}
-
 bool SameMesh(const DmQueryResult& a, const DmQueryResult& b) {
   return a.vertices.size() == b.vertices.size() &&
          a.triangles.size() == b.triangles.size() &&
@@ -332,8 +318,8 @@ int Main(int argc, char** argv) {
     DmQueryProcessor routed(&router);
     DmQueryProcessor direct(store);
     for (size_t i = 0; i < identity_window; ++i) {
-      auto a = ExecuteOn(&routed, workload[i]);
-      auto b = ExecuteOn(&direct, workload[i]);
+      auto a = ExecuteRequest(&routed, workload[i]);
+      auto b = ExecuteRequest(&direct, workload[i]);
       if (!a.ok() || !b.ok() || !SameMesh(a.value(), b.value())) {
         identity_ok = false;
         std::fprintf(stderr, "identity mismatch on query %zu (%s vs %s)\n", i,

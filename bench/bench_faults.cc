@@ -112,7 +112,7 @@ int Main(int argc, char** argv) {
   }
   BenchContext ctx = std::move(ctx_or).value();
   BuiltDataset& ds = ctx.mutable_dataset();
-  DmStore* store = &ds.dm.value();
+  DmStoreSource source(&ds.dm.value());
   FaultInjectingDevice* device = ds.dm_env->fault_device();
   if (device == nullptr) {
     std::fprintf(stderr, "fault device missing despite injection enabled\n");
@@ -152,7 +152,7 @@ int Main(int argc, char** argv) {
     device->set_plan(plan);
 
     auto report_or =
-        RunThroughput(store, workload, opts.threads, query);
+        RunThroughput(&source, workload, opts.threads, query);
     if (!report_or.ok()) {
       std::fprintf(stderr, "run (rate=%g) failed: %s\n", rate,
                    report_or.status().ToString().c_str());

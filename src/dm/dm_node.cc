@@ -86,90 +86,6 @@ Result<DmNode> DmNode::Decode(const uint8_t* data, uint32_t size) {
   return n;
 }
 
-void DmNode::EncodeCompressedTo(std::vector<uint8_t>* out) const {
-  // Header: id (varint), then 5 doubles raw (x, y, z, e_low, e_high),
-  // then parent/children/wings as zigzag deltas vs id (kInvalidVertex
-  // encoded as delta 0 against a sentinel: store raw zigzag of
-  // (link == kInvalidVertex ? 0 : link - id + 1), so 0 means null).
-  PutVarint(out, static_cast<uint64_t>(id));
-  const size_t pos = out->size();
-  out->resize(pos + 5 * 8);
-  uint8_t* p = out->data() + pos;
-  std::memcpy(p, &this->pos.x, 8);
-  std::memcpy(p + 8, &this->pos.y, 8);
-  std::memcpy(p + 16, &this->pos.z, 8);
-  std::memcpy(p + 24, &e_low, 8);
-  const double eh = std::isinf(e_high) ? kInfSentinel : e_high;
-  std::memcpy(p + 32, &eh, 8);
-  auto put_link = [&](VertexId link) {
-    PutVarint(out, link == kInvalidVertex ? 0 : ZigZag(link - id) + 1);
-  };
-  put_link(parent);
-  put_link(child1);
-  put_link(child2);
-  put_link(wing1);
-  put_link(wing2);
-  // Connections: count, then zigzag deltas between consecutive sorted
-  // ids (first against the node id).
-  PutVarint(out, connections.size());
-  VertexId prev = id;
-  for (VertexId c : connections) {
-    PutVarint(out, ZigZag(c - prev));
-    prev = c;
-  }
-}
-
-Result<DmNode> DmNode::DecodeCompressed(const uint8_t* data, uint32_t size) {
-  uint32_t pos = 0;
-  uint64_t v = 0;
-  DmNode n;
-  if (!GetVarint(data, size, &pos, &v)) {
-    return Status::Corruption("compressed DM node: truncated id");
-  }
-  n.id = static_cast<VertexId>(v);
-  if (pos + 5 * 8 > size) {
-    return Status::Corruption("compressed DM node: truncated doubles");
-  }
-  std::memcpy(&n.pos.x, data + pos, 8);
-  std::memcpy(&n.pos.y, data + pos + 8, 8);
-  std::memcpy(&n.pos.z, data + pos + 16, 8);
-  std::memcpy(&n.e_low, data + pos + 24, 8);
-  std::memcpy(&n.e_high, data + pos + 32, 8);
-  if (n.e_high == kInfSentinel) {
-    n.e_high = std::numeric_limits<double>::infinity();
-  }
-  pos += 5 * 8;
-  auto get_link = [&](VertexId* link) {
-    uint64_t raw;
-    if (!GetVarint(data, size, &pos, &raw)) return false;
-    *link = raw == 0 ? kInvalidVertex : n.id + UnZigZag(raw - 1);
-    return true;
-  };
-  if (!get_link(&n.parent) || !get_link(&n.child1) ||
-      !get_link(&n.child2) || !get_link(&n.wing1) ||
-      !get_link(&n.wing2)) {
-    return Status::Corruption("compressed DM node: truncated links");
-  }
-  uint64_t count = 0;
-  if (!GetVarint(data, size, &pos, &count) || count > (1u << 24)) {
-    return Status::Corruption("compressed DM node: bad connection count");
-  }
-  n.connections.resize(count);
-  VertexId prev = n.id;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t d;
-    if (!GetVarint(data, size, &pos, &d)) {
-      return Status::Corruption("compressed DM node: truncated list");
-    }
-    prev += UnZigZag(d);
-    n.connections[i] = prev;
-  }
-  if (pos != size) {
-    return Status::Corruption("compressed DM node: trailing bytes");
-  }
-  return n;
-}
-
 namespace {
 
 // ---- v6 group codec (DESIGN.md §15) ----------------------------------
@@ -294,12 +210,24 @@ const char* DmCodecName(DmCodec codec) {
   switch (codec) {
     case DmCodec::kFlat:
       return "flat";
-    case DmCodec::kCompressed:
-      return "record";
     case DmCodec::kGroup:
       return "group";
   }
   return "unknown";
+}
+
+Result<DmCodec> ParseDmCodec(int64_t value) {
+  switch (value) {
+    case static_cast<int64_t>(DmCodec::kFlat):
+      return DmCodec::kFlat;
+    case static_cast<int64_t>(DmCodec::kGroup):
+      return DmCodec::kGroup;
+    case 1:
+      return Status::NotSupported(
+          "codec 1 (the per-record varint codec) is retired; rebuild the "
+          "store with the flat or group codec");
+  }
+  return Status::Corruption("unknown codec " + std::to_string(value));
 }
 
 bool DmNodeGroupEncoder::Add(const DmNode& node) {
@@ -501,8 +429,6 @@ Result<DmNode> DecodeDmRecord(DmCodec codec, uint16_t slot,
   switch (codec) {
     case DmCodec::kFlat:
       return DmNode::Decode(data, size);
-    case DmCodec::kCompressed:
-      return DmNode::DecodeCompressed(data, size);
     case DmCodec::kGroup:
       return DmNodeGroup::DecodeRecord(data, size, slot);
   }

@@ -50,29 +50,25 @@ struct DmNode {
   void EncodeTo(std::vector<uint8_t>* out) const;
   /// Decodes a record produced by EncodeTo.
   static Result<DmNode> Decode(const uint8_t* data, uint32_t size);
-
-  /// Compressed encoding in the spirit of the compressed-MTM work the
-  /// paper cites (Danovaro et al., SSTD 2001): tree links and
-  /// connection ids are stored as zigzag varint deltas against the
-  /// node id (ids of related nodes are numerically close because
-  /// parents are allocated in collapse order), positions and LODs stay
-  /// full precision. Typically ~45% of the flat record size.
-  void EncodeCompressedTo(std::vector<uint8_t>* out) const;
-  /// Decodes a record produced by EncodeCompressedTo.
-  static Result<DmNode> DecodeCompressed(const uint8_t* data, uint32_t size);
 };
 
 /// On-disk record codec of a DM store's heap file. Persisted in the
-/// store meta; every reader dispatches through DecodeDmRecord so the
-/// three formats coexist behind one call site.
+/// store meta as its integer value; every reader dispatches through
+/// DecodeDmRecord so the two formats coexist behind one call site.
+/// Value 1 belonged to the retired per-record varint codec and is
+/// never reused.
 enum class DmCodec : uint8_t {
-  kFlat = 0,        ///< fixed-width records (EncodeTo)
-  kCompressed = 1,  ///< per-record varint deltas (EncodeCompressedTo)
-  kGroup = 2,       ///< v6 page-level frame-of-reference groups
+  kFlat = 0,   ///< fixed-width records, the paper's layout (EncodeTo)
+  kGroup = 2,  ///< v6 page-level frame-of-reference groups
 };
 
-/// Human-readable codec name for tooling ("flat" / "record" / "group").
+/// Human-readable codec name for tooling ("flat" / "group").
 const char* DmCodecName(DmCodec codec);
+
+/// Parses a persisted codec value (meta sidecar or dataset-cache
+/// manifest). 1, the retired per-record codec, is NotSupported; any
+/// other value outside {0, 2} is Corruption.
+Result<DmCodec> ParseDmCodec(int64_t value);
 
 /// Builds one v6 group blob: many nodes encoded against shared
 /// frame-of-reference bases (DESIGN.md §15). The blob layout is
@@ -135,8 +131,8 @@ struct DmNodeGroup {
 };
 
 /// Decodes one heap record under `codec`. For kGroup, `slot` is the
-/// record index inside the blob (RecordId::slot); flat and per-record
-/// codecs ignore it because the bytes are the whole record.
+/// record index inside the blob (RecordId::slot); the flat codec
+/// ignores it because the bytes are the whole record.
 Result<DmNode> DecodeDmRecord(DmCodec codec, uint16_t slot,
                               const uint8_t* data, uint32_t size);
 

@@ -294,16 +294,21 @@ Result<DmQueryResult> DmQueryProcessor::ViewpointIndependent(const Rect& r,
 
   stats.cpu_millis =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const IoStats io1 = source_->io_stats();
-  stats.disk_accesses = io1.disk_reads - io0.disk_reads;
-  stats.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  stats.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
-  stats.fetch_runs = io1.fetch_runs - io0.fetch_runs;
-  stats.fetch_run_pages = io1.fetch_run_pages - io0.fetch_run_pages;
   result.stats = stats;
   result.health = health_;
-  result.health.io_retries = io1.io_retries - io0.io_retries;
+  AddIoDelta(io0, &result);
   return result;
+}
+
+void DmQueryProcessor::AddIoDelta(const IoStats& io0,
+                                  DmQueryResult* result) const {
+  const IoStats io1 = source_->io_stats();
+  result->stats.disk_accesses = io1.disk_reads - io0.disk_reads;
+  result->stats.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
+  result->stats.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
+  result->stats.fetch_runs = io1.fetch_runs - io0.fetch_runs;
+  result->stats.fetch_run_pages = io1.fetch_run_pages - io0.fetch_run_pages;
+  result->health.io_retries = io1.io_retries - io0.io_retries;
 }
 
 DmQueryResult DmQueryProcessor::RefineAndTriangulate(
@@ -440,13 +445,7 @@ Result<DmQueryResult> DmQueryProcessor::SingleBase(const ViewQuery& q) {
         return std::max(q.RequiredE(p.x, p.y), q.e_min);
       },
       nodes, std::move(start), std::move(stats));
-  const IoStats io1 = source_->io_stats();
-  result.stats.disk_accesses = io1.disk_reads - io0.disk_reads;
-  result.stats.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  result.stats.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
-  result.stats.fetch_runs = io1.fetch_runs - io0.fetch_runs;
-  result.stats.fetch_run_pages = io1.fetch_run_pages - io0.fetch_run_pages;
-  result.health.io_retries = io1.io_retries - io0.io_retries;
+  AddIoDelta(io0, &result);
   return result;
 }
 
@@ -474,13 +473,7 @@ Result<DmQueryResult> DmQueryProcessor::Perspective(
   DmQueryResult result = RefineAndTriangulate(
       [&q](const Point3& p) { return q.RequiredE(p.x, p.y); }, nodes,
       std::move(start), std::move(stats));
-  const IoStats io1 = source_->io_stats();
-  result.stats.disk_accesses = io1.disk_reads - io0.disk_reads;
-  result.stats.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  result.stats.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
-  result.stats.fetch_runs = io1.fetch_runs - io0.fetch_runs;
-  result.stats.fetch_run_pages = io1.fetch_run_pages - io0.fetch_run_pages;
-  result.health.io_retries = io1.io_retries - io0.io_retries;
+  AddIoDelta(io0, &result);
   return result;
 }
 
@@ -544,13 +537,7 @@ Result<DmQueryResult> DmQueryProcessor::MultiBase(const ViewQuery& q,
         return std::max(q.RequiredE(p.x, p.y), q.e_min);
       },
       nodes, std::move(start), std::move(stats));
-  const IoStats io1 = source_->io_stats();
-  result.stats.disk_accesses = io1.disk_reads - io0.disk_reads;
-  result.stats.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  result.stats.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
-  result.stats.fetch_runs = io1.fetch_runs - io0.fetch_runs;
-  result.stats.fetch_run_pages = io1.fetch_run_pages - io0.fetch_run_pages;
-  result.health.io_retries = io1.io_retries - io0.io_retries;
+  AddIoDelta(io0, &result);
   return result;
 }
 

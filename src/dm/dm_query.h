@@ -252,6 +252,11 @@ class DmQueryProcessor {
   Status FetchBox(const Box& box, const RangeFilter* filter, NodeMap* nodes,
                   QueryStats* stats);
 
+  /// Fills `result`'s I/O counters (disk reads, prefetch, fetch runs,
+  /// retries) with the source's delta since `io0`, taken when the
+  /// query began.
+  void AddIoDelta(const IoStats& io0, DmQueryResult* result) const;
+
   /// Shared tail of the viewpoint-dependent paths: refine `start` (the
   /// top-plane cut) down to the required-LOD field, then triangulate.
   DmQueryResult RefineAndTriangulate(

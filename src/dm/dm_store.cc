@@ -66,17 +66,14 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
       segments, RStarTree::LeafCapacityFor(env->page_size()), pool);
   take_stage(&timings->str_millis);
 
-  const DmCodec codec =
-      options.codec != DmCodec::kFlat
-          ? options.codec
-          : (options.compress_records ? DmCodec::kCompressed : DmCodec::kFlat);
+  const bool group = options.codec == DmCodec::kGroup;
 
   // Materialize records in STR order (disjoint slots, so the loop
-  // parallelizes over index ranges). Per-record codecs encode here
-  // too; the group codec needs whole DmNodes for its shared-base pass.
+  // parallelizes over index ranges). The flat codec encodes here too;
+  // the group codec needs whole DmNodes for its shared-base pass.
   std::vector<std::vector<uint8_t>> encoded;
   std::vector<DmNode> recs;
-  if (codec == DmCodec::kGroup) {
+  if (group) {
     recs.resize(order.size());
   } else {
     encoded.resize(order.size());
@@ -97,10 +94,8 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
                   rec.wing1 = n.wing1;
                   rec.wing2 = n.wing2;
                   rec.connections = connections[idx];
-                  if (codec == DmCodec::kGroup) {
+                  if (group) {
                     recs[static_cast<size_t>(i)] = std::move(rec);
-                  } else if (codec == DmCodec::kCompressed) {
-                    rec.EncodeCompressedTo(&encoded[static_cast<size_t>(i)]);
                   } else {
                     rec.EncodeTo(&encoded[static_cast<size_t>(i)]);
                   }
@@ -111,7 +106,7 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   // so the blobs (and with them every page) are thread-count invariant.
   std::vector<std::vector<uint8_t>> blobs;
   std::vector<uint32_t> blob_counts;
-  if (codec == DmCodec::kGroup) {
+  if (group) {
     DM_RETURN_NOT_OK(EncodeNodeGroups(
         [&](size_t i) -> const DmNode& { return recs[i]; }, recs.size(),
         env->page_size() - HeapFile::kPageHeaderSize, &blobs, &blob_counts));
@@ -123,7 +118,7 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   DM_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Create(env));
   std::vector<RecordId> rids;
   rids.reserve(order.size());
-  if (codec == DmCodec::kGroup) {
+  if (group) {
     for (size_t g = 0; g < blobs.size(); ++g) {
       DM_ASSIGN_OR_RETURN(
           RecordId first,
@@ -159,7 +154,7 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   store.meta_.max_lod = max_lod;
   store.meta_.mean_lod = tree.mean_lod();
   store.meta_.bounds = bounds;
-  store.meta_.codec = codec;
+  store.meta_.codec = options.codec;
   store.meta_.reach = BuildReachTable(tree);
   DM_RETURN_NOT_OK(store.LoadCatalog());
   take_stage(&timings->catalog_millis);
@@ -168,7 +163,7 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   // can outlive the heap records it came from.
   const DbOptions& opts = env->options();
   if (opts.node_cache_bytes > 0) {
-    store.EnableNodeCache(opts.node_cache_bytes, opts.node_cache_shards);
+    store.EnableNodeCache(opts.node_cache_bytes);
   }
   return store;
 }
@@ -184,17 +179,17 @@ Result<DmStore> DmStore::Open(DbEnv* env, const DmMeta& meta) {
   DM_RETURN_NOT_OK(store.LoadCatalog());
   const DbOptions& opts = env->options();
   if (opts.node_cache_bytes > 0) {
-    store.EnableNodeCache(opts.node_cache_bytes, opts.node_cache_shards);
+    store.EnableNodeCache(opts.node_cache_bytes);
   }
   return store;
 }
 
-void DmStore::EnableNodeCache(size_t bytes, uint32_t shards) {
+void DmStore::EnableNodeCache(size_t bytes) {
   if (bytes == 0) {
     node_cache_.reset();
     return;
   }
-  node_cache_ = std::make_unique<NodeCache>(bytes, shards);
+  node_cache_ = std::make_unique<NodeCache>(bytes);
 }
 
 Status DmStore::LoadCatalog() {

@@ -32,8 +32,8 @@ struct DmMeta {
   double max_lod = 0.0;
   double mean_lod = 0.0;
   Rect bounds;
-  /// Record codec of the heap file (flat / per-record compressed / v6
-  /// group blocks); every reader dispatches through DecodeDmRecord.
+  /// Record codec of the heap file (flat records or v6 group blocks);
+  /// every reader dispatches through DecodeDmRecord.
   DmCodec codec = DmCodec::kFlat;
   /// Heap rewritten by RepackDmStore into LOD-band x Hilbert order;
   /// the query layer prefetches per page run instead of a single
@@ -72,10 +72,6 @@ struct DmStoreOptions {
   /// coded records per page and is what the compression ablation
   /// measures against; kFlat is the fixed-width seed layout.
   DmCodec codec = DmCodec::kFlat;
-  /// Legacy alias for codec = DmCodec::kCompressed (the per-record
-  /// delta/varint codec of the paper's reference [2]); honored only
-  /// when `codec` is left at kFlat.
-  bool compress_records = false;
   /// Worker threads for connection lists, STR sorting, and record
   /// encoding (<= 0 means one per hardware core). The built files are
   /// byte-identical at any thread count: parallel stages either have
@@ -164,11 +160,11 @@ class DmStore {
                     FetchCounts* counts = nullptr,
                     FetchFailures* failures = nullptr) const;
 
-  /// Sizes (0 disables) or resizes the decoded-node cache. Existing
-  /// entries are dropped. Requires quiescence: no concurrent
-  /// FetchNodes callers (benches and dmctl call it between batches).
-  void EnableNodeCache(size_t bytes,
-                       uint32_t shards = NodeCache::kDefaultShards);
+  /// Sizes (0 disables) or resizes the decoded-node cache, split over
+  /// NodeCache::kDefaultShards shards. Existing entries are dropped.
+  /// Requires quiescence: no concurrent FetchNodes callers (benches
+  /// and dmctl call it between batches).
+  void EnableNodeCache(size_t bytes);
 
   /// The decoded-node cache, or nullptr when disabled.
   const NodeCache* node_cache() const { return node_cache_.get(); }

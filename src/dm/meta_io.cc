@@ -58,20 +58,9 @@ Result<LoadedDmMeta> LoadDmMeta(const std::string& path) {
     if (key == "mean_lod") ss >> lm.meta.mean_lod;
     if (key == "id_space") ss >> lm.meta.id_space;
     if (key == "codec") {
-      int v = 0;
+      int64_t v = 0;
       ss >> v;
-      if (v < 0 || v > static_cast<int>(DmCodec::kGroup)) {
-        return Status::Corruption("meta file: unknown codec " +
-                                  std::to_string(v));
-      }
-      lm.meta.codec = static_cast<DmCodec>(v);
-    }
-    // Legacy meta files (format v5) recorded the per-record codec as a
-    // boolean.
-    if (key == "compressed") {
-      int v = 0;
-      ss >> v;
-      if (v != 0) lm.meta.codec = DmCodec::kCompressed;
+      DM_ASSIGN_OR_RETURN(lm.meta.codec, ParseDmCodec(v));
     }
     if (key == "repacked") {
       int v = 0;

@@ -30,8 +30,10 @@ Status SaveDmMeta(
     const std::vector<std::pair<double, double>>& quantiles = {},
     const std::vector<std::pair<std::string, double>>& stages = {});
 
-/// Parses a sidecar written by SaveDmMeta (including legacy v5 files
-/// with the boolean `compressed` key). The parent-reach table is one
+/// Parses a sidecar written by SaveDmMeta. A `codec=` value goes
+/// through ParseDmCodec, so the retired per-record codec (1) is
+/// NotSupported and any other unknown value is Corruption. The
+/// parent-reach table is one
 /// `reach=h,d` line per breakpoint; a malformed, negative, non-finite
 /// or non-monotone entry is Corruption, and a file without any opens
 /// with an empty table (no bounded fetch).

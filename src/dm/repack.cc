@@ -56,7 +56,7 @@ Result<DmStore> RepackDmStore(const DmStore& src, DbEnv* dst_env,
   const DmMeta& meta = src.meta();
 
   // 1. Scan the source heap in storage order (deterministic). For the
-  // per-record codecs the raw record bytes are carried verbatim:
+  // flat codec the raw record bytes are carried verbatim:
   // DmNode links are VertexIds, not RecordIds, so nothing inside a
   // record depends on placement. Group blobs share frame-of-reference
   // bases with their page-mates, so their records cannot move

@@ -4,25 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace dm {
-
-QueryService::QueryService(DmStore* store, const QueryServiceOptions& options)
-    : store_(store), options_(options) {
-  DM_CHECK(store_ != nullptr) << "QueryService needs a store";
-  options_.num_threads = std::max(1, options_.num_threads);
-  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  counters_ = std::vector<WorkerCounters>(
-      static_cast<size_t>(options_.num_threads));
-  workers_.reserve(static_cast<size_t>(options_.num_threads));
-  for (int i = 0; i < options_.num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
 
 QueryService::QueryService(DmDataSource* source,
                            const QueryServiceOptions& options)
@@ -104,13 +90,7 @@ void QueryService::WorkerLoop(int worker) {
   // One processor per worker: the processor owns per-query scratch
   // (its arena), so giving each worker its own keeps every per-query
   // allocation thread-local.
-  std::optional<DmQueryProcessor> proc_storage;
-  if (store_ != nullptr) {
-    proc_storage.emplace(store_, options_.query);
-  } else {
-    proc_storage.emplace(source_, options_.query);
-  }
-  DmQueryProcessor& proc = *proc_storage;
+  DmQueryProcessor proc(source_, options_.query);
   WorkerCounters& counters = counters_[static_cast<size_t>(worker)];
   for (;;) {
     Job job;
@@ -161,7 +141,7 @@ void QueryService::WorkerLoop(int worker) {
       // Deadline propagation: the remaining budget rides into the
       // processor and from there into every I/O wait underneath.
       if (has_deadline) proc.set_deadline(job_deadline);
-      result = Execute(&proc, job.request);
+      result = ExecuteRequest(&proc, job.request);
       if (has_deadline) proc.clear_deadline();
       if (!result.ok()) {
         const StatusCode code = result.status().code();
@@ -187,8 +167,8 @@ void QueryService::WorkerLoop(int worker) {
   }
 }
 
-Result<DmQueryResult> QueryService::Execute(DmQueryProcessor* proc,
-                                            const QueryRequest& request) const {
+Result<DmQueryResult> ExecuteRequest(DmQueryProcessor* proc,
+                                     const QueryRequest& request) {
   switch (request.kind) {
     case QueryRequest::Kind::kUniform:
       return proc->ViewpointIndependent(request.roi, request.e);
@@ -327,34 +307,6 @@ void RunWorkload(QueryService& service,
 }
 
 }  // namespace
-
-Result<ThroughputReport> RunThroughput(
-    DmStore* store, const std::vector<QueryRequest>& workload, int threads,
-    const DmQueryOptions& query) {
-  // Warm-cache steady state: write back dirt, keep everything
-  // resident (the cold-cache FlushAll stays with the paper benches).
-  DM_RETURN_NOT_OK(store->env()->FlushDirty());
-  const IoStats io0 = store->env()->stats();
-
-  QueryServiceOptions options;
-  options.num_threads = threads;
-  options.queue_capacity =
-      std::max<size_t>(8, 2 * static_cast<size_t>(threads));
-  options.query = query;
-  ThroughputReport report;
-  {
-    QueryService service(store, options);
-    RunWorkload(service, workload, threads, &report);
-    service.Shutdown();
-  }
-
-  const IoStats io1 = store->env()->stats();
-  report.disk_reads = io1.disk_reads - io0.disk_reads;
-  report.io_retries = io1.io_retries - io0.io_retries;
-  report.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  report.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
-  return report;
-}
 
 Result<ThroughputReport> RunThroughput(
     DmDataSource* source, const std::vector<QueryRequest>& workload,

@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "dm/dm_query.h"
-#include "dm/dm_store.h"
 
 namespace dm {
 
@@ -86,9 +85,14 @@ struct ServiceHealth {
   int64_t degraded = 0;
 };
 
-/// Fixed-size worker pool serving DM queries against one shared
-/// DmStore (immutable after Open; all mutable state lives in the
-/// thread-safe sharded buffer pool). Producers Submit jobs into a
+/// Runs one request on `proc`: the entry point its kind selects
+/// (ViewpointIndependent, SingleBase or MultiBase, Perspective).
+Result<DmQueryResult> ExecuteRequest(DmQueryProcessor* proc,
+                                     const QueryRequest& request);
+
+/// Fixed-size worker pool serving DM queries against one shared data
+/// source (a store is immutable after Open; all mutable state lives in
+/// the thread-safe sharded buffer pool). Producers Submit jobs into a
 /// bounded MPMC queue; each worker runs its own DmQueryProcessor, so
 /// query CPU (refinement + triangulation) and shard-local page I/O
 /// overlap across clients.
@@ -101,11 +105,10 @@ struct ServiceHealth {
 /// the DbEnv level.
 class QueryService {
  public:
-  explicit QueryService(DmStore* store,
-                        const QueryServiceOptions& options = {});
-  /// Serves from any data source — a single store or a ShardRouter
-  /// fanning queries over replicated shards. Each worker's processor
-  /// shares the source (sources are stateless per query).
+  /// Serves from any data source — a single store (DmStoreSource) or
+  /// a ShardRouter fanning queries over replicated shards. Each
+  /// worker's processor shares the source (sources are stateless per
+  /// query).
   explicit QueryService(DmDataSource* source,
                         const QueryServiceOptions& options = {});
   ~QueryService();
@@ -154,11 +157,8 @@ class QueryService {
   };
 
   void WorkerLoop(int worker);
-  Result<DmQueryResult> Execute(DmQueryProcessor* proc,
-                                const QueryRequest& request) const;
 
-  DmStore* store_ = nullptr;    // single-store mode
-  DmDataSource* source_ = nullptr;  // source mode (router etc.)
+  DmDataSource* source_ = nullptr;
   QueryServiceOptions options_;
   /// Sized once in the constructor, never resized (atomics pin it).
   std::vector<WorkerCounters> counters_;
@@ -223,19 +223,12 @@ struct ThroughputReport {
 };
 
 /// Replays `workload` through a QueryService with `threads` workers
-/// and reports throughput and latency percentiles. The cache is
-/// warmed (FlushDirty steady state), not flushed, so repeated runs
-/// measure serving capacity rather than cold-start I/O. `query`
-/// passes through to QueryServiceOptions so fault benches can run
-/// degraded-with-deadline mode.
-Result<ThroughputReport> RunThroughput(DmStore* store,
-                                       const std::vector<QueryRequest>& workload,
-                                       int threads,
-                                       const DmQueryOptions& query = {});
-
-/// Source-generic variant (used with a ShardRouter): aggregate I/O
-/// comes from the source's pooled counters; no cache conditioning is
-/// done (chaos benches manage replica caches themselves).
+/// over `source` (a DmStoreSource or a ShardRouter) and reports
+/// throughput and latency percentiles. Aggregate I/O comes from the
+/// source's pooled counters. The buffer pool is used as the caller
+/// left it: flush it first for a cold run. `query` passes through to
+/// QueryServiceOptions so fault benches can run degraded-with-deadline
+/// mode.
 Result<ThroughputReport> RunThroughput(DmDataSource* source,
                                        const std::vector<QueryRequest>& workload,
                                        int threads,

@@ -74,14 +74,14 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
   GridShape(options.shards, &gx, &gy);
 
   // 1. Scan the source heap in storage order and assign each record to
-  // its region. Per-record codecs carry the raw bytes verbatim (links
+  // its region. Flat records carry their raw bytes verbatim (links
   // are VertexIds, placement-independent); group blobs share
   // frame-of-reference bases with page-mates, so carry decoded nodes
   // and re-encode fresh groups per shard (same rule as the repacker).
   const bool group = meta.codec == DmCodec::kGroup;
   struct Extract {
     std::vector<DmNode> nodes;              // group codec
-    std::vector<std::vector<uint8_t>> raw;  // flat / per-record codecs
+    std::vector<std::vector<uint8_t>> raw;  // flat codec
     std::vector<Point3> pos;
     std::vector<double> e_low;
     std::vector<double> e_high;

@@ -30,8 +30,6 @@ struct DbOptions {
   /// Stored here as a plain number — the cache itself lives in the dm
   /// layer (DmStore), which reads this knob at Build/Open.
   size_t node_cache_bytes = 0;
-  /// Shards for the decoded-node cache (NodeCache::kDefaultShards).
-  uint32_t node_cache_shards = 16;
   bool truncate = true;
   /// Interpose a FaultInjectingDevice between the pool and the disk.
   /// The shim starts with an empty plan (no faults); tests arm it via

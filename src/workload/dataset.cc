@@ -221,9 +221,9 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
       dmm.max_lod = mf.GetDouble("max_lod");
       dmm.mean_lod = mf.GetDouble("mean_lod");
       dmm.bounds = LoadRect(mf, "bounds");
-      dmm.codec = mf.Has("dm.codec")
-                      ? static_cast<DmCodec>(mf.GetInt("dm.codec"))
-                      : DmCodec::kFlat;
+      if (mf.Has("dm.codec")) {
+        DM_ASSIGN_OR_RETURN(dmm.codec, ParseDmCodec(mf.GetInt("dm.codec")));
+      }
       const int64_t nr = mf.GetInt("dm.reach.count");
       for (int64_t i = 0; i < nr; ++i) {
         const std::string p = "dm.reach." + std::to_string(i);
@@ -336,7 +336,7 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   const auto conn = BuildConnectionLists(base, tree, sr, build_threads);
   DmStoreOptions dm_options;
   // Benches and figures measure the v6 group layout by default; the
-  // compression ablation builds its own flat/record variants.
+  // compression ablation builds its own flat variant.
   dm_options.codec = DmCodec::kGroup;
   dm_options.threads = build_threads;
   dm_options.connections = &conn;

@@ -173,8 +173,10 @@ class ConcurrentQueryTest : public ::testing::Test {
         DmStore::Build(env_, scene_->base, scene_->tree, scene_->sr);
     ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
     store_ = new DmStore(std::move(store_or).value());
+    source_ = new DmStoreSource(store_);
   }
   static void TearDownTestSuite() {
+    delete source_;
     delete store_;
     delete env_;
     delete scene_;
@@ -183,24 +185,12 @@ class ConcurrentQueryTest : public ::testing::Test {
   static Scene* scene_;
   static DbEnv* env_;
   static DmStore* store_;
+  static DmStoreSource* source_;
 };
 Scene* ConcurrentQueryTest::scene_ = nullptr;
 DbEnv* ConcurrentQueryTest::env_ = nullptr;
 DmStore* ConcurrentQueryTest::store_ = nullptr;
-
-Result<DmQueryResult> RunSerial(DmQueryProcessor* proc,
-                                const QueryRequest& req) {
-  switch (req.kind) {
-    case QueryRequest::Kind::kUniform:
-      return proc->ViewpointIndependent(req.roi, req.e);
-    case QueryRequest::Kind::kView:
-      return req.multi_base ? proc->MultiBase(req.view)
-                            : proc->SingleBase(req.view);
-    case QueryRequest::Kind::kPerspective:
-      return proc->Perspective(req.perspective);
-  }
-  return Status::InvalidArgument("unknown kind");
-}
+DmStoreSource* ConcurrentQueryTest::source_ = nullptr;
 
 // Byte-exact geometry comparison (stats are never compared: disk
 // attribution is approximate under overlap).
@@ -232,7 +222,7 @@ TEST_F(ConcurrentQueryTest, ParallelResultsMatchSerialExactly) {
   serial.reserve(workload.size());
   DmQueryProcessor proc(store_);
   for (const QueryRequest& req : workload) {
-    auto r = RunSerial(&proc, req);
+    auto r = ExecuteRequest(&proc, req);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     serial.push_back(std::move(r).value());
   }
@@ -245,7 +235,7 @@ TEST_F(ConcurrentQueryTest, ParallelResultsMatchSerialExactly) {
   options.num_threads = 4;
   options.queue_capacity = 8;
   {
-    QueryService service(store_, options);
+    QueryService service(source_, options);
     for (size_t i = 0; i < workload.size(); ++i) {
       ASSERT_TRUE(service.Submit(
           workload[i], [&parallel, &failed, i](const Result<DmQueryResult>& r,
@@ -283,7 +273,7 @@ TEST_F(ConcurrentQueryTest, NodeCacheKeepsGeometryByteIdentical) {
   {
     DmQueryProcessor proc(store_);
     for (const QueryRequest& req : workload) {
-      auto r = RunSerial(&proc, req);
+      auto r = ExecuteRequest(&proc, req);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       reference.push_back(std::move(r).value());
     }
@@ -295,10 +285,10 @@ TEST_F(ConcurrentQueryTest, NodeCacheKeepsGeometryByteIdentical) {
   {
     DmQueryProcessor proc(store_);
     for (const QueryRequest& req : workload) {
-      ASSERT_TRUE(RunSerial(&proc, req).ok());
+      ASSERT_TRUE(ExecuteRequest(&proc, req).ok());
     }
     for (size_t i = 0; i < workload.size(); ++i) {
-      auto r = RunSerial(&proc, workload[i]);
+      auto r = ExecuteRequest(&proc, workload[i]);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ExpectSameGeometry(reference[i], r.value(), i);
       EXPECT_GT(r.value().stats.cache_hits, 0) << "query " << i;
@@ -313,7 +303,7 @@ TEST_F(ConcurrentQueryTest, NodeCacheKeepsGeometryByteIdentical) {
   options.num_threads = 4;
   options.queue_capacity = 8;
   {
-    QueryService service(store_, options);
+    QueryService service(source_, options);
     for (size_t i = 0; i < workload.size(); ++i) {
       ASSERT_TRUE(service.Submit(
           workload[i], [&parallel, &failed, i](const Result<DmQueryResult>& r,
@@ -351,7 +341,7 @@ TEST_F(ConcurrentQueryTest, CondVarBackpressureSurvivesProducerChurn) {
   QueryServiceOptions options;
   options.num_threads = 2;
   options.queue_capacity = 2;  // well below the offered load
-  QueryService service(store_, options);
+  QueryService service(source_, options);
   const std::vector<QueryRequest> workload = MakeMixedWorkload(
       scene_->tree.bounds(), scene_->tree.max_lod(), /*count=*/8,
       /*seed=*/11, /*roi_fraction=*/0.05);
@@ -384,7 +374,7 @@ TEST_F(ConcurrentQueryTest, ShutdownDrainsQueuedJobs) {
   QueryServiceOptions options;
   options.num_threads = 2;
   options.queue_capacity = 4;
-  QueryService service(store_, options);
+  QueryService service(source_, options);
   const std::vector<QueryRequest> workload = MakeMixedWorkload(
       scene_->tree.bounds(), scene_->tree.max_lod(), /*count=*/12,
       /*seed=*/5, /*roi_fraction=*/0.05);

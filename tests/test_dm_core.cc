@@ -162,109 +162,6 @@ TEST(DmNodeTest, IntervalPredicates) {
   EXPECT_FALSE(n.IntervalOverlaps(5.0, 10.0));  // e_high exclusive
 }
 
-
-TEST(DmNodeTest, CompressedCodecRoundTrip) {
-  DmNode n;
-  n.id = 5000;
-  n.pos = Point3{-3.5, 2.25, 817.0};
-  n.e_low = 1.25;
-  n.e_high = 77.0;
-  n.parent = 5204;
-  n.child1 = 4810;
-  n.child2 = 4999;
-  n.wing1 = kInvalidVertex;
-  n.wing2 = 5001;
-  n.connections = {4321, 4999, 5001, 5002, 6100};
-
-  std::vector<uint8_t> buf;
-  n.EncodeCompressedTo(&buf);
-  // Compression must actually compress.
-  EXPECT_LT(buf.size(), n.EncodedSize());
-  auto d_or =
-      DmNode::DecodeCompressed(buf.data(), static_cast<uint32_t>(buf.size()));
-  ASSERT_TRUE(d_or.ok()) << d_or.status().ToString();
-  const DmNode& d = d_or.value();
-  EXPECT_EQ(d.id, n.id);
-  EXPECT_EQ(d.pos, n.pos);
-  EXPECT_EQ(d.e_low, n.e_low);
-  EXPECT_EQ(d.e_high, n.e_high);
-  EXPECT_EQ(d.parent, n.parent);
-  EXPECT_EQ(d.child1, n.child1);
-  EXPECT_EQ(d.child2, n.child2);
-  EXPECT_EQ(d.wing1, n.wing1);
-  EXPECT_EQ(d.wing2, n.wing2);
-  EXPECT_EQ(d.connections, n.connections);
-}
-
-TEST(DmNodeTest, CompressedCodecPreservesInfinityAndEmptyLists) {
-  DmNode n;
-  n.id = 0;
-  n.e_high = std::numeric_limits<double>::infinity();
-  std::vector<uint8_t> buf;
-  n.EncodeCompressedTo(&buf);
-  auto d_or =
-      DmNode::DecodeCompressed(buf.data(), static_cast<uint32_t>(buf.size()));
-  ASSERT_TRUE(d_or.ok());
-  EXPECT_TRUE(std::isinf(d_or.value().e_high));
-  EXPECT_TRUE(d_or.value().connections.empty());
-}
-
-TEST(DmNodeTest, CompressedDecodeRejectsCorruption) {
-  DmNode n;
-  n.id = 99;
-  n.connections = {1, 2, 3};
-  std::vector<uint8_t> buf;
-  n.EncodeCompressedTo(&buf);
-  EXPECT_FALSE(DmNode::DecodeCompressed(buf.data(), 3).ok());
-  EXPECT_FALSE(
-      DmNode::DecodeCompressed(buf.data(),
-                               static_cast<uint32_t>(buf.size() - 1))
-          .ok());
-  // Trailing garbage is rejected too.
-  buf.push_back(0);
-  EXPECT_FALSE(
-      DmNode::DecodeCompressed(buf.data(), static_cast<uint32_t>(buf.size()))
-          .ok());
-}
-
-TEST(DmNodeTest, CompressedCodecRandomizedProperty) {
-  Rng rng(2024);
-  for (int trial = 0; trial < 200; ++trial) {
-    DmNode n;
-    n.id = rng.UniformInt(0, 1 << 20);
-    n.pos = Point3{rng.Uniform(-1e4, 1e4), rng.Uniform(-1e4, 1e4),
-                   rng.Uniform(-1e4, 1e4)};
-    n.e_low = rng.Uniform(0, 1e6);
-    n.e_high = n.e_low + rng.Uniform(0, 1e6);
-    auto maybe_link = [&]() {
-      return rng.NextBelow(4) == 0 ? kInvalidVertex
-                                   : rng.UniformInt(0, 1 << 21);
-    };
-    n.parent = maybe_link();
-    n.child1 = maybe_link();
-    n.child2 = maybe_link();
-    n.wing1 = maybe_link();
-    n.wing2 = maybe_link();
-    const int k = static_cast<int>(rng.NextBelow(30));
-    for (int i = 0; i < k; ++i) {
-      n.connections.push_back(rng.UniformInt(0, 1 << 21));
-    }
-    std::sort(n.connections.begin(), n.connections.end());
-    n.connections.erase(
-        std::unique(n.connections.begin(), n.connections.end()),
-        n.connections.end());
-
-    std::vector<uint8_t> buf;
-    n.EncodeCompressedTo(&buf);
-    auto d_or = DmNode::DecodeCompressed(buf.data(),
-                                         static_cast<uint32_t>(buf.size()));
-    ASSERT_TRUE(d_or.ok()) << "trial " << trial;
-    EXPECT_EQ(d_or.value().connections, n.connections);
-    EXPECT_EQ(d_or.value().parent, n.parent);
-    EXPECT_EQ(d_or.value().wing1, n.wing1);
-  }
-}
-
 // ---- varint hardening (GetVarint must reject every malformed input,
 // never silently truncate) --------------------------------------------
 

@@ -144,49 +144,6 @@ TEST_F(DmStoreTest, ClusteredLayoutKeepsCoRetrievedRecordsTogether) {
   EXPECT_LT(pages.size(), rids.size() / 3);
 }
 
-
-TEST_F(DmStoreTest, CompressedStoreAnswersIdentically) {
-  // Build a second store with compressed records in its own file; every
-  // query must return byte-identical results, with fewer heap pages.
-  auto env2_or = DbEnv::Open(testing::TempDbPath("dm_store_comp"), {});
-  ASSERT_TRUE(env2_or.ok());
-  auto env2 = std::move(env2_or).value();
-  DmStoreOptions options;
-  options.compress_records = true;
-  auto comp_or =
-      DmStore::Build(env2.get(), scene_->base, scene_->tree, scene_->sr,
-                     options);
-  ASSERT_TRUE(comp_or.ok()) << comp_or.status().ToString();
-  DmStore& comp = comp_or.value();
-  EXPECT_EQ(comp.meta().codec, DmCodec::kCompressed);
-  EXPECT_LT(comp.heap().num_pages(), store_->heap().num_pages());
-
-  const double e = scene_->tree.max_lod() * 0.02;
-  const Box plane = Box::FromRect(scene_->tree.bounds(), e, e);
-  std::vector<uint64_t> flat_rids;
-  std::vector<uint64_t> comp_rids;
-  ASSERT_TRUE(store_->rtree().RangeQuery(plane, &flat_rids).ok());
-  ASSERT_TRUE(comp.rtree().RangeQuery(plane, &comp_rids).ok());
-  ASSERT_EQ(flat_rids.size(), comp_rids.size());
-
-  std::set<VertexId> flat_ids;
-  std::set<VertexId> comp_ids;
-  for (uint64_t rid : flat_rids) {
-    flat_ids.insert(
-        std::move(store_->FetchNode(RecordId::Unpack(rid))).ValueOrDie().id);
-  }
-  for (uint64_t rid : comp_rids) {
-    const DmNode n =
-        std::move(comp.FetchNode(RecordId::Unpack(rid))).ValueOrDie();
-    comp_ids.insert(n.id);
-    // Cross-check full record content against the flat store's tree.
-    const PmNode& expect = scene_->tree.node(n.id);
-    EXPECT_EQ(n.pos, expect.pos);
-    EXPECT_EQ(n.parent, expect.parent);
-  }
-  EXPECT_EQ(flat_ids, comp_ids);
-}
-
 TEST_F(DmStoreTest, GroupStoreAnswersIdenticallyWithHigherDensity) {
   // The v6 group codec must return the exact same query geometry as
   // the flat store while fitting at least twice as many records per
@@ -355,6 +312,33 @@ TEST_F(ReachMetaFileTest, DamagedEntriesAreCorruption) {
     std::swap((*l)[first], (*l)[second]);
   });
   EXPECT_EQ(LoadDmMeta(meta_path_).status().code(), StatusCode::kCorruption);
+}
+
+// The codec value goes through ParseDmCodec: the retired per-record
+// codec (1) is NotSupported and names itself; any other value outside
+// {flat = 0, group = 2} is Corruption.
+TEST_F(ReachMetaFileTest, RetiredAndUnknownCodecsAreRejected) {
+  size_t codec_line = lines_.size();
+  for (size_t i = 0; i < lines_.size(); ++i) {
+    if (lines_[i].rfind("codec=", 0) == 0) codec_line = i;
+  }
+  ASSERT_LT(codec_line, lines_.size());
+  auto load_with = [&](const std::string& line) {
+    Rewrite([&](std::vector<std::string>* l) { (*l)[codec_line] = line; });
+    return LoadDmMeta(meta_path_);
+  };
+  const auto retired = load_with("codec=1");
+  EXPECT_EQ(retired.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(retired.status().ToString().find("per-record"), std::string::npos)
+      << retired.status().ToString();
+  for (const char* bad : {"codec=3", "codec=-1"}) {
+    EXPECT_EQ(load_with(bad).status().code(), StatusCode::kCorruption) << bad;
+  }
+  for (DmCodec c : {DmCodec::kFlat, DmCodec::kGroup}) {
+    auto ok = load_with("codec=" + std::to_string(static_cast<int>(c)));
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok.value().meta.codec, c);
+  }
 }
 
 // A meta file from before the table existed opens with no bound and

@@ -495,7 +495,8 @@ TEST(Shedding, LateJobsAreShedWithUnavailable) {
   options.num_threads = 1;
   options.queue_capacity = 64;
   options.max_queue_wait_millis = 0.001;  // everything queued is late
-  QueryService service(db.store.get(), options);
+  DmStoreSource source(db.store.get());
+  QueryService service(&source, options);
 
   const std::vector<QueryRequest> workload = MakeMixedWorkload(
       db.store->meta().bounds, db.store->meta().max_lod, 32, 99);
@@ -600,19 +601,7 @@ TEST(FaultSweep, SeededClassesDegradeButNeverCorrupt) {
       int executed = 0;
       for (const QueryRequest& req : workload) {
         ASSERT_TRUE(db.env->FlushAll().ok());  // cold: faults hit disk I/O
-        Result<DmQueryResult> r = Status::Internal("unset");
-        switch (req.kind) {
-          case QueryRequest::Kind::kUniform:
-            r = proc.ViewpointIndependent(req.roi, req.e);
-            break;
-          case QueryRequest::Kind::kView:
-            r = req.multi_base ? proc.MultiBase(req.view)
-                               : proc.SingleBase(req.view);
-            break;
-          case QueryRequest::Kind::kPerspective:
-            r = proc.Perspective(req.perspective);
-            break;
-        }
+        Result<DmQueryResult> r = ExecuteRequest(&proc, req);
         ++executed;
         if (!r.ok()) {
           // Index-page losses and storms outlasting the retry budget

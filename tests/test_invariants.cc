@@ -125,13 +125,6 @@ TEST(InvariantsTest, FreshStorePassesStructuralAudit) {
   EXPECT_GT(report.rtree_nodes_checked, 1);
 }
 
-TEST(InvariantsTest, FreshCompressedStorePassesStructuralAudit) {
-  TestStore ts = MakeStore("inv_good_comp", DmCodec::kCompressed);
-  auto report_or = VerifyDmStore(*ts.store);
-  ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
-  EXPECT_TRUE(report_or.value().ok()) << report_or.value().ToString();
-}
-
 TEST(InvariantsTest, FreshGroupStorePassesStructuralAudit) {
   // The v6 group codec store must satisfy every structural invariant
   // AND the exactness audit against the source tree (decode through the

@@ -211,7 +211,8 @@ TEST_F(RepackTest, RepackDoesNotLoseHeapLocality) {
   auto mixed_runs = [&](DbEnv* env, DmStore* store) -> int64_t {
     EXPECT_TRUE(env->FlushAll().ok());
     const IoStats io0 = env->stats();
-    auto report = RunThroughput(store, mixed, /*threads=*/1);
+    DmStoreSource source(store);
+    auto report = RunThroughput(&source, mixed, /*threads=*/1);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report.value().failed, 0);
     return env->stats().fetch_runs - io0.fetch_runs;

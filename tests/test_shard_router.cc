@@ -277,19 +277,6 @@ class ShardRouterTest : public ::testing::Test {
     return w;
   }
 
-  static Result<DmQueryResult> ExecuteOn(DmQueryProcessor& proc,
-                                         const QueryRequest& q) {
-    switch (q.kind) {
-      case QueryRequest::Kind::kUniform:
-        return proc.ViewpointIndependent(q.roi, q.e);
-      case QueryRequest::Kind::kView:
-        return q.multi_base ? proc.MultiBase(q.view) : proc.SingleBase(q.view);
-      case QueryRequest::Kind::kPerspective:
-        return proc.Perspective(q.perspective);
-    }
-    return Status::InvalidArgument("bad kind");
-  }
-
   static void ExpectSameMesh(const DmQueryResult& a, const DmQueryResult& b,
                              const char* what) {
     EXPECT_EQ(a.vertices, b.vertices) << what;
@@ -316,8 +303,8 @@ class ShardRouterTest : public ::testing::Test {
     DmQueryProcessor routed(&router);
     int i = 0;
     for (const QueryRequest& q : IdentityWorkload()) {
-      auto want_or = ExecuteOn(direct, q);
-      auto got_or = ExecuteOn(routed, q);
+      auto want_or = ExecuteRequest(&direct, q);
+      auto got_or = ExecuteRequest(&routed, q);
       ASSERT_TRUE(want_or.ok()) << what << " direct[" << i << "]: "
                                 << want_or.status().ToString();
       ASSERT_TRUE(got_or.ok()) << what << " routed[" << i << "]: "
@@ -419,7 +406,7 @@ TEST_F(ShardRouterTest, WholeShardOutageDegradesOrFailsStrict) {
   // Strict mode: the missing region fails the query outright.
   {
     DmQueryProcessor proc(&router);
-    auto r_or = ExecuteOn(proc, q);
+    auto r_or = ExecuteRequest(&proc, q);
     EXPECT_FALSE(r_or.ok());
   }
   // Degraded mode: a legal, sparser mesh with the loss accounted.
@@ -427,7 +414,7 @@ TEST_F(ShardRouterTest, WholeShardOutageDegradesOrFailsStrict) {
     DmQueryOptions opt;
     opt.allow_degraded = true;
     DmQueryProcessor proc(&router, opt);
-    auto r_or = ExecuteOn(proc, q);
+    auto r_or = ExecuteRequest(&proc, q);
     ASSERT_TRUE(r_or.ok()) << r_or.status().ToString();
     const DmQueryResult& res = r_or.value();
     EXPECT_TRUE(res.health.degraded);
@@ -538,7 +525,7 @@ TEST_F(ShardRouterTest, FaultCountersAreDeterministicAcrossRuns) {
     DmQueryProcessor proc(&router);
     for (int pass = 0; pass < 3; ++pass) {
       for (const QueryRequest& q : IdentityWorkload()) {
-        auto r_or = ExecuteOn(proc, q);
+        auto r_or = ExecuteRequest(&proc, q);
         ASSERT_TRUE(r_or.ok()) << r_or.status().ToString();
       }
     }
@@ -581,7 +568,7 @@ TEST_F(ShardRouterTest, RetryBudgetBoundsFailoverAmplification) {
   q.roi = Roi(0.0, 0.0, 1.0, 1.0);
   q.e = 0.05 * scene_->tree.max_lod();
   for (int i = 0; i < 6; ++i) {
-    auto r_or = ExecuteOn(proc, q);
+    auto r_or = ExecuteRequest(&proc, q);
     ASSERT_TRUE(r_or.ok()) << r_or.status().ToString();
   }
   const RouterCounters c = router.counters();
@@ -598,7 +585,7 @@ TEST_F(ShardRouterTest, QueryServiceShedsAQueryWhoseDeadlineExpiredInQueue) {
   ShardRouter router(shards_);
   QueryServiceOptions opt;
   opt.num_threads = 1;
-  QueryService service(static_cast<DmDataSource*>(&router), opt);
+  QueryService service(&router, opt);
 
   QueryRequest q;
   q.kind = QueryRequest::Kind::kUniform;
@@ -631,7 +618,7 @@ TEST_F(ShardRouterTest, ConcurrentChaosServingSmoke) {
   QueryServiceOptions opt;
   opt.num_threads = 4;
   opt.query.allow_degraded = true;
-  QueryService service(static_cast<DmDataSource*>(&router), opt);
+  QueryService service(&router, opt);
 
   const auto workload = MakeMixedWorkload(scene_->tree.bounds(),
                                           scene_->tree.max_lod(),

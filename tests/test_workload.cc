@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 #include <sys/stat.h>
 
 #include "test_util.h"
@@ -113,6 +116,43 @@ TEST(DatasetTest, ConnectivityStatsPersistAcrossReload) {
   auto second_or = BuildOrLoadDataset(dir, spec);
   ASSERT_TRUE(second_or.ok());
   EXPECT_DOUBLE_EQ(second_or.value().conn_stats.avg_similar_lod, avg);
+}
+
+// The dataset-cache manifest parses `dm.codec` with the same checks
+// as a store's meta file: the retired per-record codec (1) is
+// NotSupported and any other unknown value is Corruption, instead of
+// opening a store on which every decode fails.
+TEST(DatasetTest, ManifestRejectsRetiredAndUnknownCodecs) {
+  const std::string dir = TempDir();
+  DatasetSpec spec = TinySpec();
+  spec.name = "tiny_codec";
+  DropDatasetCache(dir, spec);
+  ASSERT_TRUE(BuildOrLoadDataset(dir, spec).ok());
+  const std::string manifest = dir + "/" + spec.name + ".meta";
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(manifest);
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+  }
+  const auto with_codec = [&](int64_t codec) {
+    std::ofstream out(manifest);
+    for (const std::string& l : lines) {
+      out << (l.rfind("dm.codec=", 0) == 0
+                  ? "dm.codec=" + std::to_string(codec)
+                  : l)
+          << "\n";
+    }
+  };
+  with_codec(1);
+  EXPECT_EQ(BuildOrLoadDataset(dir, spec).status().code(),
+            StatusCode::kNotSupported);
+  for (int64_t bad : {3, -1}) {
+    with_codec(bad);
+    EXPECT_EQ(BuildOrLoadDataset(dir, spec).status().code(),
+              StatusCode::kCorruption)
+        << bad;
+  }
+  DropDatasetCache(dir, spec);
 }
 
 }  // namespace

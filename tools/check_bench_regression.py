@@ -203,10 +203,6 @@ def main():
             print(f"group {name}: {value:.2f} ({kind_word} {bound:.2f}) "
                   f"{status}")
             compared += 1
-        record_density = variant_metric(1, "density_x")
-        if record_density is not None:
-            print(f"note: per-record codec density_x {record_density:.2f} "
-                  "(informational)")
 
     if failures:
         print("\nbench regression check FAILED:", file=sys.stderr)

@@ -1,7 +1,7 @@
 // dmctl — command-line front end for Direct Mesh terrain databases.
 //
 //   dmctl build --out <base> [--dem file.asc | --synthetic fractal|crater]
-//               [--side N] [--seed S] [--compress] [--threads T]
+//               [--side N] [--seed S] [--codec flat|group] [--threads T]
 //   dmctl info  --db <base>
 //   dmctl verify --db <base> [--max-violations N]
 //   dmctl query --db <base> --roi x0,y0,x1,y1 (--lod E | --keep FRAC)
@@ -74,7 +74,10 @@ Args ParseArgs(int argc, char** argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       args.flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+    } else if (i + 1 < argc && !(argv[i + 1][0] == '-' &&
+                                  argv[i + 1][1] == '-')) {
+      // Anything but another flag is this flag's value, so negative
+      // numbers (`--keep -1`, `--emin -5`) reach their flag.
       args.flags[arg] = argv[++i];
     } else {
       args.flags[arg] = "1";
@@ -89,7 +92,7 @@ int Usage() {
       "usage:\n"
       "  dmctl build --out BASE [--dem FILE.asc | --synthetic "
       "fractal|crater] [--side N] [--seed S] "
-      "[--codec flat|record|group] [--threads T]\n"
+      "[--codec flat|group] [--threads T]\n"
       "  dmctl info  --db BASE\n"
       "  dmctl verify --db BASE [--max-violations N]\n"
       "  dmctl scrub --db BASE [--json] [--max-violations N]\n"
@@ -152,6 +155,22 @@ Status ExportResult(const Args& args, const DmQueryResult& r) {
 Status RunBuild(const Args& args) {
   const std::string base = args.Get("out");
   if (base.empty()) return Status::InvalidArgument("--out required");
+  DmStoreOptions options;
+  // v6 group blocks are the default; --codec flat selects the paper's
+  // fixed-width records. Checked before any terrain work.
+  if (args.Has("compress")) {
+    return Status::InvalidArgument(
+        "--compress (the per-record codec) is retired; use --codec flat|group");
+  }
+  const std::string codec_name = args.Get("codec", "group");
+  if (codec_name == "flat") {
+    options.codec = DmCodec::kFlat;
+  } else if (codec_name == "group") {
+    options.codec = DmCodec::kGroup;
+  } else {
+    return Status::InvalidArgument("unknown --codec " + codec_name +
+                                   " (want flat or group)");
+  }
   const int threads =
       EffectiveThreads(static_cast<int>(args.GetInt("threads", 1)));
 
@@ -199,21 +218,6 @@ Status RunBuild(const Args& args) {
   stage_done("pm-tree");
 
   DM_ASSIGN_OR_RETURN(auto env, DbEnv::Open(base + ".db", {}));
-  DmStoreOptions options;
-  // v6 group blocks are the default; --codec flat|record|group
-  // overrides, --compress is the legacy spelling of --codec record.
-  const std::string codec_name =
-      args.Get("codec", args.Has("compress") ? "record" : "group");
-  if (codec_name == "flat") {
-    options.codec = DmCodec::kFlat;
-  } else if (codec_name == "record") {
-    options.codec = DmCodec::kCompressed;
-  } else if (codec_name == "group") {
-    options.codec = DmCodec::kGroup;
-  } else {
-    return Status::InvalidArgument("unknown --codec " + codec_name +
-                                   " (want flat, record, or group)");
-  }
   options.threads = threads;
   DmBuildTimings timings;
   options.timings = &timings;
@@ -615,9 +619,13 @@ Status RunRepack(const Args& args) {
   return Status::OK();
 }
 
-double LodFromArgs(const Args& args, const LoadedMeta& lm) {
+Result<double> LodFromArgs(const Args& args, const LoadedMeta& lm) {
   if (args.Has("lod")) return args.GetDouble("lod", 0.0);
   const double keep = args.GetDouble("keep", 0.1);
+  if (!(keep >= 0.0 && keep <= 1.0)) {  // also rejects NaN
+    return Status::InvalidArgument("--keep " + args.Get("keep") +
+                                   " is not a fraction in [0, 1]");
+  }
   // Nearest quantile at or below the requested fraction.
   double e = 0.0;
   for (const auto& [f, q] : lm.quantiles) {
@@ -630,7 +638,7 @@ double LodFromArgs(const Args& args, const LoadedMeta& lm) {
 Status RunQuery(const Args& args) {
   DM_ASSIGN_OR_RETURN(OpenDb db, Open(args));
   DM_ASSIGN_OR_RETURN(const Rect roi, ParseRoi(args.Get("roi")));
-  const double e = LodFromArgs(args, db.lm);
+  DM_ASSIGN_OR_RETURN(const double e, LodFromArgs(args, db.lm));
 
   DM_RETURN_NOT_OK(db.env->FlushAll());
   DmQueryProcessor proc(db.store.get());
@@ -706,9 +714,10 @@ Status RunCacheStats(const Args& args) {
 
   NodeCacheStats prev_cache;
   IoStats prev_io;
+  DmStoreSource source(db.store.get());
   for (const char* pass : {"cold", "warm"}) {
     DM_ASSIGN_OR_RETURN(const ThroughputReport r,
-                        RunThroughput(db.store.get(), workload, 1));
+                        RunThroughput(&source, workload, 1));
     const NodeCacheStats c = db.store->node_cache_stats();
     const IoStats io = db.env->stats();
     const int64_t hits = c.hits - prev_cache.hits;
@@ -771,9 +780,10 @@ Status RunIoStats(const Args& args) {
 
   IoStats prev_io;
   AsyncIoStats prev_async;
+  DmStoreSource source(db.store.get());
   for (const char* pass : {"cold", "warm"}) {
     DM_ASSIGN_OR_RETURN(const ThroughputReport r,
-                        RunThroughput(db.store.get(), workload, 1));
+                        RunThroughput(&source, workload, 1));
     const IoStats io = db.env->stats();
     AsyncPageDevice* dev = db.env->async_device();
     const AsyncIoStats as = dev != nullptr ? dev->stats() : AsyncIoStats{};
@@ -856,9 +866,11 @@ int Main(int argc, char** argv) {
   }
   if (!st.ok()) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-    // A malformed query (non-finite LOD, inverted LOD range, empty or
-    // non-finite ROI) is a usage error.
-    if ((args.command == "query" || args.command == "view") &&
+    // A malformed build request (no --out, unknown codec) or query
+    // (non-finite LOD, --keep outside [0, 1], inverted LOD range, empty
+    // or non-finite ROI) is a usage error.
+    if ((args.command == "build" || args.command == "query" ||
+         args.command == "view") &&
         st.code() == StatusCode::kInvalidArgument) {
       return 2;
     }
