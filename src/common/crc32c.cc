@@ -2,6 +2,10 @@
 
 #include <array>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace dm {
 
 namespace {
@@ -35,9 +39,62 @@ const CrcTables& Tables() {
   return tables;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same Castagnoli CRC, eight
+// bytes per instruction. Compiled for SSE4.2 regardless of the build's
+// baseline and called only after the run-time check.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t crc,
+                                                        const uint8_t* p,
+                                                        size_t n) {
+  uint64_t c = crc ^ 0xFFFFFFFFu;
+  // Head: align to 8 bytes so the wide loads stay in one word.
+  while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
+    c = _mm_crc32_u8(static_cast<uint32_t>(c), *p++);
+    --n;
+  }
+  while (n >= 8) {
+    uint64_t word;
+    __builtin_memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    n -= 8;
+  }
+  while (n > 0) {
+    c = _mm_crc32_u8(static_cast<uint32_t>(c), *p++);
+    --n;
+  }
+  return static_cast<uint32_t>(c) ^ 0xFFFFFFFFu;
+}
+#endif
+
 }  // namespace
 
+bool Crc32cHardwareAvailable() {
+#if defined(__x86_64__)
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32cExtendHardware(uint32_t crc, const void* data, size_t n) {
+#if defined(__x86_64__)
+  return ExtendSse42(crc, static_cast<const uint8_t*>(data), n);
+#else
+  return Crc32cExtendPortable(crc, data, n);
+#endif
+}
+
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
+  return Crc32cHardwareAvailable() ? Crc32cExtendHardware(crc, data, n)
+                                   : Crc32cExtendPortable(crc, data, n);
+}
+
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t n) {
   const auto& t = Tables().t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   crc ^= 0xFFFFFFFFu;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <utility>
+
+#include "common/check.h"
 
 namespace dm {
 
@@ -68,31 +72,63 @@ double EstimateDiskAccesses(const std::vector<RTreeNodeExtent>& nodes,
   return total;
 }
 
-double EstimateQueryCost(const CostModelInputs& inputs, const Box& query) {
+CostCatalog::CostCatalog(Stats stats) : stats_(std::move(stats)) {
+  // The normalization and the per-node terms, exactly as
+  // EstimateDiskAccesses computes them per call.
+  const Box& space = stats_.data_space;
+  ex_ = std::max(space.Extent(0), 1e-300);
+  ey_ = std::max(space.Extent(1), 1e-300);
+  ez_ = stats_.e_map.identity() ? std::max(space.Extent(2), 1e-300) : 1.0;
+  terms_.reserve(stats_.nodes.size());
+  for (const RTreeNodeExtent& n : stats_.nodes) {
+    const Box b = stats_.e_map.MapBox(n.box);
+    terms_.push_back(
+        {b.Extent(0) / ex_, b.Extent(1) / ey_, b.Extent(2) / ez_});
+  }
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  sample_lo_.reserve(stats_.segment_sample.size());
+  sample_hi_.reserve(stats_.segment_sample.size());
+  for (const auto& [l, h] : stats_.segment_sample) {
+    const bool interval = l <= h;  // false for NaN too
+    sample_lo_.push_back(interval ? l : kNever);
+    sample_hi_.push_back(interval ? h : kNever);
+  }
+  std::sort(sample_lo_.begin(), sample_lo_.end());
+  std::sort(sample_hi_.begin(), sample_hi_.end());
+}
+
+double CostCatalog::EstimateQueryCost(const Box& query) const {
+  DM_DCHECK(query.lo[2] <= query.hi[2]);
+  // Index pages: formula (1). Summed in node order like
+  // EstimateDiskAccesses, so a near-tie split decides the same way.
+  const Box q = stats_.e_map.MapBox(query);
+  const double qx = q.Extent(0) / ex_;
+  const double qy = q.Extent(1) / ey_;
+  const double qz = q.Extent(2) / ez_;
   double index_pages = 0.0;
-  if (inputs.nodes != nullptr) {
-    index_pages = EstimateDiskAccesses(*inputs.nodes, inputs.data_space,
-                                       query, inputs.e_map);
+  for (const NodeTerm& t : terms_) {
+    index_pages += (qx + t.w) * (qy + t.h) * (qz + t.d);
   }
   // Heap pages: expected records hit by the cube over the clustering
   // density. xy selectivity is geometric; e selectivity comes from the
-  // sampled segment intervals ([l, h] intersects [a, b] iff l <= b and
-  // h >= a).
+  // sampled segment intervals. [l, h] meets [a, b] iff l <= b and
+  // h >= a; since l <= h and a <= b, every pair with h < a also has
+  // l <= b, so the hits are #(l <= b) - #(h < a).
   double heap_pages = 0.0;
-  if (!inputs.segment_sample.empty() && inputs.total_records > 0) {
-    const double ex = std::max(inputs.data_space.Extent(0), 1e-300);
-    const double ey = std::max(inputs.data_space.Extent(1), 1e-300);
-    const double sel_xy = std::min(1.0, query.Extent(0) / ex) *
-                          std::min(1.0, query.Extent(1) / ey);
-    int64_t hit = 0;
-    for (const auto& [l, h] : inputs.segment_sample) {
-      if (l <= query.hi[2] && h >= query.lo[2]) ++hit;
-    }
-    const double sel_e = static_cast<double>(hit) /
-                         static_cast<double>(inputs.segment_sample.size());
+  if (!sample_lo_.empty() && stats_.total_records > 0) {
+    const double sel_xy = std::min(1.0, query.Extent(0) / ex_) *
+                          std::min(1.0, query.Extent(1) / ey_);
+    const auto lo_le_b =
+        std::upper_bound(sample_lo_.begin(), sample_lo_.end(), query.hi[2]) -
+        sample_lo_.begin();
+    const auto hi_lt_a =
+        std::lower_bound(sample_hi_.begin(), sample_hi_.end(), query.lo[2]) -
+        sample_hi_.begin();
+    const double sel_e = static_cast<double>(lo_le_b - hi_lt_a) /
+                         static_cast<double>(sample_lo_.size());
     const double records =
-        static_cast<double>(inputs.total_records) * sel_xy * sel_e;
-    heap_pages = records / std::max(1.0, inputs.records_per_page);
+        static_cast<double>(stats_.total_records) * sel_xy * sel_e;
+    heap_pages = records / std::max(1.0, stats_.records_per_page);
   }
   return index_pages + heap_pages;
 }
@@ -103,38 +139,44 @@ std::vector<BaseCube> OptimizeMultiBase(
   std::vector<BaseCube> out;
   out.reserve(static_cast<size_t>(std::max(1, max_cubes)));
   // Plain recursive helper: a recursive std::function would
-  // heap-allocate its closure on every multi-base query.
+  // heap-allocate its closure on every multi-base query. Each half's
+  // estimate is passed down as that cube's whole, so every cube is
+  // estimated once.
   struct Splitter {
-    const CostModelInputs& inputs;
+    const CostCatalog* catalog;
     const Rect& roi;
     bool gradient_along_y;
     const std::function<double(double)>& e_at;
     std::vector<BaseCube>& out;
 
-    void Split(double t0, double t1, int budget) const {
-      BaseCube whole{t0, t1, e_at(t0), e_at(t1)};
+    double Cost(const BaseCube& cube) const {
+      return catalog != nullptr ? catalog->EstimateQueryCost(
+                                      SliceBox(roi, gradient_along_y, cube))
+                                : 0.0;
+    }
+
+    void Split(const BaseCube& whole, double da_whole, int budget) const {
       if (budget > 1) {
-        const double tm = (t0 + t1) / 2;
-        const BaseCube left{t0, tm, e_at(t0), e_at(tm)};
-        const BaseCube right{tm, t1, e_at(tm), e_at(t1)};
-        const double da_whole = EstimateQueryCost(
-            inputs, SliceBox(roi, gradient_along_y, whole));
-        const double da_parts =
-            EstimateQueryCost(inputs,
-                              SliceBox(roi, gradient_along_y, left)) +
-            EstimateQueryCost(inputs,
-                              SliceBox(roi, gradient_along_y, right));
-        if (da_parts < da_whole) {  // condition (7)
-          Split(t0, tm, budget / 2);
-          Split(tm, t1, budget - budget / 2);
+        const double tm = (whole.t0 + whole.t1) / 2;
+        const double e_m = e_at(tm);
+        const BaseCube left{whole.t0, tm, whole.e_lo, e_m};
+        const BaseCube right{tm, whole.t1, e_m, whole.e_hi};
+        const double da_left = Cost(left);
+        const double da_right = Cost(right);
+        if (da_left + da_right < da_whole) {  // condition (7)
+          Split(left, da_left, budget / 2);
+          Split(right, da_right, budget - budget / 2);
           return;
         }
       }
       out.push_back(whole);
     }
   };
-  Splitter{inputs, roi, gradient_along_y, e_at, out}.Split(
-      0.0, 1.0, std::max(1, max_cubes));
+  const Splitter splitter{inputs.catalog.get(), roi, gradient_along_y, e_at,
+                          out};
+  const BaseCube whole{0.0, 1.0, e_at(0.0), e_at(1.0)};
+  const int budget = std::max(1, max_cubes);
+  splitter.Split(whole, budget > 1 ? splitter.Cost(whole) : 0.0, budget);
   std::sort(out.begin(), out.end(),
             [](const BaseCube& a, const BaseCube& b) { return a.t0 < b.t0; });
   return out;
@@ -150,45 +192,6 @@ Box SliceBox(const Rect& roi, bool gradient_along_y, const BaseCube& cube) {
     slice.hi_x = roi.lo_x + cube.t1 * roi.width();
   }
   return Box::FromRect(slice, cube.e_lo, cube.e_hi);
-}
-
-std::vector<BaseCube> OptimizeMultiBase(
-    const std::vector<RTreeNodeExtent>& nodes, const Box& data_space,
-    const Rect& roi, bool gradient_along_y,
-    const std::function<double(double)>& e_at, int max_cubes,
-    const EAxisMap& e_map) {
-  std::vector<BaseCube> out;
-  // Recursive middle split (the paper shows halving minimizes
-  // qy1*qz1 + qy2*qz2 for a linear plane, maximizing formula (8)).
-  const std::function<void(double, double, int)> split =
-      [&](double t0, double t1, int budget) {
-        BaseCube whole{t0, t1, e_at(t0), e_at(t1)};
-        if (budget > 1) {
-          const double tm = (t0 + t1) / 2;
-          const BaseCube left{t0, tm, e_at(t0), e_at(tm)};
-          const BaseCube right{tm, t1, e_at(tm), e_at(t1)};
-          const double da_whole = EstimateDiskAccesses(
-              nodes, data_space, SliceBox(roi, gradient_along_y, whole),
-              e_map);
-          const double da_parts =
-              EstimateDiskAccesses(
-                  nodes, data_space, SliceBox(roi, gradient_along_y, left),
-                  e_map) +
-              EstimateDiskAccesses(
-                  nodes, data_space,
-                  SliceBox(roi, gradient_along_y, right), e_map);
-          if (da_parts < da_whole) {  // condition (7)
-            split(t0, tm, budget / 2);
-            split(tm, t1, budget - budget / 2);
-            return;
-          }
-        }
-        out.push_back(whole);
-      };
-  split(0.0, 1.0, std::max(1, max_cubes));
-  std::sort(out.begin(), out.end(),
-            [](const BaseCube& a, const BaseCube& b) { return a.t0 < b.t0; });
-  return out;
 }
 
 }  // namespace dm

@@ -2,6 +2,8 @@
 #define DIRECTMESH_DM_COST_MODEL_H_
 
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/geometry.h"
@@ -54,8 +56,11 @@ double EstimateDiskAccesses(const std::vector<RTreeNodeExtent>& nodes,
                             const Box& data_space, const Box& query,
                             const EAxisMap& e_map = {});
 
-/// Everything the query optimizer knows about the dataset — catalog
-/// statistics collected once when the store is opened.
+/// Everything the query optimizer knows about the dataset: catalog
+/// statistics collected once when a store or shard router opens, plus
+/// tables derived from them so that one estimate costs one MapBox of
+/// the query, one multiply-add pass over the nodes and two binary
+/// searches. Immutable once built; queries share it by pointer.
 ///
 /// The paper's formula (1) counts *node* (page) accesses. With packed
 /// pages whose e-extents overlap heavily (every page holds segments of
@@ -65,25 +70,61 @@ double EstimateDiskAccesses(const std::vector<RTreeNodeExtent>& nodes,
 /// indexed segments, divided by the records-per-page density — restores
 /// the paper's observed behaviour ("the more range queries used, the
 /// less the total amount of data retrieved").
-struct CostModelInputs {
-  const std::vector<RTreeNodeExtent>* nodes = nullptr;
-  Box data_space;
-  EAxisMap e_map;
-  /// Sampled (e_low, e_high) pairs of indexed segments.
-  std::vector<std::pair<double, double>> segment_sample;
-  int64_t total_records = 0;
-  double records_per_page = 16.0;
-  /// Parent-reach table of the store (DmMeta::reach), or nullptr when
-  /// the store has none; view-dependent queries then fetch the whole
-  /// cube. Points into the store like `nodes`, so a query never copies
-  /// it.
-  const ReachTable* reach = nullptr;
+class CostCatalog {
+ public:
+  struct Stats {
+    std::vector<RTreeNodeExtent> nodes;
+    Box data_space;
+    EAxisMap e_map;
+    /// Sampled (e_low, e_high) pairs of indexed segments.
+    std::vector<std::pair<double, double>> segment_sample;
+    int64_t total_records = 0;
+    double records_per_page = 16.0;
+  };
+
+  explicit CostCatalog(Stats stats);
+
+  const Stats& stats() const { return stats_; }
+
+  /// Expected total disk accesses of a range query: index pages
+  /// (formula (1) over the node extents, the same doubles as
+  /// EstimateDiskAccesses) plus heap pages (expected records fetched
+  /// over the clustering density). `query` must have lo <= hi on the
+  /// e-axis, as every SliceBox does.
+  double EstimateQueryCost(const Box& query) const;
+
+ private:
+  /// One node's normalized extents (w_i, h_i, d_i) of formula (1).
+  struct NodeTerm {
+    double w;
+    double h;
+    double d;
+  };
+
+  Stats stats_;
+  double ex_ = 1.0;  // data-space extents the lengths are divided by
+  double ey_ = 1.0;
+  double ez_ = 1.0;
+  std::vector<NodeTerm> terms_;
+  /// e_low and e_high of the segment sample, each sorted, so a cube's
+  /// hit count is #(l <= q.hi) - #(h < q.lo). A pair that is not an
+  /// interval (NaN, or l > h, only on a damaged store) is stored as
+  /// (+inf, +inf) and never counts.
+  std::vector<double> sample_lo_;
+  std::vector<double> sample_hi_;
 };
 
-/// Expected total disk accesses of a range query: index pages (formula
-/// (1) over the node extents) plus heap pages (expected records
-/// fetched over the clustering density).
-double EstimateQueryCost(const CostModelInputs& inputs, const Box& query);
+/// What a DmDataSource hands the optimizer: the shared catalog and the
+/// source's parent-reach table. Cheap to copy.
+struct CostModelInputs {
+  /// Null only for a source with no catalog; the optimizer then never
+  /// splits.
+  std::shared_ptr<const CostCatalog> catalog;
+  /// Parent-reach table of the store (DmMeta::reach), or nullptr when
+  /// the store has none; view-dependent queries then fetch the whole
+  /// cube. Points into the store, so a query never copies it.
+  const ReachTable* reach = nullptr;
+};
 
 /// One sub-cube chosen by the multi-base optimizer: the fraction
 /// [t0, t1] of the ROI along the LOD gradient axis, and the cube's
@@ -104,16 +145,10 @@ struct BaseCube {
 ///
 /// `e_at(t)` gives the query plane's LOD at fraction t of the gradient
 /// axis (monotone non-decreasing).
-std::vector<BaseCube> OptimizeMultiBase(
-    const std::vector<RTreeNodeExtent>& nodes, const Box& data_space,
-    const Rect& roi, bool gradient_along_y,
-    const std::function<double(double)>& e_at, int max_cubes,
-    const EAxisMap& e_map = {});
-
-/// Catalog-driven variant used by DmQueryProcessor::MultiBase: the
-/// split condition compares EstimateQueryCost of the whole against the
-/// sum over the halves (the paper's condition (7) with the record term
-/// included).
+///
+/// The estimate is CostCatalog::EstimateQueryCost: condition (7) with
+/// the record term included. A catalog with an empty segment sample
+/// gives formula (1) alone.
 std::vector<BaseCube> OptimizeMultiBase(
     const CostModelInputs& inputs, const Rect& roi, bool gradient_along_y,
     const std::function<double(double)>& e_at, int max_cubes);

@@ -80,8 +80,12 @@ template <typename Query>
 std::optional<SurfaceBound> MakeBound(const DmQueryOptions& options,
                                       const CostModelInputs& inputs,
                                       const Query& q) {
-  if (!options.bounded_fetch || inputs.reach == nullptr) return std::nullopt;
-  SurfaceBound bound(*inputs.reach, inputs.data_space.hi[2], q);
+  if (!options.bounded_fetch || inputs.reach == nullptr ||
+      inputs.catalog == nullptr) {
+    return std::nullopt;
+  }
+  SurfaceBound bound(*inputs.reach, inputs.catalog->stats().data_space.hi[2],
+                     q);
   if (!bound.usable()) return std::nullopt;
   return bound;
 }

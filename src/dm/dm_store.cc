@@ -193,28 +193,28 @@ void DmStore::EnableNodeCache(size_t bytes) {
 }
 
 Status DmStore::LoadCatalog() {
-  node_extents_.clear();
-  DM_RETURN_NOT_OK(rtree_.CollectNodeExtents(&node_extents_));
-  e_axis_map_ = EAxisMap::FromNodeExtents(node_extents_);
-  data_space_ = Box::FromRect(meta_.bounds.empty()
-                                  ? Rect::Of(0, 0, 1, 1)
-                                  : meta_.bounds,
-                              0.0, std::max(meta_.max_lod, 1e-12));
-  if (meta_.bounds.empty() && !node_extents_.empty()) {
+  CostCatalog::Stats stats;
+  DM_RETURN_NOT_OK(rtree_.CollectNodeExtents(&stats.nodes));
+  stats.e_map = EAxisMap::FromNodeExtents(stats.nodes);
+  stats.data_space = Box::FromRect(meta_.bounds.empty()
+                                       ? Rect::Of(0, 0, 1, 1)
+                                       : meta_.bounds,
+                                   0.0, std::max(meta_.max_lod, 1e-12));
+  if (meta_.bounds.empty() && !stats.nodes.empty()) {
     // Build path: meta_ not yet filled when called from Build; the
     // caller sets bounds before LoadCatalog, so this is only a guard.
-    data_space_ = node_extents_.front().box;
+    stats.data_space = stats.nodes.front().box;
   }
 
   // Segment-interval sample for the record-level cost term: one pass
   // over the index entries, thinning deterministically to stay small.
-  std::vector<std::pair<double, double>> sample;
+  std::vector<std::pair<double, double>>& sample = stats.segment_sample;
   {
     constexpr size_t kMaxSample = 8192;
     size_t stride = 1;
     size_t counter = 0;
     DM_RETURN_NOT_OK(rtree_.RangeQueryEntries(
-        data_space_, [&](const Box& b, uint64_t) {
+        stats.data_space, [&](const Box& b, uint64_t) {
           if (counter++ % stride == 0) {
             sample.emplace_back(b.lo[2], b.hi[2]);
             if (sample.size() >= kMaxSample) {
@@ -231,16 +231,13 @@ Status DmStore::LoadCatalog() {
           return true;
         }));
   }
-  cost_inputs_.nodes = nullptr;  // re-bound by the accessor
-  cost_inputs_.data_space = data_space_;
-  cost_inputs_.e_map = e_axis_map_;
-  cost_inputs_.segment_sample = std::move(sample);
-  cost_inputs_.total_records = heap_.num_records();
-  cost_inputs_.records_per_page =
+  stats.total_records = heap_.num_records();
+  stats.records_per_page =
       heap_.num_pages() > 0
           ? static_cast<double>(heap_.num_records()) /
                 static_cast<double>(heap_.num_pages())
           : 16.0;
+  catalog_ = std::make_shared<const CostCatalog>(std::move(stats));
   return Status::OK();
 }
 

@@ -173,26 +173,17 @@ class DmStore {
     return node_cache_ != nullptr ? node_cache_->stats() : NodeCacheStats{};
   }
 
-  /// Cached node extents of the R*-tree for the multi-base cost model
-  /// (collected once at open/build; treated as catalog statistics, not
-  /// charged to query I/O).
-  const std::vector<RTreeNodeExtent>& node_extents() const {
-    return node_extents_;
-  }
-  /// Data-space box used for cost-model normalization.
-  const Box& data_space() const { return data_space_; }
+  /// The multi-base optimizer's catalog: R*-tree node extents, data
+  /// space, e-axis map and segment sample, collected once at
+  /// open/build and treated as catalog statistics, not charged to
+  /// query I/O.
+  const CostCatalog& cost_catalog() const { return *catalog_; }
 
-  /// Quantile map of the LOD axis for the cost model (see EAxisMap).
-  const EAxisMap& e_axis_map() const { return e_axis_map_; }
-
-  /// Full catalog snapshot for the query optimizer. Returned by value
-  /// with the node-extent and reach pointers re-bound, so it stays
-  /// valid even though DmStore objects are moved around freely.
+  /// Catalog snapshot for the query optimizer: the shared catalog plus
+  /// the reach pointer, re-bound on every call so it stays valid even
+  /// though DmStore objects are moved around freely.
   CostModelInputs cost_inputs() const {
-    CostModelInputs ci = cost_inputs_;
-    ci.nodes = &node_extents_;
-    ci.reach = meta_.reach.empty() ? nullptr : &meta_.reach;
-    return ci;
+    return {catalog_, meta_.reach.empty() ? nullptr : &meta_.reach};
   }
 
  private:
@@ -210,10 +201,7 @@ class DmStore {
   /// unique_ptr keeps DmStore movable; null means disabled.
   std::unique_ptr<NodeCache> node_cache_;
   DmMeta meta_;
-  std::vector<RTreeNodeExtent> node_extents_;
-  Box data_space_;
-  EAxisMap e_axis_map_;
-  CostModelInputs cost_inputs_;
+  std::shared_ptr<const CostCatalog> catalog_;
 };
 
 }  // namespace dm

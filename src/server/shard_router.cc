@@ -161,39 +161,41 @@ ShardRouter::ShardRouter(ShardSet* shards, const ShardRouterOptions& options)
   // extents; data space and record totals are global (every shard meta
   // carries the source bounds).
   bool missing_reach = false;
+  CostCatalog::Stats merged;
   for (int s = 0; s < K; ++s) {
     const DmStore& store = *shards_->shard(s).replicas[0]->store;
-    merged_extents_.insert(merged_extents_.end(), store.node_extents().begin(),
-                           store.node_extents().end());
+    const CostCatalog::Stats& shard = store.cost_catalog().stats();
+    merged.nodes.insert(merged.nodes.end(), shard.nodes.begin(),
+                        shard.nodes.end());
     const CostModelInputs ci = store.cost_inputs();
     if (ci.reach != nullptr) {
       merged_reach_ = MergeReachTables(merged_reach_, *ci.reach);
     } else {
       missing_reach = true;
     }
-    merged_inputs_.segment_sample.insert(merged_inputs_.segment_sample.end(),
-                                         ci.segment_sample.begin(),
-                                         ci.segment_sample.end());
+    merged.segment_sample.insert(merged.segment_sample.end(),
+                                 shard.segment_sample.begin(),
+                                 shard.segment_sample.end());
     if (s == 0) {
-      merged_inputs_.data_space = ci.data_space;
-      merged_inputs_.records_per_page = ci.records_per_page;
+      merged.data_space = shard.data_space;
+      merged.records_per_page = shard.records_per_page;
     }
   }
   // Thin the merged segment sample back to the single-store cap so the
-  // optimizer's per-cube work stays bounded.
+  // catalog stays the size of one store's.
   constexpr size_t kMaxSample = 8192;
-  if (merged_inputs_.segment_sample.size() > kMaxSample) {
+  if (merged.segment_sample.size() > kMaxSample) {
     std::vector<std::pair<double, double>> thinned;
     thinned.reserve(kMaxSample);
-    const size_t n = merged_inputs_.segment_sample.size();
+    const size_t n = merged.segment_sample.size();
     for (size_t i = 0; i < kMaxSample; ++i) {
-      thinned.push_back(merged_inputs_.segment_sample[i * n / kMaxSample]);
+      thinned.push_back(merged.segment_sample[i * n / kMaxSample]);
     }
-    merged_inputs_.segment_sample = std::move(thinned);
+    merged.segment_sample = std::move(thinned);
   }
-  merged_inputs_.e_map = EAxisMap::FromNodeExtents(merged_extents_);
-  merged_inputs_.total_records = shards_->source_meta().num_nodes;
-  merged_inputs_.nodes = &merged_extents_;
+  merged.e_map = EAxisMap::FromNodeExtents(merged.nodes);
+  merged.total_records = shards_->source_meta().num_nodes;
+  merged_catalog_ = std::make_shared<const CostCatalog>(std::move(merged));
   // A bound is only valid if it covers every shard's links.
   if (missing_reach) merged_reach_.clear();
 }
@@ -393,10 +395,7 @@ IoStats ShardRouter::io_stats() const {
 }
 
 CostModelInputs ShardRouter::cost_inputs() const {
-  CostModelInputs ci = merged_inputs_;
-  ci.nodes = &merged_extents_;
-  ci.reach = merged_reach_.empty() ? nullptr : &merged_reach_;
-  return ci;
+  return {merged_catalog_, merged_reach_.empty() ? nullptr : &merged_reach_};
 }
 
 RouterCounters ShardRouter::counters() const {

@@ -215,8 +215,7 @@ class ShardRouter final : public DmDataSource {
   /// per-shard node extents (the cost model sums over nodes, so a
   /// forest of K trees is the sum of its parts), merged segment
   /// sample, global data space.
-  std::vector<RTreeNodeExtent> merged_extents_;
-  CostModelInputs merged_inputs_;
+  std::shared_ptr<const CostCatalog> merged_catalog_;
   /// Pointwise max of the shards' parent-reach tables; empty (no
   /// bounded fetch) when any shard lacks one.
   ReachTable merged_reach_;

@@ -100,20 +100,22 @@ TEST_F(DmStoreTest, ReopensFromMeta) {
 }
 
 TEST_F(DmStoreTest, CatalogIsLoaded) {
-  EXPECT_FALSE(store_->node_extents().empty());
-  EXPECT_FALSE(store_->data_space().empty());
+  const CostCatalog::Stats& stats = store_->cost_catalog().stats();
+  EXPECT_FALSE(stats.nodes.empty());
+  EXPECT_FALSE(stats.data_space.empty());
+  // Every query shares the store's one catalog; none copies it.
   const CostModelInputs inputs = store_->cost_inputs();
-  EXPECT_EQ(inputs.nodes, &store_->node_extents());
-  EXPECT_EQ(inputs.total_records, scene_->tree.num_nodes());
-  EXPECT_GT(inputs.records_per_page, 1.0);
-  EXPECT_FALSE(inputs.segment_sample.empty());
-  for (const auto& [lo, hi] : inputs.segment_sample) {
+  EXPECT_EQ(inputs.catalog.get(), &store_->cost_catalog());
+  EXPECT_EQ(stats.total_records, scene_->tree.num_nodes());
+  EXPECT_GT(stats.records_per_page, 1.0);
+  EXPECT_FALSE(stats.segment_sample.empty());
+  for (const auto& [lo, hi] : stats.segment_sample) {
     EXPECT_LE(lo, hi);
   }
 }
 
 TEST_F(DmStoreTest, EAxisMapIsMonotone) {
-  const EAxisMap& map = store_->e_axis_map();
+  const EAxisMap& map = store_->cost_catalog().stats().e_map;
   EXPECT_FALSE(map.identity());
   double prev = -1.0;
   for (double e = 0.0; e <= store_->meta().max_lod;

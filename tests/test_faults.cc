@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "dm/dm_query.h"
 #include "dm/dm_store.h"
 #include "dm/invariants.h"
@@ -34,8 +36,25 @@ using testing::Scene;
 
 // ---- checksum primitives -------------------------------------------
 
+using CrcFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+/// The implementations to hold against each other: the portable
+/// slice-by-4 path always, the instruction path where the CPU has it.
+std::vector<std::pair<const char*, CrcFn>> CrcPaths() {
+  std::vector<std::pair<const char*, CrcFn>> paths = {
+      {"portable", &Crc32cExtendPortable}};
+  if (Crc32cHardwareAvailable()) {
+    paths.emplace_back("hardware", &Crc32cExtendHardware);
+  }
+  return paths;
+}
+
 TEST(Crc32c, KnownAnswer) {
-  // The CRC-32C check value: crc of the ASCII digits "123456789".
+  for (const auto& [name, extend] : CrcPaths()) {
+    // The CRC-32C check value: crc of the ASCII digits "123456789".
+    EXPECT_EQ(extend(0, "123456789", 9), 0xE3069283u) << name;
+    EXPECT_EQ(extend(0, "", 0), 0u) << name;
+  }
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
   EXPECT_EQ(Crc32c("", 0), 0u);
 }
@@ -47,6 +66,40 @@ TEST(Crc32c, ExtendIsIncremental) {
     uint32_t crc = Crc32cExtend(0, data.data(), split);
     crc = Crc32cExtend(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32c, HardwareAndPortablePathsAgree) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no CRC32C instruction on this CPU";
+  }
+  // Past one 4,096-byte page, at every start alignment of an 8-byte
+  // word, so both paths' head, body and tail loops all run.
+  constexpr size_t kMaxLen = 4104;
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  Rng rng(20);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = buf.data() + align;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t want = Crc32cExtendPortable(0, p, len);
+      ASSERT_EQ(Crc32cExtendHardware(0, p, len), want)
+          << "align " << align << " len " << len;
+    }
+  }
+  // A running CRC continued by the other path: the split Extend a page
+  // trailer check performs.
+  for (size_t split = 0; split <= kMaxLen; split += 13) {
+    const uint8_t* p = buf.data() + (split % 8);
+    const uint32_t whole = Crc32cExtendPortable(0, p, kMaxLen);
+    EXPECT_EQ(Crc32cExtendHardware(Crc32cExtendPortable(0, p, split),
+                                   p + split, kMaxLen - split),
+              whole)
+        << "split " << split;
+    EXPECT_EQ(Crc32cExtendPortable(Crc32cExtendHardware(0, p, split),
+                                   p + split, kMaxLen - split),
+              whole)
+        << "split " << split;
   }
 }
 

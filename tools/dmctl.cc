@@ -13,6 +13,7 @@
 // (catalog). ROI coordinates are in DEM grid units; `--keep` picks the
 // LOD whose uniform cut retains that fraction of the points.
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +45,29 @@
 namespace dm {
 namespace {
 
+// Strict number parsing: the whole value must parse and fit, so
+// `--keep 0.5abc`, `--side 12x`, `--keep ""` and an overflowing int are
+// usage errors rather than silently truncated.
+bool ParseDouble(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseInt(const std::string& text, int64_t* out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -54,13 +78,16 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
+  // Values were checked by CheckFlags before any command ran.
   double GetDouble(const std::string& key, double fallback) const {
-    return Has(key) ? std::strtod(flags.at(key).c_str(), nullptr)
-                    : fallback;
+    double v = fallback;
+    if (Has(key)) ParseDouble(flags.at(key), &v);
+    return v;
   }
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    return Has(key) ? std::strtoll(flags.at(key).c_str(), nullptr, 10)
-                    : fallback;
+    int64_t v = fallback;
+    if (Has(key)) ParseInt(flags.at(key), &v);
+    return v;
   }
 };
 
@@ -84,6 +111,81 @@ Args ParseArgs(int argc, char** argv) {
     }
   }
   return args;
+}
+
+// The flags each subcommand reads, with the kind of value each takes.
+// A flag outside its command's list, or a number that does not parse,
+// is a usage error before any work starts.
+enum class FlagKind { kText, kInt, kDouble };
+using FlagSpec = std::map<std::string, FlagKind>;
+
+const FlagSpec* FlagsOf(const std::string& command) {
+  using K = FlagKind;
+  // Every command that opens a store reads these (see Open).
+  const FlagSpec open = {{"db", K::kText}, {"shards", K::kInt},
+                         {"cache-mb", K::kInt}};
+  const FlagSpec workload = {{"read-latency-us", K::kInt},
+                             {"queries", K::kInt},
+                             {"seed", K::kInt},
+                             {"roi-pct", K::kDouble},
+                             {"persp-pct", K::kInt},
+                             {"mb-pct", K::kInt}};
+  auto with = [](FlagSpec base, const FlagSpec& more) {
+    base.insert(more.begin(), more.end());
+    return base;
+  };
+  static const std::map<std::string, FlagSpec> kCommands = {
+      {"build", {{"out", K::kText},
+                 {"dem", K::kText},
+                 {"synthetic", K::kText},
+                 {"side", K::kInt},
+                 {"seed", K::kInt},
+                 {"codec", K::kText},
+                 {"compress", K::kText},
+                 {"threads", K::kInt}}},
+      {"info", open},
+      {"verify", with(open, {{"max-violations", K::kInt}})},
+      {"scrub", {{"db", K::kText},
+                 {"json", K::kText},
+                 {"max-violations", K::kInt}}},
+      {"repack", with(open, {{"out", K::kText},
+                             {"threads", K::kInt},
+                             {"tile-level", K::kInt}})},
+      {"query", with(open, {{"roi", K::kText},
+                            {"lod", K::kDouble},
+                            {"keep", K::kDouble},
+                            {"obj", K::kText},
+                            {"ppm", K::kText}})},
+      {"view", with(open, {{"roi", K::kText},
+                           {"emin", K::kDouble},
+                           {"emax", K::kDouble},
+                           {"single", K::kText},
+                           {"obj", K::kText},
+                           {"ppm", K::kText}})},
+      {"cache-stats", with(open, workload)},
+      {"io-stats", with(with(open, workload), {{"backend", K::kText},
+                                               {"prefetch-depth", K::kInt}})},
+  };
+  const auto it = kCommands.find(command);
+  return it == kCommands.end() ? nullptr : &it->second;
+}
+
+Status CheckFlags(const Args& args, const FlagSpec& spec) {
+  for (const auto& [name, value] : args.flags) {
+    const auto it = spec.find(name);
+    if (it == spec.end()) {
+      return Status::InvalidArgument("unknown flag --" + name + " for dmctl " +
+                                     args.command);
+    }
+    double d = 0.0;
+    int64_t i = 0;
+    if ((it->second == FlagKind::kDouble && !ParseDouble(value, &d)) ||
+        (it->second == FlagKind::kInt && !ParseInt(value, &i))) {
+      return Status::InvalidArgument("bad value for --" + name + ": '" +
+                                     value + "'");
+    }
+  }
+  return Status::OK();
 }
 
 int Usage() {
@@ -309,7 +411,8 @@ Status RunInfo(const Args& args) {
                                               db.store->heap().num_pages())),
                 db.env->options().page_size);
   }
-  std::printf("index nodes: %zu\n", db.store->node_extents().size());
+  std::printf("index nodes: %zu\n",
+              db.store->cost_catalog().stats().nodes.size());
   std::printf("LOD ladder (fraction of points kept -> e):\n");
   for (const auto& [f, e] : db.lm.quantiles) {
     std::printf("  %6.1f%% -> %.6g\n", f * 100, e);
@@ -841,6 +944,12 @@ Status RunIoStats(const Args& args) {
 
 int Main(int argc, char** argv) {
   const Args args = ParseArgs(argc, argv);
+  const FlagSpec* spec = FlagsOf(args.command);
+  if (spec == nullptr) return Usage();
+  if (const Status flags_st = CheckFlags(args, *spec); !flags_st.ok()) {
+    std::fprintf(stderr, "error: %s\n", flags_st.ToString().c_str());
+    return Usage();
+  }
   Status st;
   if (args.command == "build") {
     st = RunBuild(args);
