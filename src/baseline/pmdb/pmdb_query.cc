@@ -5,6 +5,7 @@
 #include <cmath>
 #include <queue>
 #include <set>
+#include <span>
 
 #include "mesh/extract.h"
 
@@ -161,29 +162,26 @@ Result<PmQueryResult> PmQueryProcessor::Run(
   // Phase 3: assemble the result restricted to the ROI.
   const auto t0 = std::chrono::steady_clock::now();
   PmQueryResult result;
-  std::unordered_map<VertexId, std::vector<VertexId>> adj;
   for (const auto& [v, nbrs] : mesh.adjacency()) {
     const PmDbNode& n = nodes.at(v);
     if (!r.Contains(n.pos.x, n.pos.y)) continue;
     result.vertices.push_back(v);
   }
   std::sort(result.vertices.begin(), result.vertices.end());
-  std::set<VertexId> kept(result.vertices.begin(), result.vertices.end());
+  // Each frontier neighbour set is already in id order; the local graph
+  // keeps only the neighbours that are themselves in the ROI.
+  std::vector<std::vector<VertexId>> rings;
+  rings.reserve(result.vertices.size());
   for (VertexId v : result.vertices) {
-    std::vector<VertexId> nbrs;
-    for (VertexId nb : mesh.Neighbors(v)) {
-      if (kept.count(nb)) nbrs.push_back(nb);
-    }
-    std::sort(nbrs.begin(), nbrs.end());
-    adj.emplace(v, std::move(nbrs));
+    rings.push_back(mesh.Neighbors(v));
     result.positions.push_back(nodes.at(v).pos);
   }
-  GraphView view;
-  view.position = [&](VertexId v) { return nodes.at(v).pos; };
-  view.neighbors = [&](VertexId v) -> const std::vector<VertexId>& {
-    return adj.at(v);
-  };
-  result.triangles = ExtractTriangles(result.vertices, view);
+  const std::vector<std::span<const VertexId>> lists(rings.begin(),
+                                                     rings.end());
+  const LocalAdjacency adj =
+      BuildLocalAdjacency(result.vertices, lists, /*arena=*/nullptr);
+  result.triangles = ExtractTriangles(LocalGraph{
+      result.vertices, result.positions, adj.offsets, adj.neighbors});
   const auto t1 = std::chrono::steady_clock::now();
 
   stats.cpu_millis =

@@ -228,43 +228,29 @@ void DmQueryProcessor::Triangulate(const NodeMap& nodes,
                                    DmQueryResult* result) {
   // Edges of the approximation: connection-list pairs present in the
   // cut. Lists are exact (see dm/connectivity.h), so no geometric
-  // checks are needed.
-  Arena* arena = scratch_arena();
-  FlatHashMap<VertexId, IdVec> adj(kInvalidVertex, arena);
-  adj.reserve(cut.size());
-  FlatHashSet<VertexId> in_cut(kInvalidVertex, arena);
-  in_cut.reserve(cut.size());
-  for (VertexId v : cut) in_cut.insert(v);
-  for (VertexId v : cut) {
+  // checks are needed. The sorted cut gives each vertex its dense
+  // local id, so `result->vertices` and `result->positions` are the
+  // graph's id and position arrays; only the CSR adjacency and the
+  // per-vertex list views live in the arena, and they stay there.
+  result->vertices.assign(cut.begin(), cut.end());
+  std::sort(result->vertices.begin(), result->vertices.end());
+  const size_t n = result->vertices.size();
+  result->positions.reserve(n);
+  std::vector<std::span<const VertexId>,
+              ArenaAllocator<std::span<const VertexId>>>
+      lists(id_alloc());
+  lists.reserve(n);
+  for (VertexId v : result->vertices) {
     const NodeRef* np = nodes.find(v);
     DM_DCHECK(np != nullptr)
         << "cut vertex " << v << " missing from the fetched node map";
-    const DmNode& n = **np;
-    IdVec& list = adj.FindOrEmplace(v, id_alloc());
-    list.reserve(n.connections.size());
-    for (VertexId c : n.connections) {
-      if (in_cut.contains(c)) list.push_back(c);
-    }
-    // Connection lists are stored sorted by id, so the filtered
-    // sublist is already sorted — no per-list sort needed.
-    DM_DCHECK(std::is_sorted(list.begin(), list.end()))
-        << "connection list of vertex " << v << " is not sorted";
+    result->positions.push_back((*np)->pos);
+    lists.emplace_back((*np)->connections);
   }
-
-  GraphView view;
-  view.position = [&](VertexId v) { return (*nodes.find(v))->pos; };
-  view.neighbors = [&](VertexId v) -> std::span<const VertexId> {
-    const IdVec* list = adj.find(v);
-    DM_DCHECK(list != nullptr) << "no adjacency list for vertex " << v;
-    return {list->data(), list->size()};
-  };
-  result->vertices.assign(cut.begin(), cut.end());
-  std::sort(result->vertices.begin(), result->vertices.end());
-  result->positions.reserve(result->vertices.size());
-  for (VertexId v : result->vertices) {
-    result->positions.push_back((*nodes.find(v))->pos);
-  }
-  result->triangles = ExtractTriangles(result->vertices, view);
+  const LocalAdjacency adj =
+      BuildLocalAdjacency(result->vertices, lists, scratch_arena());
+  result->triangles = ExtractTriangles(LocalGraph{
+      result->vertices, result->positions, adj.offsets, adj.neighbors});
 }
 
 Result<DmQueryResult> DmQueryProcessor::ViewpointIndependent(const Rect& r,

@@ -213,7 +213,8 @@ class DmQueryProcessor {
   Result<DmQueryResult> Perspective(const PerspectiveQuery& q);
 
   /// The bump arena backing this processor's per-query scratch (the
-  /// node map, adjacency lists, cut membership, work stacks). It is
+  /// node map, cut membership, work stacks, and the triangulation's
+  /// local-id map and CSR adjacency). It is
   /// rewound between queries, so a warm worker runs a query with
   /// near-zero heap traffic.
   Arena* scratch_arena() { return &arena_; }
@@ -263,7 +264,11 @@ class DmQueryProcessor {
       const std::function<double(const Point3&)>& required_e,
       const NodeMap& nodes, IdVec start, QueryStats stats);
 
-  /// Builds the triangle mesh of a cut from connection lists.
+  /// Builds the triangle mesh of a cut from connection lists: the
+  /// sorted cut becomes `result->vertices` and gives each vertex its
+  /// dense local id, `result->positions` is indexed by it, and the
+  /// filtered connection lists become an arena-backed CSR adjacency
+  /// that ExtractTriangles reads without any lookup by global id.
   void Triangulate(const NodeMap& nodes, std::span<const VertexId> cut,
                    DmQueryResult* result);
 

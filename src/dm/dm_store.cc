@@ -242,10 +242,11 @@ Status DmStore::LoadCatalog() {
 }
 
 Result<DmNode> DmStore::FetchNode(RecordId rid) const {
-  std::vector<uint8_t> buf;
-  DM_RETURN_NOT_OK(heap_.Get(rid, &buf));
-  return DecodeDmRecord(meta_.codec, rid.slot, buf.data(),
-                        static_cast<uint32_t>(buf.size()));
+  // Decode from the pinned page, as FetchNodes does: on a block page
+  // the record resolves to the whole blob, which a copying Get would
+  // duplicate (about 4 KB) for every record.
+  DM_ASSIGN_OR_RETURN(const HeapFile::RecordView view, heap_.Pin(rid));
+  return DecodeDmRecord(meta_.codec, rid.slot, view.data, view.size);
 }
 
 int64_t DmStore::FetchFailures::FailedPages() const {

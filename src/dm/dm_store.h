@@ -116,9 +116,10 @@ class DmStore {
   const RStarTree& rtree() const { return rtree_; }
   const HeapFile& heap() const { return heap_; }
 
-  /// Fetches and decodes one node record. Always reads through the
-  /// heap file (never the node cache) so invariant checks and tests
-  /// exercise the raw decode path.
+  /// Fetches and decodes one node record, straight from its pinned
+  /// heap page (HeapFile::Pin; nothing is copied first). Always reads
+  /// through the heap file (never the node cache) so invariant checks
+  /// and tests exercise the raw decode path.
   Result<DmNode> FetchNode(RecordId rid) const;
 
   /// Batch fetch: hands the nodes named by `sorted_rids` (packed

@@ -229,13 +229,19 @@ Status LocateSlot(const uint8_t* page_data, uint32_t page_size, PageId page_id,
 
 }  // namespace
 
-Status HeapFile::Get(RecordId rid, std::vector<uint8_t>* out) const {
-  DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(rid.page));
-  const uint8_t* data = nullptr;
+Result<HeapFile::RecordView> HeapFile::Pin(RecordId rid) const {
+  RecordView view;
+  DM_ASSIGN_OR_RETURN(view.page, env_->pool().Fetch(rid.page));
   uint16_t len = 0;
-  DM_RETURN_NOT_OK(LocateSlot(page.data(), env_->page_size(), rid.page,
-                              rid.slot, &data, &len));
-  out->assign(data, data + len);
+  DM_RETURN_NOT_OK(LocateSlot(view.page.data(), env_->page_size(), rid.page,
+                              rid.slot, &view.data, &len));
+  view.size = len;
+  return view;
+}
+
+Status HeapFile::Get(RecordId rid, std::vector<uint8_t>* out) const {
+  DM_ASSIGN_OR_RETURN(const RecordView view, Pin(rid));
+  out->assign(view.data, view.data + view.size);
   return Status::OK();
 }
 

@@ -87,7 +87,18 @@ class HeapFile {
   Status AppendMany(const std::vector<std::vector<uint8_t>>& records,
                     std::vector<RecordId>* rids = nullptr);
 
-  /// Reads record `rid` into `out` (replacing its contents).
+  /// Record `rid`'s bytes inside its page, which stays pinned (and
+  /// the bytes valid) for as long as the view lives. On a block page
+  /// the bytes are the whole blob; the codec seeks the record by slot.
+  struct RecordView {
+    PageGuard page;
+    const uint8_t* data = nullptr;
+    uint32_t size = 0;
+  };
+  Result<RecordView> Pin(RecordId rid) const;
+
+  /// Reads record `rid` into `out` (replacing its contents): a copy of
+  /// what Pin sees.
   Status Get(RecordId rid, std::vector<uint8_t>* out) const;
 
   /// Batch point lookup: `rids` must be sorted ascending by

@@ -103,6 +103,24 @@ class HotPathAllocTest(LintCase):
         findings = self.lint(cc)
         self.assertEqual(self.checks(findings), [("hot-path-alloc", 2)])
 
+    def test_unordered_map_in_extractor_flagged(self):
+        cc = self.write(
+            "src/mesh/extract.cc",
+            "std::vector<Triangle> ExtractTriangles(const LocalGraph& g) {\n"
+            "  std::unordered_map<VertexId, uint32_t> local;\n"
+            "  return {};\n"
+            "}\n",
+        )
+        findings = self.lint(cc)
+        self.assertEqual(self.checks(findings), [("hot-path-alloc", 2)])
+
+    def test_other_mesh_file_clean(self):
+        cc = self.write(
+            "src/mesh/adjacency.cc",
+            "void F() {\n  std::unordered_map<int, int> m;\n}\n",
+        )
+        self.assertEqual(self.lint(cc), [])
+
     def test_alloc_in_cold_file_clean(self):
         cc = self.write(
             "src/storage/disk_manager.cc",

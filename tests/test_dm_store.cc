@@ -218,6 +218,51 @@ TEST_F(DmStoreTest, GroupStoreAnswersIdenticallyWithHigherDensity) {
   EXPECT_EQ(delivered, all.size());
 }
 
+// FetchNode decodes from the pinned page, like the batch path queries
+// use; for every record of a flat and of a group store it must return
+// exactly the node FetchNodes delivers.
+TEST_F(DmStoreTest, FetchNodeMatchesFetchNodesForEveryRecord) {
+  for (DmCodec codec : {DmCodec::kFlat, DmCodec::kGroup}) {
+    SCOPED_TRACE(DmCodecName(codec));
+    auto env = testing::OpenTempEnv(std::string("dm_store_fetch_") +
+                                    DmCodecName(codec));
+    DmStoreOptions options;
+    options.codec = codec;
+    auto store_or = DmStore::Build(env.get(), scene_->base, scene_->tree,
+                                   scene_->sr, options);
+    ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+    const DmStore& store = store_or.value();
+    std::vector<uint64_t> all;
+    ASSERT_TRUE(store.rtree()
+                    .RangeQuery(
+                        Box::Of(-1e30, -1e30, -1e30, 1e30, 1e30, 1e30), &all)
+                    .ok());
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(static_cast<int64_t>(all.size()), scene_->tree.num_nodes());
+    std::vector<NodeRef> batch;
+    ASSERT_TRUE(
+        store.FetchNodes(all, [&](const NodeRef& ref) { batch.push_back(ref); })
+            .ok());
+    ASSERT_EQ(batch.size(), all.size());
+    for (size_t i = 0; i < all.size(); ++i) {
+      auto node_or = store.FetchNode(RecordId::Unpack(all[i]));
+      ASSERT_TRUE(node_or.ok()) << node_or.status().ToString();
+      const DmNode& a = node_or.value();
+      const DmNode& b = *batch[i];
+      EXPECT_EQ(a.id, b.id);
+      EXPECT_EQ(a.pos, b.pos);
+      EXPECT_EQ(a.e_low, b.e_low);
+      EXPECT_EQ(a.e_high, b.e_high);
+      EXPECT_EQ(a.parent, b.parent);
+      EXPECT_EQ(a.child1, b.child1);
+      EXPECT_EQ(a.child2, b.child2);
+      EXPECT_EQ(a.wing1, b.wing1);
+      EXPECT_EQ(a.wing2, b.wing2);
+      EXPECT_EQ(a.connections, b.connections) << "node " << a.id;
+    }
+  }
+}
+
 // The parent-reach table bounds every parent link, is as tight as the
 // links allow (each breakpoint is some link's distance), and stores
 // only rises.

@@ -332,5 +332,60 @@ TEST_F(HotPathQueryTest, StatsReportDiskReadSavings) {
   EXPECT_EQ(store_->node_cache_stats().entries, 0);
 }
 
+TEST_F(HotPathQueryTest, WarmQueriesDoNotGrowTheArena) {
+  // Every piece of per-query scratch (node map, work lists, the
+  // triangulation's local-id map and CSR adjacency) comes from the
+  // processor's arena, which each query rewinds. Once the arena has
+  // grown one slab big enough for the largest query, repeating the
+  // same queries over a cache-resident store must not ask the heap
+  // for another slab.
+  const Rect b = scene_->tree.bounds();
+  const Rect roi = Rect::Of(b.lo_x + 0.1 * b.width(), b.lo_y + 0.1 * b.height(),
+                            b.lo_x + 0.9 * b.width(), b.lo_y + 0.9 * b.height());
+  const double lod = scene_->tree.max_lod();
+  ViewQuery vq;
+  vq.roi = roi;
+  vq.e_min = 0.0;
+  vq.e_max = 0.3 * lod;
+  PerspectiveQuery pq;
+  pq.roi = roi;
+  pq.viewer = Point2{roi.lo_x, roi.lo_y};
+  pq.tolerance = 0.3 * lod / std::max(roi.width(), roi.height());
+  pq.e_cap = lod;
+
+  store_->EnableNodeCache(8u << 20);
+  DmQueryProcessor proc(store_);
+  size_t triangles = 0;
+  const auto run_all = [&] {
+    triangles = 0;
+    for (double frac : {0.0, 0.02, 0.1}) {
+      auto r = proc.ViewpointIndependent(roi, frac * lod);
+      ASSERT_TRUE(r.ok());
+      triangles += r.value().triangles.size();
+    }
+    auto s = proc.SingleBase(vq);
+    ASSERT_TRUE(s.ok());
+    auto m = proc.MultiBase(vq);
+    ASSERT_TRUE(m.ok());
+    auto p = proc.Perspective(pq);
+    ASSERT_TRUE(p.ok());
+    triangles += s.value().triangles.size() + m.value().triangles.size() +
+                 p.value().triangles.size();
+  };
+  for (int warm = 0; warm < 3; ++warm) run_all();
+  const size_t warm_triangles = triangles;
+  ASSERT_GT(warm_triangles, 0u);
+  const int64_t blocks = proc.scratch_arena()->block_allocations();
+  EXPECT_GT(blocks, 0);
+  for (int pass = 0; pass < 3; ++pass) {
+    run_all();
+    EXPECT_EQ(triangles, warm_triangles);
+    EXPECT_EQ(proc.scratch_arena()->block_allocations(), blocks)
+        << "pass " << pass;
+  }
+  EXPECT_GT(proc.scratch_arena()->bytes_used(), 0u);
+  store_->EnableNodeCache(0);
+}
+
 }  // namespace
 }  // namespace dm

@@ -439,6 +439,16 @@ TEST_F(HeapFileTest, AppendBlockRoundTripAndAddressing) {
     ASSERT_TRUE(hf.Get(RecordId{first.page, s}, &buf).ok());
     EXPECT_EQ(buf, blob) << "index " << s;
   }
+  // Pin hands out the same bytes inside the pinned page itself.
+  {
+    auto view_or = hf.Pin(RecordId{first.page, 3});
+    ASSERT_TRUE(view_or.ok()) << view_or.status().ToString();
+    const HeapFile::RecordView& view = view_or.value();
+    EXPECT_EQ(std::vector<uint8_t>(view.data, view.data + view.size), blob);
+    EXPECT_GE(view.data, view.page.data());
+    EXPECT_LE(view.data + view.size, view.page.data() + env_->page_size());
+  }
+  EXPECT_FALSE(hf.Pin(RecordId{first.page, 5}).ok());
   std::vector<uint8_t> buf;
   EXPECT_FALSE(hf.Get(RecordId{first.page, 5}, &buf).ok());
 }

@@ -11,8 +11,10 @@ Four checks that encode project invariants no generic tool enforces:
                    accidental removal of the attribute.
   hot-path-alloc   Heap allocation (new / make_unique / make_shared /
                    std::unordered_map / std::unordered_set) in the
-                   query hot path: dm_query.cc, buffer_pool.cc, and the
-                   fetch path of dm_store.cc (FetchNode/FetchNodes).
+                   query hot path: dm_query.cc, buffer_pool.cc,
+                   mesh/extract.cc (every query triangulates its cut
+                   there), and the fetch path of dm_store.cc
+                   (FetchNode/FetchNodes).
                    The warm path is required to be allocation-free (see
                    DESIGN.md §9); cold-path sites carry an inline
                    suppression with a justification.
@@ -313,7 +315,11 @@ def check_dropped_status(
 # hot-path-alloc
 # --------------------------------------------------------------------------
 
-HOT_PATH_FILES = ("src/dm/dm_query.cc", "src/storage/buffer_pool.cc")
+HOT_PATH_FILES = (
+    "src/dm/dm_query.cc",
+    "src/storage/buffer_pool.cc",
+    "src/mesh/extract.cc",
+)
 # In dm_store.cc only the fetch path is hot; Build/Open/LoadCatalog run
 # once per store.
 HOT_STORE_FILE = "src/dm/dm_store.cc"
