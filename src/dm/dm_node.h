@@ -14,9 +14,13 @@ namespace dm {
 
 struct DmNode;
 
-/// Shared handle to an immutable decoded node. The decoded-node cache
-/// and every query worker alias the same decode through this, so a
-/// cached node is decoded once and never copied per query.
+/// Handle to an immutable decoded node. A node resident in the
+/// decoded-node cache comes as a non-owning handle (empty owner,
+/// `use_count() == 0`): every query worker aliases the table's one
+/// decode, and copying the handle touches no refcount. It stays valid
+/// until the store is destroyed or re-sizes its cache (DmStore::
+/// EnableNodeCache). Any other decode comes owning, as a plain
+/// shared_ptr.
 using NodeRef = std::shared_ptr<const DmNode>;
 
 /// A Direct Mesh node: the PM record plus the LOD interval and the

@@ -303,7 +303,8 @@ void DmQueryProcessor::AddIoDelta(const IoStats& io0,
 
 DmQueryResult DmQueryProcessor::RefineAndTriangulate(
     const std::function<double(const Point3&)>& required_e,
-    const NodeMap& nodes, IdVec start, QueryStats stats) {
+    const NodeMap& nodes, IdVec start, QueryStats stats,
+    bool seeds_may_nest) {
   const auto t0 = std::chrono::steady_clock::now();
   // Selective refinement from the top plane(s) down to the query
   // plane: replace any node whose interval floor exceeds the local
@@ -377,10 +378,13 @@ DmQueryResult DmQueryProcessor::RefineAndTriangulate(
   // makes its seeds finer than another slice's satisfied ancestor the
   // cut briefly holds both generations. Dedupe, then let the coarser
   // representation win (single-base semantics), walking parent chains
-  // through the fetched records.
-  std::sort(cut.begin(), cut.end());
-  cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
-  {
+  // through the fetched records. A single top-plane cut is a set of
+  // disjoint subtrees' roots, and refining it (or stopping early at the
+  // deadline) keeps it one, so single-base and perspective cuts skip
+  // this.
+  if (seeds_may_nest) {
+    std::sort(cut.begin(), cut.end());
+    cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
     FlatHashSet<VertexId> in_cut(kInvalidVertex, scratch_arena());
     in_cut.reserve(cut.size());
     for (VertexId v : cut) in_cut.insert(v);
@@ -434,7 +438,7 @@ Result<DmQueryResult> DmQueryProcessor::SingleBase(const ViewQuery& q) {
       [&q](const Point3& p) {
         return std::max(q.RequiredE(p.x, p.y), q.e_min);
       },
-      nodes, std::move(start), std::move(stats));
+      nodes, std::move(start), std::move(stats), /*seeds_may_nest=*/false);
   AddIoDelta(io0, &result);
   return result;
 }
@@ -462,7 +466,7 @@ Result<DmQueryResult> DmQueryProcessor::Perspective(
   }
   DmQueryResult result = RefineAndTriangulate(
       [&q](const Point3& p) { return q.RequiredE(p.x, p.y); }, nodes,
-      std::move(start), std::move(stats));
+      std::move(start), std::move(stats), /*seeds_may_nest=*/false);
   AddIoDelta(io0, &result);
   return result;
 }
@@ -508,7 +512,8 @@ Result<DmQueryResult> DmQueryProcessor::MultiBase(const ViewQuery& q,
     // This slice's top plane: its cut at the slice's e_hi, restricted
     // to the slice (each point belongs to exactly one slice; the last
     // slice owns its far edge). Sharing the NodeRef (not moving the
-    // node) keeps the slice map valid and costs one refcount.
+    // node) keeps the slice map valid; it costs one refcount for an
+    // owning ref and nothing for a cache-resident one.
     for (const auto& [id, n] : slice_nodes) {
       if (n->AliveAt(cube.e_hi) &&
           box.rect_xy().Contains(n->pos.x, n->pos.y)) {
@@ -526,7 +531,7 @@ Result<DmQueryResult> DmQueryProcessor::MultiBase(const ViewQuery& q,
       [&q](const Point3& p) {
         return std::max(q.RequiredE(p.x, p.y), q.e_min);
       },
-      nodes, std::move(start), std::move(stats));
+      nodes, std::move(start), std::move(stats), /*seeds_may_nest=*/true);
   AddIoDelta(io0, &result);
   return result;
 }

@@ -260,9 +260,13 @@ class DmQueryProcessor {
 
   /// Shared tail of the viewpoint-dependent paths: refine `start` (the
   /// top-plane cut) down to the required-LOD field, then triangulate.
+  /// `seeds_may_nest` is set only for multi-base, whose per-slice seeds
+  /// can hold a node and its ancestor; a single top-plane cut cannot,
+  /// so the cut skips the pass that drops covered descendants.
   DmQueryResult RefineAndTriangulate(
       const std::function<double(const Point3&)>& required_e,
-      const NodeMap& nodes, IdVec start, QueryStats stats);
+      const NodeMap& nodes, IdVec start, QueryStats stats,
+      bool seeds_may_nest);
 
   /// Builds the triangle mesh of a cut from connection lists: the
   /// sorted cut becomes `result->vertices` and gives each vertex its

@@ -185,11 +185,8 @@ Result<DmStore> DmStore::Open(DbEnv* env, const DmMeta& meta) {
 }
 
 void DmStore::EnableNodeCache(size_t bytes) {
-  if (bytes == 0) {
-    node_cache_.reset();
-    return;
-  }
-  node_cache_ = std::make_unique<NodeCache>(bytes);
+  node_cache_.reset();  // free the old table before allocating a new one
+  if (bytes > 0) node_cache_ = std::make_unique<NodeCache>(bytes, page_first_);
 }
 
 Status DmStore::LoadCatalog() {
@@ -208,13 +205,22 @@ Status DmStore::LoadCatalog() {
 
   // Segment-interval sample for the record-level cost term: one pass
   // over the index entries, thinning deterministically to stay small.
+  // The same pass sizes every heap page's record slots for the
+  // decoded-node cache's table.
   std::vector<std::pair<double, double>>& sample = stats.segment_sample;
+  std::vector<uint32_t> page_records;
   {
     constexpr size_t kMaxSample = 8192;
     size_t stride = 1;
     size_t counter = 0;
     DM_RETURN_NOT_OK(rtree_.RangeQueryEntries(
-        stats.data_space, [&](const Box& b, uint64_t) {
+        stats.data_space, [&](const Box& b, uint64_t packed) {
+          const RecordId rid = RecordId::Unpack(packed);
+          if (rid.page >= page_records.size()) {
+            page_records.resize(size_t{rid.page} + 1, 0);
+          }
+          page_records[rid.page] =
+              std::max<uint32_t>(page_records[rid.page], rid.slot + 1u);
           if (counter++ % stride == 0) {
             sample.emplace_back(b.lo[2], b.hi[2]);
             if (sample.size() >= kMaxSample) {
@@ -238,6 +244,11 @@ Status DmStore::LoadCatalog() {
                 static_cast<double>(heap_.num_pages())
           : 16.0;
   catalog_ = std::make_shared<const CostCatalog>(std::move(stats));
+  page_first_.assign(1, 0);
+  page_first_.reserve(page_records.size() + 1);
+  for (uint32_t n : page_records) {
+    page_first_.push_back(page_first_.back() + n);
+  }
   return Status::OK();
 }
 
@@ -276,22 +287,29 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
   thread_local std::vector<NodeRef> out;
   thread_local std::vector<RecordId> miss_rids;
   thread_local std::vector<size_t> miss_idx;
+  NodeCache* const cache = node_cache_.get();
   out.clear();
   out.resize(sorted_rids.size());
   miss_rids.clear();
   miss_idx.clear();
   for (size_t i = 0; i < sorted_rids.size(); ++i) {
-    out[i] =
-        node_cache_ != nullptr ? node_cache_->Lookup(sorted_rids[i]) : nullptr;
-    if (out[i] == nullptr) {
-      miss_rids.push_back(RecordId::Unpack(sorted_rids[i]));
+    const RecordId rid = RecordId::Unpack(sorted_rids[i]);
+    const DmNode* hit = cache != nullptr ? cache->Find(rid) : nullptr;
+    if (hit != nullptr) {
+      out[i] = NodeRef(NodeRef(), hit);  // the table owns it: no refcount
+    } else {
+      miss_rids.push_back(rid);
       miss_idx.push_back(i);
     }
   }
-  if (counts != nullptr && node_cache_ != nullptr) {
-    counts->cache_hits +=
-        static_cast<int64_t>(sorted_rids.size() - miss_rids.size());
-    counts->cache_misses += static_cast<int64_t>(miss_rids.size());
+  if (cache != nullptr) {
+    const auto misses = static_cast<int64_t>(miss_rids.size());
+    const auto hits = static_cast<int64_t>(sorted_rids.size()) - misses;
+    cache->Count(hits, misses);
+    if (counts != nullptr) {
+      counts->cache_hits += hits;
+      counts->cache_misses += misses;
+    }
   }
   if (!miss_rids.empty()) {
     size_t delivered = 0;
@@ -318,10 +336,15 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
         rec_failures->push_back({rid, node_or.status()});
         return Status::OK();
       }
-      // dm-lint: allow(hot-path-alloc) decode miss allocates by design
-      auto ref = std::make_shared<const DmNode>(std::move(node_or).value());
-      if (node_cache_ != nullptr) node_cache_->Insert(rid.Pack(), ref);
-      out[miss_idx[k]] = std::move(ref);
+      const DmNode* resident =
+          cache != nullptr ? cache->Publish(rid, &node_or.value()) : nullptr;
+      if (resident != nullptr) {
+        out[miss_idx[k]] = NodeRef(NodeRef(), resident);
+      } else {
+        // dm-lint: allow(hot-path-alloc) an unadmitted decode is owned
+        out[miss_idx[k]] =
+            std::make_shared<const DmNode>(std::move(node_or).value());
+      }
       ++delivered;
       return Status::OK();
     };
@@ -333,7 +356,7 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
   for (const NodeRef& ref : out) {
     if (ref != nullptr) fn(ref);  // null = lost record in tolerant mode
   }
-  out.clear();  // drop the refs; evicted nodes should not outlive this
+  out.clear();  // free the decodes the cache did not admit
   return Status::OK();
 }
 

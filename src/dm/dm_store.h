@@ -98,7 +98,7 @@ struct DmStoreOptions {
 /// (FetchNode, FetchNodes, rtree() range queries, cost_inputs()) is
 /// safe to call from many query workers sharing one store; the only
 /// mutable state is inside the thread-safe buffer pool and the
-/// (equally thread-safe) sharded decoded-node cache.
+/// lock-free, fill-once decoded-node table.
 class DmStore {
  public:
   /// Builds the database from a PM construction run: computes the
@@ -131,6 +131,11 @@ class DmStore {
   /// disk reads and, with the cache off, `disk_reads` accounting
   /// matches per-record FetchNode calls exactly.
   ///
+  /// A node resident in the cache arrives as a non-owning NodeRef
+  /// (empty owner, `use_count() == 0`), so handing it on costs no
+  /// refcount traffic; it stays valid until the store is destroyed or
+  /// EnableNodeCache is called. Any other node arrives owning.
+  ///
   /// `counts`, when non-null, receives this call's exact cache
   /// hit/miss split (both zero when the cache is disabled) — unlike
   /// deltas of the shared `node_cache_stats()`, it is not polluted by
@@ -161,10 +166,12 @@ class DmStore {
                     FetchCounts* counts = nullptr,
                     FetchFailures* failures = nullptr) const;
 
-  /// Sizes (0 disables) or resizes the decoded-node cache, split over
-  /// NodeCache::kDefaultShards shards. Existing entries are dropped.
-  /// Requires quiescence: no concurrent FetchNodes callers (benches
-  /// and dmctl call it between batches).
+  /// Sizes (0 disables) or resizes the decoded-node cache: a byte
+  /// budget the table admits decoded nodes into until it is full.
+  /// Existing entries are freed, and with them every node that a
+  /// non-owning NodeRef from an earlier FetchNodes points at. Requires
+  /// quiescence: no concurrent FetchNodes callers and no such NodeRef
+  /// still in use (benches and dmctl call it between batches).
   void EnableNodeCache(size_t bytes);
 
   /// The decoded-node cache, or nullptr when disabled.
@@ -201,6 +208,10 @@ class DmStore {
   /// the invalidation rule — stale decodes cannot survive a rebuild).
   /// unique_ptr keeps DmStore movable; null means disabled.
   std::unique_ptr<NodeCache> node_cache_;
+  /// The cache's record index: `page_first_[p]` is the table slot of
+  /// record 0 on heap page p (NodeCache). Filled by LoadCatalog's pass
+  /// over the index entries.
+  std::vector<uint32_t> page_first_;
   DmMeta meta_;
   std::shared_ptr<const CostCatalog> catalog_;
 };

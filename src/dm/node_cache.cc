@@ -1,95 +1,69 @@
 #include "dm/node_cache.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace dm {
 
-NodeCache::NodeCache(size_t capacity_bytes, uint32_t num_shards)
-    : capacity_bytes_(capacity_bytes) {
-  num_shards = std::max<uint32_t>(1, num_shards);
-  shard_capacity_ = std::max<size_t>(1, capacity_bytes_ / num_shards);
-  shards_.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+NodeCache::NodeCache(size_t capacity_bytes, std::vector<uint32_t> page_first)
+    : capacity_bytes_(capacity_bytes), page_first_(std::move(page_first)) {
+  DM_CHECK(!page_first_.empty()) << "node cache needs a page index";
+  // dm-lint: allow(hot-path-alloc) the table is allocated once per cache
+  slots_.reset(new std::atomic<const DmNode*>[page_first_.back()]());
+}
+
+NodeCache::~NodeCache() {
+  for (size_t i = 0; i < page_first_.back(); ++i) {
+    delete slots_[i].load(std::memory_order_relaxed);
   }
 }
 
 size_t NodeCache::EntryBytes(const DmNode& node) {
-  // Decoded footprint plus map/LRU bookkeeping; an estimate is fine —
-  // the budget bounds memory, it is not an accounting invariant.
-  constexpr size_t kBookkeeping = 96;
-  return sizeof(DmNode) + node.connections.capacity() * sizeof(VertexId) +
-         kBookkeeping;
+  // The decoded footprint; an estimate is fine, since the budget bounds
+  // memory and is not an accounting invariant.
+  return sizeof(DmNode) + node.connections.capacity() * sizeof(VertexId);
 }
 
-NodeRef NodeCache::Lookup(uint64_t key) {
-  Shard& s = ShardFor(key);
-  MutexLock lock(s.mu);
-  auto it = s.map.find(key);
-  if (it == s.map.end()) {
-    s.misses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+const DmNode* NodeCache::Publish(RecordId rid, DmNode* node) {
+  const size_t i = SlotOf(rid);
+  if (i == kNoSlot) return nullptr;
+  if (const DmNode* resident = slots_[i].load(std::memory_order_acquire)) {
+    return resident;
   }
-  s.hits.fetch_add(1, std::memory_order_relaxed);
-  s.lru.splice(s.lru.end(), s.lru, it->second.lru_pos);
-  return it->second.node;
-}
-
-void NodeCache::Insert(uint64_t key, const NodeRef& node) {
-  DM_CHECK(node != nullptr) << "node cache insert of a null node";
   const size_t bytes = EntryBytes(*node);
-  if (bytes > shard_capacity_) return;  // would evict the whole shard
-  Shard& s = ShardFor(key);
-  MutexLock lock(s.mu);
-  if (s.map.count(key) != 0) return;  // racing install: first one wins
-  while (s.bytes + bytes > shard_capacity_ && !s.lru.empty()) {
-    const uint64_t victim = s.lru.front();
-    s.lru.pop_front();
-    auto vit = s.map.find(victim);
-    DM_CHECK(vit != s.map.end()) << "node cache LRU/map desync";
-    s.bytes -= vit->second.bytes;
-    s.map.erase(vit);
-    s.evictions.fetch_add(1, std::memory_order_relaxed);
+  size_t used = charged_.load(std::memory_order_relaxed);
+  do {
+    if (used + bytes > capacity_bytes_) return nullptr;
+  } while (!charged_.compare_exchange_weak(used, used + bytes,
+                                           std::memory_order_relaxed));
+  // dm-lint: allow(hot-path-alloc) a record is published at most once
+  const DmNode* mine = new DmNode(std::move(*node));
+  const DmNode* expected = nullptr;
+  if (slots_[i].compare_exchange_strong(expected, mine,
+                                        std::memory_order_acq_rel)) {
+    return mine;
   }
-  Entry e;
-  e.node = node;
-  e.bytes = bytes;
-  s.lru.push_back(key);
-  e.lru_pos = std::prev(s.lru.end());
-  s.bytes += bytes;
-  s.map.emplace(key, std::move(e));
+  // A racing worker published first: its node is the one everyone uses.
+  delete mine;
+  charged_.fetch_sub(bytes, std::memory_order_relaxed);
+  return expected;
 }
 
-void NodeCache::Clear() {
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    sp->map.clear();
-    sp->lru.clear();
-    sp->bytes = 0;
-  }
+void NodeCache::Count(int64_t hits, int64_t misses) {
+  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (misses != 0) misses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
 NodeCacheStats NodeCache::stats() const {
-  NodeCacheStats total;
-  for (const auto& sp : shards_) {
-    total.hits += sp->hits.load(std::memory_order_relaxed);
-    total.misses += sp->misses.load(std::memory_order_relaxed);
-    total.evictions += sp->evictions.load(std::memory_order_relaxed);
-    MutexLock lock(sp->mu);
-    total.entries += static_cast<int64_t>(sp->map.size());
-    total.bytes += static_cast<int64_t>(sp->bytes);
+  NodeCacheStats s;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.bytes = static_cast<int64_t>(charged_.load(std::memory_order_relaxed));
+  for (size_t i = 0; i < page_first_.back(); ++i) {
+    if (slots_[i].load(std::memory_order_relaxed) != nullptr) ++s.entries;
   }
-  return total;
-}
-
-void NodeCache::ResetStats() {
-  for (const auto& sp : shards_) {
-    sp->hits.store(0, std::memory_order_relaxed);
-    sp->misses.store(0, std::memory_order_relaxed);
-    sp->evictions.store(0, std::memory_order_relaxed);
-  }
+  return s;
 }
 
 }  // namespace dm

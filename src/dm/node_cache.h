@@ -3,106 +3,90 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "dm/dm_node.h"
+#include "storage/page.h"
 
 namespace dm {
 
-/// Aggregated decoded-node cache counters (sum over shards).
+/// Decoded-node cache counters.
 struct NodeCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
-  int64_t evictions = 0;
-  int64_t entries = 0;  // currently cached nodes
-  int64_t bytes = 0;    // currently charged bytes
+  int64_t entries = 0;  // resident nodes
+  int64_t bytes = 0;    // decoded bytes charged to the budget
 };
 
-/// Sharded LRU cache of fully decoded DmNodes, keyed by packed record
-/// id. It sits between DmStore and the buffer pool: a hit skips the
-/// page pin, the slot lookup, and the varint decode entirely — the
-/// point of Dillabaugh-style traversal-ready blocks layered over
-/// compact on-disk records. Capacity is a byte budget split evenly
-/// across shards; each entry is charged its decoded footprint
-/// (struct + connection-list capacity + bookkeeping).
+/// Fill-once table of fully decoded DmNodes, one slot per heap record.
+/// It sits between DmStore and the buffer pool: a hit skips the page
+/// pin, the slot lookup and the decode entirely, which is the point of
+/// Dillabaugh-style traversal-ready nodes layered over compact on-disk
+/// records (DESIGN.md §9).
 ///
-/// Concurrency mirrors the sharded buffer pool (DESIGN.md §8/§9):
-/// record ids Fibonacci-hash to independent shards, each with its own
-/// mutex, map, and LRU list; hit/miss/eviction counters are relaxed
-/// atomics summed on read. Values are shared_ptr<const DmNode>, so a
-/// query may keep using a node after another worker evicts it, and
-/// cached nodes are immutable by construction.
+/// A record's slot is `page_first[rid.page] + rid.slot`, so a hit is
+/// one bounds check and one acquire load: no lock, no hash, no
+/// refcount. The first decode of a record is published by CAS while
+/// the byte budget has room; a racing worker that loses the CAS frees
+/// its copy and uses the winner's node. Nothing is ever evicted: the
+/// budget means "admit until full", and past it a miss stays a miss.
 ///
-/// Invalidation: the cache belongs to one DmStore generation; a store
-/// rebuild must drop every entry (`Clear()`), which DmStore::Build
-/// does before serving from the new heap.
+/// Lifetime: a resident node lives as long as the table, i.e. until
+/// its store is destroyed or re-sizes its cache (EnableNodeCache, which
+/// requires quiescence). That is what lets DmStore hand out resident
+/// nodes as non-owning NodeRefs.
 class NodeCache {
  public:
-  static constexpr uint32_t kDefaultShards = 16;
-
-  /// `capacity_bytes` is the total budget; shards get an even split.
-  /// `num_shards` is clamped to at least 1.
-  explicit NodeCache(size_t capacity_bytes,
-                     uint32_t num_shards = kDefaultShards);
+  /// `page_first[p]` is the slot of record 0 on heap page p, and
+  /// `page_first[p + 1] - page_first[p]` is the page's record count;
+  /// the last element is the table size. `capacity_bytes` bounds the
+  /// decoded bytes the table admits.
+  NodeCache(size_t capacity_bytes, std::vector<uint32_t> page_first);
+  ~NodeCache();
 
   NodeCache(const NodeCache&) = delete;
   NodeCache& operator=(const NodeCache&) = delete;
 
   size_t capacity_bytes() const { return capacity_bytes_; }
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
+
+  /// The resident node of `rid`, or nullptr. A rid outside the table is
+  /// a miss.
+  const DmNode* Find(RecordId rid) const {
+    const size_t i = SlotOf(rid);
+    return i == kNoSlot ? nullptr : slots_[i].load(std::memory_order_acquire);
   }
 
-  /// Returns the cached node for `key` (moving it to MRU) or nullptr.
-  /// Counts one hit or one miss.
-  NodeRef Lookup(uint64_t key);
+  /// Publishes the decode of `rid` if the budget has room and returns
+  /// the resident node: `*node` moved into the table, or the node a
+  /// racing worker published first. Returns nullptr, leaving `*node`
+  /// untouched, when the record is not admitted.
+  const DmNode* Publish(RecordId rid, DmNode* node);
 
-  /// Inserts a decoded node, evicting LRU entries past the shard's
-  /// byte budget. An already-present key keeps the existing entry (two
-  /// workers racing on the same miss both decode; first install wins).
-  /// Entries larger than a whole shard's budget are not cached.
-  void Insert(uint64_t key, const NodeRef& node);
+  /// Adds one batch fetch's hit/miss split to the counters.
+  void Count(int64_t hits, int64_t misses);
 
-  /// Drops every entry (store rebuild invalidation). Counters are
-  /// kept; in-flight NodeRefs stay valid through their shared_ptr.
-  void Clear();
-
+  /// Walks the table; meant for reports, not for the query path.
   NodeCacheStats stats() const;
-  void ResetStats();
 
  private:
-  struct Entry {
-    NodeRef node;
-    size_t bytes = 0;
-    std::list<uint64_t>::iterator lru_pos;
-  };
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<uint64_t, Entry> map DM_GUARDED_BY(mu);
-    // Front = least recently used.
-    std::list<uint64_t> lru DM_GUARDED_BY(mu);
-    size_t bytes DM_GUARDED_BY(mu) = 0;
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-    std::atomic<int64_t> evictions{0};
-  };
+  static constexpr size_t kNoSlot = ~size_t{0};
 
-  Shard& ShardFor(uint64_t key) {
-    if (shards_.size() == 1) return *shards_[0];
-    return *shards_[(FibonacciHash(key) >> 16) % shards_.size()];
-  }
-  static uint32_t FibonacciHash(uint64_t key) {
-    return static_cast<uint32_t>(key * 2654435769u);
+  size_t SlotOf(RecordId rid) const {
+    const size_t page = rid.page;
+    if (page + 1 >= page_first_.size()) return kNoSlot;
+    const uint32_t first = page_first_[page];
+    if (rid.slot >= page_first_[page + 1] - first) return kNoSlot;
+    return first + rid.slot;
   }
   static size_t EntryBytes(const DmNode& node);
 
-  size_t capacity_bytes_;
-  size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_bytes_;
+  const std::vector<uint32_t> page_first_;
+  std::unique_ptr<std::atomic<const DmNode*>[]> slots_;
+  std::atomic<size_t> charged_{0};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
 };
 
 }  // namespace dm

@@ -114,6 +114,19 @@ class HotPathAllocTest(LintCase):
         findings = self.lint(cc)
         self.assertEqual(self.checks(findings), [("hot-path-alloc", 2)])
 
+    def test_unordered_map_in_node_cache_flagged(self):
+        # Every fetched node probes the decoded-node table; a hash map
+        # creeping back into it is a hot-path allocation.
+        cc = self.write(
+            "src/dm/node_cache.cc",
+            "const DmNode* NodeCache::Find(RecordId rid) const {\n"
+            "  std::unordered_map<uint64_t, const DmNode*> index;\n"
+            "  return nullptr;\n"
+            "}\n",
+        )
+        findings = self.lint(cc)
+        self.assertEqual(self.checks(findings), [("hot-path-alloc", 2)])
+
     def test_other_mesh_file_clean(self):
         cc = self.write(
             "src/mesh/adjacency.cc",

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "dm/dm_store.h"
 #include "mesh/validate.h"
 #include "pm/cut_replay.h"
@@ -514,6 +517,63 @@ TEST_F(DmQueryTest, GradientAlongXBehavesSymmetrically) {
   auto mb_or = proc.MultiBase(q);
   ASSERT_TRUE(mb_or.ok());
   EXPECT_GE(mb_or.value().vertices.size() + 3, r.vertices.size() * 4 / 5);
+}
+
+// Single-base and perspective cuts refine one top-plane cut, so they
+// never hold a node together with one of its ancestors: the pass that
+// drops covered descendants (needed for multi-base slices) would drop
+// nothing, and the cut has no duplicates. Checked against the PM
+// tree's full parent chains over a seeded grid of queries.
+TEST_F(DmQueryTest, SingleTopPlaneCutsHoldNoAncestorPair) {
+  DmQueryProcessor proc(store_);
+  const double lod = scene_->tree.max_lod();
+  Rng rng(2104);
+  int queries = 0;
+  const auto expect_no_nesting = [&](const DmQueryResult& r,
+                                     const std::string& what) {
+    ASSERT_TRUE(std::adjacent_find(r.vertices.begin(), r.vertices.end(),
+                                   std::greater_equal<VertexId>()) ==
+                r.vertices.end())
+        << what << ": vertices not strictly ascending";
+    for (VertexId v : r.vertices) {
+      for (VertexId p = scene_->tree.node(v).parent; p != kInvalidVertex;
+           p = scene_->tree.node(p).parent) {
+        ASSERT_FALSE(std::binary_search(r.vertices.begin(), r.vertices.end(),
+                                        p))
+            << what << ": vertex " << v << " and its ancestor " << p;
+      }
+    }
+    ++queries;
+  };
+  for (int i = 0; i < 24; ++i) {
+    const double x0 = rng.Uniform(0.0, 0.6);
+    const double y0 = rng.Uniform(0.0, 0.6);
+    const Rect roi = Roi(x0, y0, x0 + rng.Uniform(0.2, 0.4),
+                         y0 + rng.Uniform(0.2, 0.4));
+    const std::string where = "query " + std::to_string(i);
+
+    ViewQuery vq;
+    vq.roi = roi;
+    vq.e_min = rng.Uniform(0.0, 0.05) * lod;
+    vq.e_max = vq.e_min + rng.Uniform(0.05, 0.6) * lod;
+    vq.gradient_along_y = (i % 2) == 0;
+    auto sb = proc.SingleBase(vq);
+    ASSERT_TRUE(sb.ok()) << sb.status().ToString();
+    expect_no_nesting(sb.value(), "single-base " + where);
+
+    PerspectiveQuery pq;
+    pq.roi = roi;
+    pq.viewer = Point2{roi.lo_x + rng.Uniform(0.0, 1.0) * roi.width(),
+                       roi.lo_y + rng.Uniform(0.0, 1.0) * roi.height()};
+    pq.tolerance = rng.Uniform(0.05, 0.5) * lod /
+                   std::max(roi.width(), roi.height());
+    pq.e_floor = 0.0;
+    pq.e_cap = lod;
+    auto pp = proc.Perspective(pq);
+    ASSERT_TRUE(pp.ok()) << pp.status().ToString();
+    expect_no_nesting(pp.value(), "perspective " + where);
+  }
+  EXPECT_EQ(queries, 48);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Unit tests for the query hot-path machinery added with the
 // decoded-node cache: the bump arena, the open-addressing flat hash
-// containers, the NodeCache itself, and end-to-end equivalence of
-// query results with the cache toggled.
+// containers, the fill-once NodeCache table itself, and end-to-end
+// equivalence of query results with the cache toggled.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/arena.h"
@@ -146,21 +148,28 @@ TEST(FlatHashTest, ArenaBackedMapAllocatesFromArena) {
 
 // --- NodeCache ---------------------------------------------------------------
 
-NodeRef MakeNode(VertexId id, std::initializer_list<VertexId> conns = {}) {
+// One heap page (page 2) of four record slots; pages 0 and 1 hold none.
+std::vector<uint32_t> FourSlotsOnPage2() { return {0, 0, 0, 4}; }
+
+DmNode MakeNode(VertexId id, std::initializer_list<VertexId> conns = {}) {
   DmNode n;
   n.id = id;
   n.pos = Point3{static_cast<double>(id), 0.0, 0.0};
   n.connections.assign(conns.begin(), conns.end());
-  return std::make_shared<const DmNode>(std::move(n));
+  return n;
 }
 
 TEST(NodeCacheTest, LookupMissThenHit) {
-  NodeCache cache(1 << 20, 2);
-  EXPECT_EQ(cache.Lookup(5), nullptr);
-  cache.Insert(5, MakeNode(5));
-  NodeRef hit = cache.Lookup(5);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->id, 5);
+  NodeCache cache(1 << 20, FourSlotsOnPage2());
+  const RecordId rid{2, 3};
+  EXPECT_EQ(cache.Find(rid), nullptr);
+  DmNode node = MakeNode(5, {1, 2});
+  const DmNode* resident = cache.Publish(rid, &node);
+  ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(resident->id, 5);
+  EXPECT_EQ(resident->connections, (std::vector<VertexId>{1, 2}));
+  EXPECT_EQ(cache.Find(rid), resident);
+  cache.Count(1, 1);
   const NodeCacheStats st = cache.stats();
   EXPECT_EQ(st.hits, 1);
   EXPECT_EQ(st.misses, 1);
@@ -168,55 +177,40 @@ TEST(NodeCacheTest, LookupMissThenHit) {
   EXPECT_GT(st.bytes, 0);
 }
 
-TEST(NodeCacheTest, EvictsLeastRecentlyUsedUnderPressure) {
-  // A budget that holds only a handful of nodes per shard; one shard
-  // makes the LRU order deterministic.
-  NodeCache cache(4 * (sizeof(DmNode) + 96 + 64), 1);
-  const int n = 32;
-  for (VertexId i = 0; i < n; ++i) {
-    cache.Insert(static_cast<uint64_t>(i), MakeNode(i, {1, 2, 3}));
-  }
-  const NodeCacheStats st = cache.stats();
-  EXPECT_GT(st.evictions, 0);
-  EXPECT_LT(st.entries, n);
-  EXPECT_LE(st.bytes, static_cast<int64_t>(4 * (sizeof(DmNode) + 96 + 64)));
-  // The most recently inserted key must still be resident.
-  EXPECT_NE(cache.Lookup(n - 1), nullptr);
-  // The oldest must be gone.
-  EXPECT_EQ(cache.Lookup(0), nullptr);
-}
-
-TEST(NodeCacheTest, InsertIsFirstWinsAndSharesOwnership) {
-  NodeCache cache(1 << 20, 1);
-  NodeRef a = MakeNode(9, {1});
-  NodeRef b = MakeNode(9, {2});
-  cache.Insert(9, a);
-  cache.Insert(9, b);  // duplicate key: first insert wins
-  NodeRef got = cache.Lookup(9);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got.get(), a.get());
-  // The cached node survives eviction of our local refs.
-  a.reset();
-  b.reset();
-  EXPECT_EQ(cache.Lookup(9)->id, 9);
-}
-
-TEST(NodeCacheTest, ClearEmptiesEverything) {
-  NodeCache cache(1 << 20, 4);
-  for (VertexId i = 0; i < 50; ++i) {
-    cache.Insert(static_cast<uint64_t>(i), MakeNode(i));
-  }
-  cache.Clear();
-  const NodeCacheStats st = cache.stats();
-  EXPECT_EQ(st.entries, 0);
-  EXPECT_EQ(st.bytes, 0);
-  EXPECT_EQ(cache.Lookup(1), nullptr);
+TEST(NodeCacheTest, FirstPublisherWins) {
+  NodeCache cache(1 << 20, FourSlotsOnPage2());
+  const RecordId rid{2, 0};
+  DmNode first = MakeNode(9, {1});
+  DmNode second = MakeNode(9, {2});
+  const DmNode* a = cache.Publish(rid, &first);
+  const DmNode* b = cache.Publish(rid, &second);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(b->connections, (std::vector<VertexId>{1}));
+  EXPECT_EQ(second.connections, (std::vector<VertexId>{2}));  // not taken
+  EXPECT_EQ(cache.stats().entries, 1);
 }
 
 TEST(NodeCacheTest, OversizeEntryIsSkipped) {
-  NodeCache cache(64, 1);  // budget below a single node's footprint
-  cache.Insert(1, MakeNode(1, {1, 2, 3, 4, 5}));
-  EXPECT_EQ(cache.Lookup(1), nullptr);
+  NodeCache cache(64, FourSlotsOnPage2());  // below one node's footprint
+  DmNode node = MakeNode(1, {1, 2, 3, 4, 5});
+  EXPECT_EQ(cache.Publish(RecordId{2, 1}, &node), nullptr);
+  EXPECT_EQ(node.connections.size(), 5u);  // left to the caller
+  EXPECT_EQ(cache.Find(RecordId{2, 1}), nullptr);
+  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(cache.stats().bytes, 0);
+}
+
+TEST(NodeCacheTest, RidOutsideTheTableIsAMiss) {
+  NodeCache cache(1 << 20, FourSlotsOnPage2());
+  for (const RecordId rid :
+       {RecordId{0, 0}, RecordId{1, 0}, RecordId{2, 4}, RecordId{2, 0xFFFF},
+        RecordId{3, 0}, RecordId{1u << 20, 0}, RecordId{kInvalidPage, 0}}) {
+    EXPECT_EQ(cache.Find(rid), nullptr) << rid.page << ":" << rid.slot;
+    DmNode node = MakeNode(1);
+    EXPECT_EQ(cache.Publish(rid, &node), nullptr)
+        << rid.page << ":" << rid.slot;
+  }
   EXPECT_EQ(cache.stats().entries, 0);
 }
 
@@ -254,56 +248,165 @@ void ExpectSameGeometry(const DmQueryResult& a, const DmQueryResult& b) {
   }
 }
 
-TEST_F(HotPathQueryTest, NodeCachePreservesGeometry) {
-  const Rect b = scene_->tree.bounds();
+// Every record of the fixture store, as sorted packed rids.
+std::vector<uint64_t> AllRids(const DmStore& store) {
+  std::vector<uint64_t> rids;
+  EXPECT_TRUE(store.rtree()
+                  .RangeQuery(Box::Of(-1e30, -1e30, -1e30, 1e30, 1e30, 1e30),
+                              &rids)
+                  .ok());
+  std::sort(rids.begin(), rids.end());
+  return rids;
+}
+
+// The geometry test set over the central 80% of the scene: uniform
+// cuts at three LODs, then single-base, multi-base and perspective.
+std::vector<DmQueryResult> RunQuerySet(DmStore* store, const PmTree& tree) {
+  const Rect b = tree.bounds();
   const Rect roi = Rect::Of(b.lo_x + 0.1 * b.width(), b.lo_y + 0.1 * b.height(),
                             b.lo_x + 0.9 * b.width(), b.lo_y + 0.9 * b.height());
-  const double lod = scene_->tree.max_lod();
+  const double lod = tree.max_lod();
   ViewQuery vq;
   vq.roi = roi;
   vq.e_min = 0.01 * lod;
   vq.e_max = 0.3 * lod;
+  PerspectiveQuery pq;
+  pq.roi = roi;
+  pq.viewer = Point2{roi.lo_x, roi.lo_y};
+  pq.tolerance = 0.3 * lod / std::max(roi.width(), roi.height());
+  pq.e_cap = lod;
 
+  DmQueryProcessor proc(store);
+  std::vector<DmQueryResult> out;
+  const auto keep = [&out](Result<DmQueryResult> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    out.push_back(r.ok() ? std::move(r).value() : DmQueryResult{});
+  };
+  for (double frac : {0.02, 0.1, 0.4}) {
+    keep(proc.ViewpointIndependent(roi, frac * lod));
+  }
+  keep(proc.SingleBase(vq));
+  keep(proc.MultiBase(vq));
+  keep(proc.Perspective(pq));
+  return out;
+}
+
+TEST_F(HotPathQueryTest, NodeCachePreservesGeometry) {
   // Reference: cache off (the seed configuration).
   store_->EnableNodeCache(0);
-  std::vector<DmQueryResult> ref;
-  {
-    DmQueryProcessor proc(store_);
-    for (double frac : {0.02, 0.1, 0.4}) {
-      auto r = proc.ViewpointIndependent(roi, frac * lod);
-      ASSERT_TRUE(r.ok());
-      ref.push_back(std::move(r).value());
-    }
-    auto r = proc.SingleBase(vq);
-    ASSERT_TRUE(r.ok());
-    ref.push_back(std::move(r).value());
-    auto m = proc.MultiBase(vq);
-    ASSERT_TRUE(m.ok());
-    ref.push_back(std::move(m).value());
-  }
+  const std::vector<DmQueryResult> ref = RunQuerySet(store_, scene_->tree);
 
   // With the cache on, both passes must produce byte-identical
   // geometry, and the second pass must hit.
   store_->EnableNodeCache(8u << 20);
   for (int pass = 0; pass < 2; ++pass) {
-    DmQueryProcessor proc(store_);
-    size_t k = 0;
-    for (double frac : {0.02, 0.1, 0.4}) {
-      auto r = proc.ViewpointIndependent(roi, frac * lod);
-      ASSERT_TRUE(r.ok());
-      ExpectSameGeometry(r.value(), ref[k]);
-      ++k;
+    const std::vector<DmQueryResult> got = RunQuerySet(store_, scene_->tree);
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t k = 0; k < ref.size(); ++k) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " query " +
+                   std::to_string(k));
+      ExpectSameGeometry(got[k], ref[k]);
+      if (pass == 1) {
+        EXPECT_GT(got[k].stats.cache_hits, 0);
+        EXPECT_EQ(got[k].stats.cache_misses, 0);
+      }
     }
-    auto r = proc.SingleBase(vq);
-    ASSERT_TRUE(r.ok());
-    ExpectSameGeometry(r.value(), ref[k]);
-    ++k;
-    auto m = proc.MultiBase(vq);
-    ASSERT_TRUE(m.ok());
-    ExpectSameGeometry(m.value(), ref[k]);
-    if (pass == 1) {
-      EXPECT_GT(m.value().stats.cache_hits, 0);
-      EXPECT_EQ(m.value().stats.cache_misses, 0);
+  }
+  store_->EnableNodeCache(0);
+}
+
+TEST_F(HotPathQueryTest, WarmHitsDeliverOneAddressWithoutRefcount) {
+  const std::vector<uint64_t> rids = AllRids(*store_);
+  store_->EnableNodeCache(8u << 20);
+  std::vector<const DmNode*> passes[2];
+  for (std::vector<const DmNode*>& seen : passes) {
+    DmStore::FetchCounts counts;
+    ASSERT_TRUE(store_
+                    ->FetchNodes(
+                        rids,
+                        [&seen](const NodeRef& ref) {
+                          EXPECT_EQ(ref.use_count(), 0);
+                          seen.push_back(ref.get());
+                        },
+                        &counts)
+                    .ok());
+    EXPECT_EQ(counts.cache_hits + counts.cache_misses,
+              static_cast<int64_t>(rids.size()));
+  }
+  ASSERT_EQ(passes[0].size(), rids.size());
+  EXPECT_EQ(passes[0], passes[1]);
+  EXPECT_EQ(store_->node_cache_stats().hits,
+            static_cast<int64_t>(rids.size()));
+  store_->EnableNodeCache(0);
+}
+
+TEST_F(HotPathQueryTest, PartialBudgetKeepsGeometryByteIdentical) {
+  store_->EnableNodeCache(0);
+  const std::vector<DmQueryResult> ref = RunQuerySet(store_, scene_->tree);
+
+  // A budget far below the store's decoded size: the table fills with
+  // the first records fetched, and every later miss comes back owning.
+  constexpr size_t kBudget = 32u << 10;
+  store_->EnableNodeCache(kBudget);
+  const std::vector<uint64_t> rids = AllRids(*store_);
+  for (int pass = 0; pass < 2; ++pass) {
+    int64_t resident = 0;
+    int64_t owning = 0;
+    ASSERT_TRUE(store_
+                    ->FetchNodes(rids,
+                                 [&](const NodeRef& ref) {
+                                   (ref.use_count() == 0 ? resident : owning)++;
+                                 })
+                    .ok());
+    const NodeCacheStats st = store_->node_cache_stats();
+    EXPECT_GT(resident, 0) << "pass " << pass;
+    EXPECT_GT(owning, 0) << "pass " << pass;
+    EXPECT_EQ(st.entries, resident) << "pass " << pass;
+    EXPECT_LE(st.bytes, static_cast<int64_t>(kBudget));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<DmQueryResult> got = RunQuerySet(store_, scene_->tree);
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t k = 0; k < ref.size(); ++k) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " query " +
+                   std::to_string(k));
+      ExpectSameGeometry(got[k], ref[k]);
+    }
+  }
+  store_->EnableNodeCache(0);
+}
+
+TEST_F(HotPathQueryTest, RacingColdFetchesPublishOneNodePerRid) {
+  // Four workers miss on the same records at once and race to publish
+  // them (run under tsan in CI): each record ends up with one resident
+  // node, and every worker is handed that node.
+  const std::vector<uint64_t> rids = AllRids(*store_);
+  store_->EnableNodeCache(8u << 20);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const DmNode*>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const Status st = store_->FetchNodes(rids, [&](const NodeRef& ref) {
+        EXPECT_EQ(ref.use_count(), 0);
+        seen[t].push_back(ref.get());
+      });
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const NodeCache* cache = store_->node_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->stats().entries, static_cast<int64_t>(rids.size()));
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), rids.size()) << "thread " << t;
+    for (size_t i = 0; i < rids.size(); ++i) {
+      ASSERT_EQ(seen[t][i], cache->Find(RecordId::Unpack(rids[i])))
+          << "thread " << t << " rid " << rids[i];
     }
   }
   store_->EnableNodeCache(0);

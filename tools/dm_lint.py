@@ -13,7 +13,8 @@ Four checks that encode project invariants no generic tool enforces:
                    std::unordered_map / std::unordered_set) in the
                    query hot path: dm_query.cc, buffer_pool.cc,
                    mesh/extract.cc (every query triangulates its cut
-                   there), and the fetch path of dm_store.cc
+                   there), dm/node_cache.cc (every fetched node probes
+                   it), and the fetch path of dm_store.cc
                    (FetchNode/FetchNodes).
                    The warm path is required to be allocation-free (see
                    DESIGN.md §9); cold-path sites carry an inline
@@ -43,7 +44,7 @@ Suppressing a finding
 Append (or put on the preceding line) a justified allow comment:
 
     // dm-lint: allow(hot-path-alloc) cold path: runs once per open
-    node_cache_ = std::make_unique<NodeCache>(bytes, shards);
+    node_cache_ = std::make_unique<NodeCache>(bytes, page_first_);
 
 An allow() without a justification is itself reported
 (bad-suppression): the comment exists to tell the next reader *why*
@@ -239,8 +240,8 @@ STATUS_DECL_RE = re.compile(
 
 # Names are matched without type information, so a name declared BOTH
 # with a Status/Result return and with some other return type anywhere
-# in the tree is ambiguous and skipped (e.g. BTree::Insert returns
-# Status while NodeCache::Insert returns void).
+# in the tree is ambiguous and skipped (e.g. a name that returns
+# Status in one class and void in another).
 OTHER_DECL_RE = re.compile(
     r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:static\s+|virtual\s+)*"
     r"(?:void|bool|int|size_t|uint32_t|uint64_t|int64_t|auto)\s+"
@@ -319,6 +320,7 @@ HOT_PATH_FILES = (
     "src/dm/dm_query.cc",
     "src/storage/buffer_pool.cc",
     "src/mesh/extract.cc",
+    "src/dm/node_cache.cc",
 )
 # In dm_store.cc only the fetch path is hot; Build/Open/LoadCatalog run
 # once per store.

@@ -834,11 +834,12 @@ Status RunCacheStats(const Args& args) {
                 static_cast<long long>(r.queries), r.qps);
     std::printf(
         "  node cache:  hits=%lld misses=%lld (%.1f%% hit) "
-        "evictions=%lld resident=%lld entries / %.1f MiB\n",
+        "resident=%lld entries, %.2f of %.0f MiB\n",
         static_cast<long long>(hits), static_cast<long long>(misses),
-        hit_rate, static_cast<long long>(c.evictions - prev_cache.evictions),
-        static_cast<long long>(c.entries),
-        static_cast<double>(c.bytes) / (1u << 20));
+        hit_rate, static_cast<long long>(c.entries),
+        static_cast<double>(c.bytes) / (1u << 20),
+        static_cast<double>(db.store->node_cache()->capacity_bytes()) /
+            (1u << 20));
     std::printf(
         "  buffer pool: fetches=%lld disk_reads=%lld evictions=%lld\n",
         static_cast<long long>(io.logical_fetches - prev_io.logical_fetches),
