@@ -69,23 +69,6 @@ void WorkerPool::RunOnAll(const std::function<void(int)>& fn) {
   job_ = nullptr;
 }
 
-void ServiceThreads::Start(int threads, std::function<void(int)> fn) {
-  DM_CHECK(workers_.empty()) << "ServiceThreads started twice";
-  DM_CHECK(threads >= 1) << "ServiceThreads needs at least one worker, got "
-                         << threads;
-  fn_ = std::move(fn);
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { fn_(i); });
-  }
-}
-
-void ServiceThreads::Join() {
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-}
-
 void ParallelFor(WorkerPool& pool, int64_t n, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;

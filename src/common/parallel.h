@@ -53,39 +53,6 @@ class WorkerPool {
   bool stop_ DM_GUARDED_BY(mu_) = false;
 };
 
-/// Long-lived detached service workers — the shape the async I/O pool
-/// and other daemon-style loops need, which WorkerPool's gang dispatch
-/// (caller participates, RunOnAll blocks) cannot provide. Start spawns
-/// `threads` workers that each run `fn(index)` exactly once; `fn` is a
-/// loop that returns when the owner signals stop through its own
-/// guarded state. Join() (also run by the destructor) blocks until
-/// every worker returned — the owner must have signalled stop first or
-/// Join deadlocks by design.
-///
-/// This class and WorkerPool are the only places raw std::thread is
-/// allowed (tools/dm_lint.py raw-thread check): everything above them
-/// composes these two primitives with dm::Mutex/CondVar.
-class ServiceThreads {
- public:
-  ServiceThreads() = default;
-  ~ServiceThreads() { Join(); }
-
-  ServiceThreads(const ServiceThreads&) = delete;
-  ServiceThreads& operator=(const ServiceThreads&) = delete;
-
-  /// Spawns the workers. Call at most once.
-  void Start(int threads, std::function<void(int)> fn);
-
-  /// Waits for every worker's `fn` to return. Idempotent.
-  void Join();
-
-  int threads() const { return static_cast<int>(workers_.size()); }
-
- private:
-  std::vector<std::thread> workers_;
-  std::function<void(int)> fn_;
-};
-
 /// Chunked parallel loop over [0, n): `fn(begin, end)` is invoked over
 /// disjoint subranges that exactly cover [0, n). Chunk boundaries are
 /// multiples of `grain` and therefore independent of the thread count;

@@ -294,8 +294,6 @@ void DmQueryProcessor::AddIoDelta(const IoStats& io0,
                                   DmQueryResult* result) const {
   const IoStats io1 = source_->io_stats();
   result->stats.disk_accesses = io1.disk_reads - io0.disk_reads;
-  result->stats.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  result->stats.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
   result->stats.fetch_runs = io1.fetch_runs - io0.fetch_runs;
   result->stats.fetch_run_pages = io1.fetch_run_pages - io0.fetch_run_pages;
   result->health.io_retries = io1.io_retries - io0.io_retries;

@@ -90,13 +90,6 @@ struct QueryStats {
   int64_t range_queries = 0;    // index probes issued
   int64_t refinement_splits = 0;
   int64_t refinement_misses = 0;  // splits lacking a fetched child
-  /// Speculative-prefetch outcome during this query, read as pool-wide
-  /// deltas like `disk_accesses` (concurrent workers' prefetches may
-  /// leak into each other's counts). Hits are demand fetches served by
-  /// a previously prefetched frame; waste is prefetched pages evicted
-  /// unused. Both stay 0 with `DbOptions::prefetch_depth == 0`.
-  int64_t prefetch_hits = 0;
-  int64_t prefetch_waste = 0;
   /// Coalesced page runs (heap and R*-tree) this query issued through
   /// the pool (pool-wide deltas, like `disk_accesses`). Mean pages per run
   /// (fetch_run_pages / fetch_runs) measures how well the on-disk
@@ -253,9 +246,8 @@ class DmQueryProcessor {
   Status FetchBox(const Box& box, const RangeFilter* filter, NodeMap* nodes,
                   QueryStats* stats);
 
-  /// Fills `result`'s I/O counters (disk reads, prefetch, fetch runs,
-  /// retries) with the source's delta since `io0`, taken when the
-  /// query began.
+  /// Fills `result`'s I/O counters (disk reads, fetch runs, retries)
+  /// with the source's delta since `io0`, taken when the query began.
   void AddIoDelta(const IoStats& io0, DmQueryResult* result) const;
 
   /// Shared tail of the viewpoint-dependent paths: refine `start` (the

@@ -278,10 +278,10 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
   // Probe the cache per rid (when enabled), then batch-fetch only the
   // misses. The miss subsequence of a sorted rid list is itself
   // sorted, so run coalescing still applies to it. Records decode as
-  // each page run lands (overlapping the reads still in flight when an
-  // async device is bound), but delivery to `fn` is buffered back into
-  // the caller's rid order below, so callers see byte-identical node
-  // sequences whatever the device. Scratch is thread-local so the warm
+  // each page run lands, but delivery to `fn` is buffered back into
+  // the caller's rid order below: that interleaves the cache hits with
+  // the misses, and puts back the records a tolerant re-fetch delivers
+  // last. Scratch is thread-local so the warm
   // all-hit path never touches the heap (FetchNodes is not reentrant
   // within a thread; query workers each have their own).
   thread_local std::vector<NodeRef> out;
@@ -316,10 +316,10 @@ Status DmStore::FetchNodes(const std::vector<uint64_t>& sorted_rids,
     size_t next = 0;  // miss slot just past the last delivered record
     const auto decode_miss = [&](RecordId rid, const uint8_t* data,
                                  uint32_t len) -> Status {
-      // Records of one run arrive in rid order, so the slot is usually
-      // the one after the last; async runs complete out of index order
-      // and tolerant fetch skips lost records, so otherwise binary
-      // search the (sorted) miss list.
+      // Misses arrive in rid order, so the slot is usually the one
+      // after the last; a tolerant fetch skips lost records and
+      // re-fetches a failed run last, so otherwise binary search the
+      // (sorted) miss list.
       size_t k = next;
       if (k >= miss_rids.size() || miss_rids[k] != rid) {
         const auto it = std::lower_bound(

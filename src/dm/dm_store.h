@@ -35,9 +35,7 @@ struct DmMeta {
   /// Record codec of the heap file (flat records or v6 group blocks);
   /// every reader dispatches through DecodeDmRecord.
   DmCodec codec = DmCodec::kFlat;
-  /// Heap rewritten by RepackDmStore into LOD-band x Hilbert order;
-  /// the query layer prefetches per page run instead of a single
-  /// trailing window when this is set.
+  /// Heap rewritten by RepackDmStore into LOD-band x Hilbert order.
   bool repacked = false;
   /// Size of the global vertex-id space this store's records are drawn
   /// from. 0 (the default) means the store is complete: ids are dense

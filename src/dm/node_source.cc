@@ -14,7 +14,7 @@ Status DmStoreSource::FetchBox(const Box& box, bool allow_degraded,
   DM_CHECK(sink != nullptr && stats != nullptr)
       << "FetchBox output parameters must be non-null";
   // Arm the thread-local I/O deadline for everything below: index
-  // descent, heap scatter-gather, async completion waits. Nested scopes
+  // descent and heap scatter-gather reads. Nested scopes
   // only tighten, so a router's shorter per-attempt budget survives.
   ScopedIoDeadline guard(deadline);
   ++stats->range_queries;
@@ -46,50 +46,6 @@ Status DmStoreSource::FetchBox(const Box& box, bool allow_degraded,
   // visits each heap page once and lets the store coalesce runs of
   // adjacent pages into scatter-gather disk reads.
   std::sort(rids.begin(), rids.end());
-  // Cut-aware heap prefetch, issued before the demand fetch so the
-  // speculative reads overlap this query's own decode; Prefetch is a
-  // no-op without an async device.
-  const uint32_t pf_depth = store_->env()->options().prefetch_depth;
-  if (pf_depth > 0 && !rids.empty()) {
-    if (store_->meta().repacked) {
-      // Repacked layout: the cut lands on a few contiguous page runs
-      // (one per LOD band the ROI intersects), and refinement demands
-      // the pages just past each run's end — the same ROI in the next
-      // finer band. Extend the tail runs; finest bands first, where
-      // refinement lands next. Depth scales with the fetch's own
-      // footprint so small box fetches don't drown in speculative
-      // reads they could never use.
-      uint32_t fetch_pages = 1;
-      for (size_t i = 1; i < rids.size(); ++i) {
-        if (RecordId::Unpack(rids[i]).page !=
-            RecordId::Unpack(rids[i - 1]).page) {
-          ++fetch_pages;
-        }
-      }
-      const uint32_t depth = std::min(pf_depth, fetch_pages);
-      uint32_t issued = 0;
-      PageId run_end = RecordId::Unpack(rids.back()).page;
-      PageId prev = run_end;
-      for (size_t i = rids.size(); i-- > 0 && issued < 4;) {
-        const PageId page = RecordId::Unpack(rids[i]).page;
-        if (page + 1 < prev) {  // gap: [.. page] [prev ..] are two runs
-          store_->env()->pool().Prefetch(run_end + 1, depth);
-          ++issued;
-          run_end = page;
-        }
-        prev = page;
-      }
-      if (issued < 4) {
-        store_->env()->pool().Prefetch(run_end + 1, depth);
-      }
-    } else {
-      // Append-order (STR) layout: records are clustered in STR order,
-      // so the pages just above this fetch's span hold the adjacent
-      // (finer) LOD band that refining this cut demands next.
-      store_->env()->pool().Prefetch(RecordId::Unpack(rids.back()).page + 1,
-                                     pf_depth);
-    }
-  }
   // The R*-tree result count sizes the caller's node map up front, so
   // the hot path never rehashes mid-fetch.
   sink->Reserve(rids.size());

@@ -43,8 +43,7 @@ struct RepackReport {
 /// e_high}; in e_high-descending order it sits directly after the
 /// tile's strictly-coarser ancestors ({e_low > e}), so per ROI tile
 /// every cut is one near-contiguous page run, and refinement (lowering
-/// e) extends that run to higher page ids — which the query layer's
-/// run-end prefetch turns into sequential reads. View-dependent cubes
+/// e) extends that run to higher page ids. View-dependent cubes
 /// [e_min, e_max] fetch the same prefix as the cut at e_min.
 ///
 /// Invariants preserved (and re-checked by `dmctl verify`):

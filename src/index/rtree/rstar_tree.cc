@@ -579,32 +579,17 @@ Status RStarTree::RangeQuery(const Box& query,
                              std::vector<uint64_t>* out) const {
   // Phase 1: expand the internal levels one wave at a time, fetching
   // each wave's node pages as one FetchRuns batch (the tree is
-  // balanced, so a wave is always one level). A buffer-starved pool
-  // re-reads the internal nodes every query; with an async device that
-  // costs one device round trip per level instead of one per node,
-  // which is where most of its single-thread speedup comes from.
-  // Replacing each frontier node in place by its intersecting children
-  // in reverse entry order reproduces the serial stack traversal's leaf
-  // order exactly (the stack pops children LIFO), so the emitted
-  // payload sequence stays byte-identical to RangeQueryEntries.
+  // balanced, so a wave is always one level), so adjacent node pages
+  // coalesce into one read. Replacing each frontier node in place by
+  // its intersecting children in reverse entry order reproduces the
+  // serial stack traversal's leaf order exactly (the stack pops
+  // children LIFO), so the emitted payload sequence stays
+  // byte-identical to RangeQueryEntries.
   thread_local std::vector<PageId> frontier;
   thread_local std::vector<PageId> next_frontier;
   thread_local std::vector<PageId> leaf_seq;
-  thread_local std::vector<PageId> pf_cand;
   frontier.clear();
   leaf_seq.clear();
-  pf_cand.clear();
-
-  const uint32_t pf_depth = env_->options().prefetch_depth;
-  // Cut-aware widening: a refinement sweep moves the query plane along
-  // the LOD axis, so the sibling leaves that barely miss the current
-  // e-range are the likeliest next demand fetches.
-  Box widened = query;
-  if (pf_depth > 0) {
-    const double w = 0.5 * (query.hi[2] - query.lo[2]);
-    widened.lo[2] -= w;
-    widened.hi[2] += w;
-  }
 
   const uint32_t page_size = env_->page_size();
   // The decoded root is cached (every query starts there); a leaf
@@ -621,18 +606,14 @@ Status RStarTree::RangeQuery(const Box& query,
     });
   }
   for (auto it = root->entries.rbegin(); it != root->entries.rend(); ++it) {
-    if (it->box.Intersects(query)) {
-      if (ScopedRangeFilter::Admits(it->box)) {
-        frontier.push_back(static_cast<PageId>(it->payload));
-      }
-    } else if (pf_depth > 0 && level == 1 && it->box.Intersects(widened)) {
-      pf_cand.push_back(static_cast<PageId>(it->payload));
+    if (it->box.Intersects(query) && ScopedRangeFilter::Admits(it->box)) {
+      frontier.push_back(static_cast<PageId>(it->payload));
     }
   }
   --level;
 
   // Per-wave scratch: child lists land in slots addressed by sorted
-  // page position (the batch completes out of order), then the next
+  // page position (the batch reads in page order), then the next
   // frontier is assembled in frontier order.
   thread_local std::vector<PageId> sorted_nodes;
   thread_local std::vector<std::vector<PageId>> kids;
@@ -661,7 +642,7 @@ Status RStarTree::RangeQuery(const Box& query,
     DM_RETURN_NOT_OK(env_->pool().FetchRuns(
         node_runs.data(), node_runs.size(),
         [&](size_t ri, Status st, std::vector<PageGuard>* guards) {
-          if (!wave_st.ok()) return;  // drain remaining completions
+          if (!wave_st.ok()) return;  // skip the remaining runs
           if (!st.ok()) {
             wave_st = std::move(st);
             return;
@@ -698,13 +679,8 @@ Status RStarTree::RangeQuery(const Box& query,
               std::memcpy(box.lo.data(), p, 24);
               std::memcpy(box.hi.data(), p + 24, 24);
               std::memcpy(&payload, p + 48, 8);
-              if (box.Intersects(query)) {
-                if (ScopedRangeFilter::Admits(box)) {
-                  slot.push_back(static_cast<PageId>(payload));
-                }
-              } else if (pf_depth > 0 && level == 1 &&
-                         box.Intersects(widened)) {
-                pf_cand.push_back(static_cast<PageId>(payload));
+              if (box.Intersects(query) && ScopedRangeFilter::Admits(box)) {
+                slot.push_back(static_cast<PageId>(payload));
               }
             }
           }
@@ -722,31 +698,11 @@ Status RStarTree::RangeQuery(const Box& query,
     --level;
   }
   leaf_seq.assign(frontier.begin(), frontier.end());
-
-  // Feed sibling leaves to the prefetcher before the demand batch so
-  // the speculative reads ride the same device round trip. Bulk-loaded
-  // siblings sit on consecutive pages; coalesce them.
-  if (!pf_cand.empty()) {
-    std::sort(pf_cand.begin(), pf_cand.end());
-    pf_cand.erase(std::unique(pf_cand.begin(), pf_cand.end()), pf_cand.end());
-    uint32_t budget = pf_depth;
-    for (size_t i = 0; i < pf_cand.size() && budget > 0;) {
-      size_t e = i + 1;
-      while (e < pf_cand.size() && pf_cand[e] == pf_cand[e - 1] + 1 &&
-             static_cast<uint32_t>(e - i) < budget) {
-        ++e;
-      }
-      const uint32_t n = static_cast<uint32_t>(e - i);
-      env_->pool().Prefetch(pf_cand[i], n);
-      budget -= n;
-      i = e;
-    }
-  }
   if (leaf_seq.empty()) return Status::OK();
 
   // Phase 2: fetch every intersecting leaf in one FetchRuns batch,
   // coalescing runs of consecutive page ids; matches collect into
-  // per-leaf slots as completions land and are emitted in the recorded
+  // per-leaf slots in page order and are emitted in the recorded
   // visit order afterwards.
   thread_local std::vector<PageId> sorted_leaves;
   thread_local std::vector<std::vector<uint64_t>> matches;
@@ -773,7 +729,7 @@ Status RStarTree::RangeQuery(const Box& query,
   DM_RETURN_NOT_OK(env_->pool().FetchRuns(
       runs.data(), runs.size(),
       [&](size_t ri, Status st, std::vector<PageGuard>* guards) {
-        if (!scan_st.ok()) return;  // drain remaining completions
+        if (!scan_st.ok()) return;  // skip the remaining runs
         if (!st.ok()) {
           scan_st = std::move(st);
           return;

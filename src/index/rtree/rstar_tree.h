@@ -82,12 +82,9 @@ class RStarTree {
   /// Collects payloads of all leaf entries whose box intersects
   /// `query`. The traversal expands level by level, fetching each
   /// wave's node pages (and finally every intersecting leaf) as one
-  /// BufferPool::FetchRuns batch — with an async device, one round trip
-  /// per tree level instead of one per node. Payloads are emitted in
-  /// RangeQueryEntries' depth-first visit order, so both return the
-  /// same sequence. Sibling leaves that barely miss the query's LOD
-  /// range feed the pool's speculative prefetcher
-  /// (DbOptions::prefetch_depth).
+  /// BufferPool::FetchRuns batch, so adjacent node pages coalesce into
+  /// one read. Payloads are emitted in RangeQueryEntries' depth-first
+  /// visit order, so both return the same sequence.
   ///
   /// Both traversals also honour the thread's ScopedRangeFilter: an
   /// internal entry or leaf entry that intersects `query` but fails

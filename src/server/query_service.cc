@@ -231,16 +231,14 @@ std::string ThroughputReport::ToString() const {
                 "queue_p50=%.2fms queue_p99=%.2fms "
                 "exec_p50=%.2fms exec_p99=%.2fms "
                 "disk_reads=%lld failed=%lld shed=%lld degraded=%lld "
-                "io_retries=%lld pf_hits=%lld pf_waste=%lld",
+                "io_retries=%lld",
                 threads, static_cast<long long>(queries), wall_millis, qps,
                 p50_millis, p99_millis, p999_millis, queue_p50_millis,
                 queue_p99_millis, exec_p50_millis, exec_p99_millis,
                 static_cast<long long>(disk_reads),
                 static_cast<long long>(failed), static_cast<long long>(shed),
                 static_cast<long long>(degraded),
-                static_cast<long long>(io_retries),
-                static_cast<long long>(prefetch_hits),
-                static_cast<long long>(prefetch_waste));
+                static_cast<long long>(io_retries));
   return buf;
 }
 
@@ -328,8 +326,6 @@ Result<ThroughputReport> RunThroughput(
   const IoStats io1 = source->io_stats();
   report.disk_reads = io1.disk_reads - io0.disk_reads;
   report.io_retries = io1.io_retries - io0.io_retries;
-  report.prefetch_hits = io1.prefetch_hits - io0.prefetch_hits;
-  report.prefetch_waste = io1.prefetch_waste - io0.prefetch_waste;
   return report;
 }
 

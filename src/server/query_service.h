@@ -33,7 +33,7 @@ struct QueryRequest {
   /// wait AND execution: a job whose deadline expired while queued is
   /// shed without executing; one dequeued with time left carries the
   /// remainder into the processor, which bounds every blocking I/O
-  /// wait underneath (router attempts, async page fetches).
+  /// wait underneath (router attempts, page reads and their retries).
   double deadline_millis = 0.0;
 };
 
@@ -215,9 +215,6 @@ struct ThroughputReport {
   int64_t shed = 0;
   int64_t degraded = 0;  // completed with a coarser-than-asked mesh
   int64_t io_retries = 0;  // transient I/O absorbed during the run
-  /// Speculative-prefetch outcome over the run (0 with prefetch off).
-  int64_t prefetch_hits = 0;
-  int64_t prefetch_waste = 0;
 
   std::string ToString() const;
 };

@@ -381,9 +381,6 @@ IoStats ShardRouter::io_stats() const {
       sum.evictions += st.evictions;
       sum.io_retries += st.io_retries;
       sum.corrupt_pages += st.corrupt_pages;
-      sum.prefetch_reads += st.prefetch_reads;
-      sum.prefetch_hits += st.prefetch_hits;
-      sum.prefetch_waste += st.prefetch_waste;
       sum.fetch_runs += st.fetch_runs;
       sum.fetch_run_pages += st.fetch_run_pages;
       for (int b = 0; b < IoStats::kRunBuckets; ++b) {

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "storage/async_io.h"
 #include "storage/io_deadline.h"
 #include "storage/page_crc.h"
 
@@ -18,10 +17,6 @@ namespace {
 /// fails fast enough for the query deadline to degrade gracefully.
 constexpr int kMaxIoAttempts = 4;
 constexpr int64_t kIoBackoffBaseMicros = 100;
-/// Concurrent speculative reads the prefetcher keeps in flight; a
-/// prefetch finding every slot busy is dropped (speculation is
-/// advisory, never worth queueing for).
-constexpr size_t kPrefetchSlots = 8;
 }  // namespace
 
 PageGuard::PageGuard(BufferPool* pool, PageId id, uint8_t* data)
@@ -95,9 +90,6 @@ BufferPool::BufferPool(PageDevice* disk, uint32_t capacity_pages,
 }
 
 BufferPool::~BufferPool() {
-  // Unbind the async device first: drains in-flight prefetch reads so
-  // no completion lands in a dying slot buffer.
-  set_async_device(nullptr);
   // Best-effort write-back; errors at teardown are not recoverable.
   (void)FlushAll();
 }
@@ -117,9 +109,6 @@ IoStats BufferPool::stats() const {
   for (int i = 0; i < IoStats::kRunBuckets; ++i) {
     total.run_length_hist[i] = run_hist_[i].load(std::memory_order_relaxed);
   }
-  total.prefetch_reads = prefetch_reads_.load(std::memory_order_relaxed);
-  total.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  total.prefetch_waste = prefetch_waste_.load(std::memory_order_relaxed);
   return total;
 }
 
@@ -135,9 +124,6 @@ void BufferPool::ResetStats() {
   fetch_runs_.store(0, std::memory_order_relaxed);
   fetch_run_pages_.store(0, std::memory_order_relaxed);
   for (auto& b : run_hist_) b.store(0, std::memory_order_relaxed);
-  prefetch_reads_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_waste_.store(0, std::memory_order_relaxed);
 }
 
 Status BufferPool::ReadWithRetry(PageId first, uint32_t n, uint8_t* out) {
@@ -153,6 +139,9 @@ Status BufferPool::ReadWithRetry(PageId first, uint32_t n, uint8_t* out) {
     st = disk_->ReadPages(first, n, out);
     if (st.code() != StatusCode::kUnavailable) break;
     if (attempt + 1 >= kMaxIoAttempts) break;
+    // An expired deadline skips the backoff sleep (it is exactly the
+    // wait a deadline exists to bound); the next pass then fails it.
+    if (IoDeadline::Expired()) continue;
     io_retries_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(
         std::chrono::microseconds(kIoBackoffBaseMicros << attempt));
@@ -251,19 +240,6 @@ void BufferPool::LruPushBack(Shard& s, uint32_t idx) {
   f.in_lru = true;
 }
 
-void BufferPool::LruPushFront(Shard& s, uint32_t idx) {
-  Frame& f = s.frames[idx];
-  f.lru_prev = kNoFrame;
-  f.lru_next = s.lru_head;
-  if (s.lru_head != kNoFrame) {
-    s.frames[s.lru_head].lru_prev = idx;
-  } else {
-    s.lru_tail = idx;
-  }
-  s.lru_head = idx;
-  f.in_lru = true;
-}
-
 void BufferPool::LruErase(Shard& s, uint32_t idx) {
   Frame& f = s.frames[idx];
   if (f.lru_prev != kNoFrame) {
@@ -295,10 +271,6 @@ Result<uint32_t> BufferPool::GetFreeFrameLocked(Shard& s) {
   LruErase(s, idx);
   s.evictions.fetch_add(1, std::memory_order_relaxed);
   Frame& f = s.frames[idx];
-  if (f.prefetched) {
-    f.prefetched = false;
-    prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-  }
   if (f.dirty) {
     DM_RETURN_NOT_OK(WriteWithStamp(s, f));
     f.dirty = false;
@@ -311,10 +283,6 @@ uint8_t* BufferPool::PinIfPresentLocked(Shard& s, PageId id) {
   const uint32_t idx = TableFind(s, id);
   if (idx == kNoFrame) return nullptr;
   Frame& f = s.frames[idx];
-  if (f.prefetched) {
-    f.prefetched = false;
-    prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
   if (f.pins == 0 && f.in_lru) {
     LruErase(s, idx);
   }
@@ -330,13 +298,11 @@ Result<uint8_t*> BufferPool::InstallLocked(Shard& s, PageId id,
   f.id = id;
   f.pins = 1;
   f.dirty = false;
-  f.prefetched = false;
   TableInsert(s, idx);
   return f.data.data();
 }
 
 Result<PageGuard> BufferPool::Fetch(PageId id) {
-  TryDrainPrefetch();
   Shard& s = ShardFor(id);
   MutexLock lock(s.mu);
   s.logical_fetches.fetch_add(1, std::memory_order_relaxed);
@@ -350,7 +316,6 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   f.id = id;
   f.pins = 1;
   f.dirty = false;
-  f.prefetched = false;
   TableInsert(s, idx);
   return PageGuard(this, id, f.data.data());
 }
@@ -373,7 +338,6 @@ Result<PageGuard> BufferPool::NewPage() {
   f.id = id;
   f.pins = 1;
   f.dirty = true;
-  f.prefetched = false;
   TableInsert(s, idx);
   return PageGuard(this, id, f.data.data());
 }
@@ -399,9 +363,6 @@ void BufferPool::MarkDirty(PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  // Absorb in-flight speculation first: FlushAll's quiescence contract
-  // would otherwise race prefetch completions installing frames.
-  DrainPrefetchInner(/*block=*/true);
   for (const auto& sp : shards_) {
     Shard& s = *sp;
     MutexLock lock(s.mu);
@@ -413,10 +374,6 @@ Status BufferPool::FlushAll() {
         f.dirty = false;
       }
       if (f.pins == 0) {
-        if (f.prefetched) {
-          f.prefetched = false;
-          prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-        }
         if (f.in_lru) {
           LruErase(s, idx);
         }
@@ -429,366 +386,73 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
-void BufferPool::set_async_device(AsyncPageDevice* dev) {
-  DrainPrefetchInner(/*block=*/true);
-  MutexLock lock(pf_mu_);
-  if (pf_group_ != 0) {
-    async_->ReleaseGroup(pf_group_);
-    pf_group_ = 0;
-  }
-  async_ = dev;
-}
-
 Status BufferPool::FetchRuns(
     const RunRequest* runs, size_t run_count,
     const std::function<void(size_t, Status, std::vector<PageGuard>*)>&
         on_run) {
-  if (run_count == 0) return Status::OK();
-  TryDrainPrefetch();
-
   const uint32_t page_size = disk_->page_size();
   const uint32_t max_run = MaxRunPages();
-  // Slice missing sub-runs into single-page requests when the async
-  // device simulates per-page latency: the deadlines of an n-page
-  // request stack (n x L), so page-granular requests are what lets a
-  // whole batch complete in ~one latency instead of sum-of-run-lengths.
-  // At zero latency, or reading synchronously, coalesced scatter-gather
-  // wins (fewer syscalls).
-  const bool slice =
-      async_ != nullptr && disk_->simulated_read_latency_micros() > 0;
-  // Window bound on simultaneously pinned + staged pages, so a large
-  // batch cannot exhaust the pool: runs stage in index order as the
-  // window frees. Synchronous reads complete while their run stages,
-  // so without a device the window never holds more than one run.
-  const uint32_t budget_pages = std::max(max_run, capacity_ / 2);
-
-  struct RunState {
-    std::vector<PageGuard> guards;
-    uint32_t pending = 0;  // unfinished read requests (+1 while staging)
-    Status status;         // first error, sticky
-  };
-  struct Req {
-    size_t run = 0;
-    uint32_t offset = 0;  // page offset within the run
-    PageId first = 0;
-    uint32_t n = 0;
-    uint8_t* buf = nullptr;
-    int attempts = 0;
-  };
-  std::vector<RunState> states(run_count);
-  std::vector<Req> reqs;                   // user_data indexes this
-  std::vector<std::vector<uint8_t>> bufs;  // async scratch, one per request
-  std::vector<uint8_t> sync_buf;  // reused: a sync read finishes in place
-  std::vector<uint32_t> missing;  // offsets within the staging run
-
-  const uint64_t group = async_ != nullptr ? async_->NewGroup() : 0;
-  size_t next_run = 0;
-  size_t delivered = 0;
-  uint32_t window_pages = 0;
-  int64_t inflight_reqs = 0;
-  bool staged_any = false;
-
-  auto deliver = [&](size_t ri) {
-    RunState& st = states[ri];
-    if (!st.status.ok()) st.guards.clear();  // unpin whatever we held
-    on_run(ri, st.status, &st.guards);
-    // Ascending page order, so the LRU ends up as a sequence of
-    // single-page fetches would have left it.
-    for (PageGuard& g : st.guards) g.Release();
-    st.guards.clear();
-    window_pages -= runs[ri].n;
-    ++delivered;
-  };
-
-  // Starts (or restarts) request `ud`: staged on the async device
-  // (returns false), or read synchronously with the result in `*done`
-  // (returns true). Every attempt checks the deadline first (DESIGN.md
-  // §16), so an expired budget never touches the device; resident
-  // pages cost no wait and are still served.
-  auto issue = [&](uint64_t ud, Status* done) {
-    const Req& rq = reqs[static_cast<size_t>(ud)];
-    if (IoDeadline::Expired()) {
-      *done = Status::DeadlineExceeded("read deadline expired before page " +
-                                       std::to_string(rq.first));
-      return true;
-    }
-    if (async_ != nullptr) {
-      async_->StageRead(group, rq.first, rq.n, rq.buf, ud);
-      staged_any = true;
-      return false;
-    }
-    *done = disk_->ReadPages(rq.first, rq.n, rq.buf);
-    return true;
-  };
-  // Completion of request `ud`, async or synchronous alike: retry,
-  // verify, install, deliver.
-  auto handle = [&](uint64_t ud, Status s) {
-    Req& rq = reqs[static_cast<size_t>(ud)];
-    // Transient failures get the bounded backoff ladder, then the
-    // failure is final. Corruption is never retried, and an expired
-    // deadline skips the backoff sleep (it is exactly the wait a
-    // deadline exists to bound); the re-issue then fails it.
-    while (s.code() == StatusCode::kUnavailable &&
-           rq.attempts + 1 < kMaxIoAttempts) {
-      if (!IoDeadline::Expired()) {
-        io_retries_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(kIoBackoffBaseMicros << rq.attempts));
+  std::vector<PageGuard> guards;
+  std::vector<uint8_t> buf;  // one missing sub-run, reused
+  for (size_t ri = 0; ri < run_count; ++ri) {
+    const RunRequest& rr = runs[ri];
+    DM_CHECK(rr.n > 0 && rr.n <= max_run)
+        << "FetchRuns run of " << rr.n << " pages exceeds the pin budget";
+    CountRun(rr.n);
+    guards.clear();
+    guards.resize(rr.n);
+    // Pin the resident pages first.
+    for (uint32_t i = 0; i < rr.n; ++i) {
+      const PageId id = rr.first + i;
+      Shard& sh = ShardFor(id);
+      MutexLock lock(sh.mu);
+      sh.logical_fetches.fetch_add(1, std::memory_order_relaxed);
+      if (uint8_t* data = PinIfPresentLocked(sh, id)) {
+        guards[i] = PageGuard(this, id, data);
       }
-      ++rq.attempts;
-      if (!issue(ud, &s)) return;  // re-staged: completes later
     }
-    --inflight_reqs;
-    RunState& st = states[rq.run];
-    if (s.ok()) s = VerifyPages(rq.first, rq.n, rq.buf);
-    if (s.ok()) {
-      // Install in ascending page order; a page another worker
+    // Then read each maximal missing sub-run with one request; a
+    // failed sub-run ends the run's reads.
+    Status st;
+    for (uint32_t i = 0; i < rr.n && st.ok();) {
+      if (guards[i].valid()) {
+        ++i;
+        continue;
+      }
+      uint32_t end = i + 1;
+      while (end < rr.n && !guards[end].valid()) ++end;
+      const PageId first = rr.first + i;
+      const uint32_t len = end - i;
+      buf.resize(static_cast<size_t>(len) * page_size);
+      st = ReadWithRetry(first, len, buf.data());
+      // Install in ascending page order; a page another thread
       // installed meanwhile keeps its copy.
-      for (uint32_t r = 0; r < rq.n; ++r) {
-        const PageId id = rq.first + r;
+      for (uint32_t r = 0; r < len && st.ok(); ++r) {
+        const PageId id = first + r;
         Shard& sh = ShardFor(id);
         MutexLock lock(sh.mu);
         sh.disk_reads.fetch_add(1, std::memory_order_relaxed);
-        if (uint8_t* data = PinIfPresentLocked(sh, id)) {
-          st.guards[rq.offset + r] = PageGuard(this, id, data);
-          continue;
-        }
-        Result<uint8_t*> res = InstallLocked(
-            sh, id, rq.buf + static_cast<size_t>(r) * page_size);
-        if (!res.ok()) {
-          s = res.status();
-          break;
-        }
-        st.guards[rq.offset + r] = PageGuard(this, id, res.value());
-      }
-    }
-    if (!s.ok() && st.status.ok()) st.status = s;
-    if (--st.pending == 0) deliver(rq.run);
-  };
-
-  // Deadline-aware completion wait: an async read that lands after the
-  // budget expired fails its run with the deadline's class, as if the
-  // check before the read had stopped it. Staged reads are reaped
-  // either way: their buffers are owned by this frame.
-  auto reap = [&](AsyncCompletion& c) {
-    if (c.status.ok() && IoDeadline::Expired()) {
-      c.status = Status::DeadlineExceeded(
-          "read deadline expired waiting for page " +
-          std::to_string(reqs[static_cast<size_t>(c.user_data)].first));
-    }
-    handle(c.user_data, std::move(c.status));
-  };
-
-  while (delivered < run_count) {
-    while (next_run < run_count &&
-           (window_pages == 0 ||
-            window_pages + runs[next_run].n <= budget_pages)) {
-      const size_t ri = next_run++;
-      const RunRequest& rr = runs[ri];
-      DM_CHECK(rr.n > 0 && rr.n <= max_run)
-          << "FetchRuns run of " << rr.n << " pages exceeds the pin budget";
-      CountRun(rr.n);
-      window_pages += rr.n;
-      RunState& st = states[ri];
-      st.guards.resize(rr.n);
-      // Pass 1: pin resident pages, collect missing offsets.
-      missing.clear();
-      for (uint32_t i = 0; i < rr.n; ++i) {
-        const PageId id = rr.first + i;
-        Shard& sh = ShardFor(id);
-        MutexLock lock(sh.mu);
-        sh.logical_fetches.fetch_add(1, std::memory_order_relaxed);
-        if (uint8_t* data = PinIfPresentLocked(sh, id)) {
-          st.guards[i] = PageGuard(this, id, data);
-        } else {
-          missing.push_back(i);
-        }
-      }
-      // Pass 2: issue each maximal missing sub-run (or each page when
-      // slicing). The staging hold keeps a synchronous completion from
-      // delivering the run before its last sub-run is issued; a failed
-      // sub-run ends the run's reads.
-      ++st.pending;
-      for (size_t m = 0; m < missing.size() && st.status.ok();) {
-        size_t end = m + 1;
-        if (!slice) {
-          while (end < missing.size() &&
-                 missing[end] == missing[end - 1] + 1) {
-            ++end;
+        uint8_t* data = PinIfPresentLocked(sh, id);
+        if (data == nullptr) {
+          Result<uint8_t*> res = InstallLocked(
+              sh, id, buf.data() + static_cast<size_t>(r) * page_size);
+          if (!res.ok()) {
+            st = res.status();
+            break;
           }
+          data = res.value();
         }
-        const uint32_t len = static_cast<uint32_t>(end - m);
-        const size_t bytes = static_cast<size_t>(len) * page_size;
-        uint8_t* buf;
-        if (async_ != nullptr) {
-          bufs.emplace_back(bytes);
-          buf = bufs.back().data();
-        } else {
-          sync_buf.resize(bytes);
-          buf = sync_buf.data();
-        }
-        reqs.push_back(
-            Req{ri, missing[m], rr.first + missing[m], len, buf, 0});
-        ++st.pending;
-        ++inflight_reqs;
-        Status done;
-        if (issue(reqs.size() - 1, &done)) {
-          handle(reqs.size() - 1, std::move(done));
-        }
-        m = end;
+        guards[i + r] = PageGuard(this, id, data);
       }
-      if (--st.pending == 0) deliver(ri);
+      i = end;
     }
-    if (staged_any) {
-      async_->SubmitStaged();
-      staged_any = false;
-    }
-    if (delivered == run_count) break;
-    DM_CHECK(inflight_reqs > 0) << "FetchRuns stalled with undelivered runs";
-    AsyncCompletion c = async_->WaitOne(group);
-    reap(c);
-    while (async_->PollOne(group, &c)) reap(c);
+    if (!st.ok()) guards.clear();  // unpin whatever the run held
+    on_run(ri, std::move(st), &guards);
+    // Ascending page order, so the LRU ends up as a sequence of
+    // single-page fetches would have left it.
+    for (PageGuard& g : guards) g.Release();
   }
-  if (async_ != nullptr) async_->ReleaseGroup(group);
   return Status::OK();
-}
-
-void BufferPool::Prefetch(PageId first, uint32_t n) {
-  if (async_ == nullptr || n == 0) return;
-  n = std::min(n, MaxRunPages());
-  // Trim to the missing span; a fully resident run costs nothing.
-  uint32_t lo = n;
-  uint32_t hi = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    Shard& s = ShardFor(first + i);
-    MutexLock lock(s.mu);
-    if (TableFind(s, first + i) == kNoFrame) {
-      lo = std::min(lo, i);
-      hi = i + 1;
-    }
-  }
-  if (lo >= hi) return;
-  first += lo;
-  n = hi - lo;
-  MutexLock lock(pf_mu_);
-  if (async_ == nullptr) return;
-  if (pf_group_ == 0) {
-    pf_group_ = async_->NewGroup();
-    pf_slots_.resize(kPrefetchSlots);
-  }
-  size_t slot_idx = pf_slots_.size();
-  for (size_t i = 0; i < pf_slots_.size(); ++i) {
-    if (!pf_slots_[i].busy) {
-      slot_idx = i;
-      break;
-    }
-  }
-  if (slot_idx == pf_slots_.size()) return;  // saturated: drop, advisory
-  PrefetchSlot& slot = pf_slots_[slot_idx];
-  slot.first = first;
-  slot.n = n;
-  slot.busy = true;
-  slot.buf.resize(static_cast<size_t>(n) * disk_->page_size());
-  async_->StageRead(pf_group_, first, n, slot.buf.data(),
-                    static_cast<uint64_t>(slot_idx));
-  async_->SubmitStaged();
-  ++pf_inflight_;
-  prefetch_reads_.fetch_add(n, std::memory_order_relaxed);
-  pf_active_.store(true, std::memory_order_relaxed);
-}
-
-void BufferPool::DrainPrefetch() { DrainPrefetchInner(/*block=*/true); }
-
-void BufferPool::DrainPrefetchInner(bool block) {
-  MutexLock lock(pf_mu_);
-  DrainLoopLocked(block);
-}
-
-void BufferPool::TryDrainPrefetch() {
-  if (!pf_active_.load(std::memory_order_relaxed)) return;
-  if (!pf_mu_.try_lock()) return;  // someone else is draining
-  DrainLoopLocked(/*block=*/false);
-  pf_mu_.unlock();
-}
-
-void BufferPool::DrainLoopLocked(bool block) {
-  if (async_ == nullptr || pf_group_ == 0) return;
-  AsyncCompletion c;
-  while (pf_inflight_ > 0) {
-    if (block) {
-      c = async_->WaitOne(pf_group_);
-    } else if (!async_->PollOne(pf_group_, &c)) {
-      return;
-    }
-    --pf_inflight_;
-    PrefetchSlot& slot = pf_slots_[static_cast<size_t>(c.user_data)];
-    InstallPrefetched(slot, c.status);
-    slot.busy = false;
-  }
-  pf_active_.store(false, std::memory_order_relaxed);
-}
-
-void BufferPool::InstallPrefetched(const PrefetchSlot& slot,
-                                   const Status& st) {
-  if (!st.ok()) {
-    // A failed speculative read is pure waste; demand fetches will
-    // re-read and surface the error if it persists.
-    prefetch_waste_.fetch_add(slot.n, std::memory_order_relaxed);
-    return;
-  }
-  const uint32_t page_size = disk_->page_size();
-  for (uint32_t i = 0; i < slot.n; ++i) {
-    const PageId id = slot.first + i;
-    const uint8_t* data = slot.buf.data() + static_cast<size_t>(i) * page_size;
-    const Status v = VerifyPageTrailer(data, page_size, id);
-    if (!v.ok()) {
-      // Count the corruption (the zero-silent-escape audit sums
-      // corrupt_pages) and drop the page; the demand fetch that
-      // would have hit it re-reads and reports.
-      corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
-      prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Shard& s = ShardFor(id);
-    MutexLock lock(s.mu);
-    if (TableFind(s, id) != kNoFrame) {
-      // A demand fetch beat us to it.
-      prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Low-priority frame claim: free frames, else another unused
-    // prefetch (coldest first) — never a demand-fetched frame.
-    uint32_t idx = kNoFrame;
-    if (!s.free_list.empty()) {
-      idx = s.free_list.back();
-      s.free_list.pop_back();
-    } else {
-      for (uint32_t v = s.lru_head; v != kNoFrame; v = s.frames[v].lru_next) {
-        if (s.frames[v].prefetched) {
-          idx = v;
-          break;
-        }
-      }
-      if (idx != kNoFrame) {
-        prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-        s.frames[idx].prefetched = false;
-        LruErase(s, idx);
-        TableErase(s, idx);
-      }
-    }
-    if (idx == kNoFrame) {
-      prefetch_waste_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Frame& f = s.frames[idx];
-    std::copy(data, data + page_size, f.data.begin());
-    f.id = id;
-    f.pins = 0;
-    f.dirty = false;
-    f.prefetched = true;
-    TableInsert(s, idx);
-    LruPushFront(s, idx);
-  }
 }
 
 Status BufferPool::FlushDirty() {

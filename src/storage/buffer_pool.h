@@ -15,8 +15,6 @@
 
 namespace dm {
 
-class AsyncPageDevice;
-
 /// I/O counters. `disk_reads` is the paper's metric: the number of
 /// pages fetched from disk ("number of disk accesses obtained from
 /// Oracle's performance statistics report"). Benches flush the pool
@@ -37,17 +35,7 @@ struct IoStats {
   /// Pages whose trailer failed checksum verification on fetch. Each
   /// one surfaced as Status::Corruption naming the page.
   int64_t corrupt_pages = 0;
-  /// Pages read speculatively by the prefetcher. Deliberately not part
-  /// of `disk_reads`, which stays the paper's demand-fetch metric.
-  int64_t prefetch_reads = 0;
-  /// Prefetched pages later pinned by a demand fetch — the prediction
-  /// paid off.
-  int64_t prefetch_hits = 0;
-  /// Prefetched pages dropped unused (evicted, flushed, redundant with
-  /// a resident page, or never installed). hits + waste converges to
-  /// prefetch_reads as the pool quiesces.
-  int64_t prefetch_waste = 0;
-  /// Page runs staged by FetchRuns (heap runs and R*-tree node runs
+  /// Page runs fetched by FetchRuns (heap runs and R*-tree node runs
   /// alike), and the pages they covered. Mean pages-per-run
   /// (fetch_run_pages / fetch_runs) measures on-disk layout locality
   /// directly: the repacked layout exists to make this number grow.
@@ -157,14 +145,6 @@ class BufferPool {
   /// Largest run FetchRuns accepts without risking frame exhaustion.
   uint32_t MaxRunPages() const;
 
-  /// Binds (or unbinds, with nullptr) an async device for batched
-  /// fetches and prefetch. The device must read through the same
-  /// PageDevice chain as the pool. Requires quiescence — set it
-  /// between query batches, not under load. Pending prefetches are
-  /// drained first.
-  void set_async_device(AsyncPageDevice* dev);
-  AsyncPageDevice* async_device() const { return async_; }
-
   /// One page run for FetchRuns: pages [first, first + n),
   /// n in [1, MaxRunPages()].
   struct RunRequest {
@@ -172,45 +152,26 @@ class BufferPool {
     uint32_t n = 0;
   };
 
-  /// The batched read engine every multi-page read goes through:
-  /// resident pages of each run are pinned first, then each maximal
-  /// sub-run of missing pages is read with one scatter-gather request,
-  /// and `on_run(run_index, status, guards)` fires once per run when
-  /// its last page is in. Guards arrive in ascending page order within
-  /// the run; on failure the run's status is the first error and
-  /// `guards` is empty. After the callback the pool releases any
-  /// guards left in ascending page order. Accounting: one logical
-  /// fetch per page, one disk read per miss, transient failures
-  /// retried with a bounded backoff, every page trailer verified, and
-  /// the I/O deadline (io_deadline.h) checked before every read; past
-  /// it, a run with a missing page fails with kDeadlineExceeded.
-  ///
-  /// How a missing sub-run is read is the pool's business: with an
-  /// async device bound, every missing sub-run of the window is staged
-  /// and submitted as one batch and runs deliver in completion order
-  /// (fully resident runs deliver immediately); without one, each
-  /// sub-run is read synchronously as it stages, so runs deliver in
-  /// index order. Runs are windowed so simultaneous pins stay bounded:
-  /// the callback must drop (or take ownership and promptly release)
-  /// the guards, and must not call back into the pool.
+  /// The batched read engine every multi-page read goes through. Runs
+  /// are handled one at a time, in index order: the resident pages of
+  /// the run are pinned first, then each maximal sub-run of missing
+  /// pages is read with one scatter-gather request (ReadWithRetry),
+  /// and `on_run(run_index, status, guards)` fires once for the run.
+  /// Guards arrive in ascending page order within the run; on failure
+  /// the run's status is the first error and `guards` is empty. After
+  /// the callback the pool releases any guards left in ascending page
+  /// order, so at most one run is pinned at a time. Accounting: one
+  /// logical fetch per page, one disk read per miss, transient
+  /// failures retried with a bounded backoff, every page trailer
+  /// verified, and the I/O deadline (io_deadline.h) checked before
+  /// every read and retry; past it, a run with a missing page fails
+  /// with kDeadlineExceeded. The callback may take ownership of the
+  /// guards but must release them promptly, and must not call back
+  /// into the pool.
   Status FetchRuns(
       const RunRequest* runs, size_t run_count,
       const std::function<void(size_t, Status, std::vector<PageGuard>*)>&
           on_run);
-
-  /// Speculatively reads pages [first, first + n) at low priority:
-  /// never blocks, never fails, never evicts demand-fetched frames
-  /// (prefetched pages install only into free frames or over other
-  /// unused prefetches, at the cold end of the LRU). Dropped silently
-  /// when no async device is bound, the slots are busy, or the run is
-  /// resident. Completions are absorbed opportunistically by later
-  /// fetches; hits and waste land in IoStats.
-  void Prefetch(PageId first, uint32_t n);
-
-  /// Blocks until every in-flight prefetch completed and installed.
-  /// Required before teardown of the async device and implied by
-  /// FlushAll.
-  void DrainPrefetch();
 
   /// Allocates a fresh zeroed page and returns it pinned and dirty.
   Result<PageGuard> NewPage();
@@ -249,10 +210,6 @@ class BufferPool {
     uint32_t hash_next = kNoFrame;
     // True while the frame is installed in the page table under `id`.
     bool mapped = false;
-    // Installed by the prefetcher and not yet touched by a demand
-    // fetch. Cleared (counting a hit) on first pin; still set when the
-    // frame dies counts waste.
-    bool prefetched = false;
   };
 
   /// One independent sub-pool. All mutable state is guarded by `mu`
@@ -299,10 +256,6 @@ class BufferPool {
   void MarkDirty(PageId id);
   /// Intrusive-LRU helpers; f.in_lru must be consistent.
   static void LruPushBack(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
-  /// Cold-end insertion: the frame becomes the next eviction victim.
-  /// Prefetched pages enter here so speculation never displaces the
-  /// working set for long.
-  static void LruPushFront(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
   static void LruErase(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
   /// Intrusive page-table helpers.
   static uint32_t BucketFor(const Shard& s, PageId id) DM_REQUIRES(s.mu) {
@@ -317,10 +270,12 @@ class BufferPool {
   static void TableInsert(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
   /// Unlinks frame `idx` from the table.
   static void TableErase(Shard& s, uint32_t idx) DM_REQUIRES(s.mu);
-  /// Reads `n` pages at `first` for Fetch, retrying transient
-  /// (kUnavailable) failures with exponential backoff up to
+  /// Reads `n` pages at `first` for Fetch and FetchRuns, retrying
+  /// transient (kUnavailable) failures with exponential backoff up to
   /// kMaxIoAttempts, then verifies every page's trailer. Corruption is
-  /// not retried: the bytes are wrong, not late.
+  /// not retried: the bytes are wrong, not late. The I/O deadline is
+  /// checked before every attempt; once it has expired a transient
+  /// failure skips the backoff sleep and is not counted as a retry.
   Status ReadWithRetry(PageId first, uint32_t n, uint8_t* out);
   /// Checks the trailers of `n` pages read into `buf` (when
   /// verification is on), counting and returning the first corruption.
@@ -339,31 +294,6 @@ class BufferPool {
   Result<uint8_t*> InstallLocked(Shard& s, PageId id, const uint8_t* data)
       DM_REQUIRES(s.mu);
 
-  /// One in-flight speculative read: its own scratch buffer, reused
-  /// across prefetches. Fixed slot count bounds speculative memory and
-  /// queue depth; a prefetch finding no free slot is dropped.
-  struct PrefetchSlot {
-    PageId first = 0;
-    uint32_t n = 0;
-    bool busy = false;
-    std::vector<uint8_t> buf;
-  };
-
-  /// Collects finished prefetch completions and installs their pages.
-  /// Blocking mode waits for all in-flight prefetches. Lock order:
-  /// pf_mu_ before any shard mu, never the reverse (fetch paths drain
-  /// before touching shards).
-  void DrainPrefetchInner(bool block);
-  /// Non-blocking best-effort drain for fetch entry points: one relaxed
-  /// atomic probe when prefetch is idle; skips if another thread holds
-  /// pf_mu_.
-  void TryDrainPrefetch();
-  void DrainLoopLocked(bool block) DM_REQUIRES(pf_mu_);
-  /// Installs one completed prefetch run into the pool (unpinned, cold
-  /// LRU end). `st` is the completion status. Called under pf_mu_
-  /// (slot buffers are guarded); takes shard locks inside.
-  void InstallPrefetched(const PrefetchSlot& slot, const Status& st);
-
   PageDevice* disk_;
   uint32_t capacity_;
   std::atomic<int64_t> io_retries_{0};
@@ -371,29 +301,16 @@ class BufferPool {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Run-length accounting (IoStats::fetch_runs / fetch_run_pages /
-  /// run_length_hist), counted once per RunRequest as FetchRuns
-  /// stages it.
+  /// run_length_hist), counted once per RunRequest FetchRuns serves.
   void CountRun(uint32_t n) {
     fetch_runs_.fetch_add(1, std::memory_order_relaxed);
     fetch_run_pages_.fetch_add(n, std::memory_order_relaxed);
     run_hist_[IoStats::RunBucket(n)].fetch_add(1, std::memory_order_relaxed);
   }
 
-  AsyncPageDevice* async_ = nullptr;  // not owned; set during quiescence
   std::atomic<int64_t> fetch_runs_{0};
   std::atomic<int64_t> fetch_run_pages_{0};
   std::atomic<int64_t> run_hist_[IoStats::kRunBuckets] = {};
-  std::atomic<int64_t> prefetch_reads_{0};
-  std::atomic<int64_t> prefetch_hits_{0};
-  std::atomic<int64_t> prefetch_waste_{0};
-  /// True while any prefetch is in flight — lets the fetch hot path
-  /// skip the drain probe (and its lock) entirely when prefetch is
-  /// idle or unused.
-  std::atomic<bool> pf_active_{false};
-  Mutex pf_mu_;
-  uint64_t pf_group_ DM_GUARDED_BY(pf_mu_) = 0;
-  std::vector<PrefetchSlot> pf_slots_ DM_GUARDED_BY(pf_mu_);
-  int pf_inflight_ DM_GUARDED_BY(pf_mu_) = 0;
 };
 
 }  // namespace dm

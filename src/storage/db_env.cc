@@ -1,25 +1,17 @@
 #include "storage/db_env.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "storage/page_crc.h"
 
 namespace dm {
 
-namespace {
-// "" defers to the DM_ASYNC_BACKEND environment variable so every
-// existing tool and test can be swept across backends without a flag;
-// unset means off (seed behavior).
-std::string ResolveAsyncBackend(const std::string& opt) {
-  if (!opt.empty()) return opt;
-  const char* env = std::getenv("DM_ASYNC_BACKEND");
-  return env != nullptr ? std::string(env) : std::string("off");
-}
-}  // namespace
-
 Result<std::unique_ptr<DbEnv>> DbEnv::Open(const std::string& path,
                                            const DbOptions& options) {
+  if (!options.async_backend.empty() && options.async_backend != "off") {
+    return Status::InvalidArgument("async_backend '" + options.async_backend +
+                                   "' is not supported: reads are synchronous");
+  }
   DM_ASSIGN_OR_RETURN(
       auto disk,
       DiskManager::Open(path, options.page_size, options.truncate));
@@ -40,19 +32,8 @@ Result<std::unique_ptr<DbEnv>> DbEnv::Open(const std::string& path,
   }
   auto pool = std::make_unique<BufferPool>(device, options.pool_pages,
                                            options.pool_shards);
-  auto env = std::unique_ptr<DbEnv>(new DbEnv(
+  return std::unique_ptr<DbEnv>(new DbEnv(
       std::move(disk), std::move(fault), std::move(pool), options));
-  env->EnableAsync(ResolveAsyncBackend(options.async_backend));
-  return env;
-}
-
-const char* DbEnv::EnableAsync(const std::string& backend) {
-  pool_->set_async_device(nullptr);  // drains prefetch, unbinds
-  async_.reset();
-  if (backend == "off" || backend.empty()) return "off";
-  async_ = CreateAsyncPageDevice(read_chain(), backend);
-  pool_->set_async_device(async_.get());
-  return async_->backend_name();
 }
 
 }  // namespace dm

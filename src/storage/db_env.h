@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_env.h"
@@ -35,19 +34,14 @@ struct DbOptions {
   /// The shim starts with an empty plan (no faults); tests arm it via
   /// `fault_device()->set_plan(...)` after building their store.
   bool enable_fault_injection = false;
-  /// Async read backend beneath the buffer pool (DESIGN.md §13):
-  ///   ""           — consult the DM_ASYNC_BACKEND environment variable
-  ///                  (same values), defaulting to "off" when unset.
-  ///   "off"        — synchronous reads only (seed behavior).
-  ///   "uring"/"auto" — io_uring when the kernel supports it, silently
-  ///                  falling back to the thread pool (runtime probe).
-  ///   "threadpool" — portable pread worker pool.
+  /// Compatibility item for callers written against the retired async
+  /// read backends: the pool reads synchronously (DESIGN.md §13), so
+  /// Open accepts only "" and "off" and fails any other value with
+  /// InvalidArgument.
   std::string async_backend = "";  // NOLINT(readability-redundant-string-init)
-  /// Cut-aware speculative prefetch depth: how many predicted pages
-  /// (sibling R*-tree leaves, adjacent LOD-band heap pages) a query may
-  /// stage as low-priority reads. 0 = off (default), so fault-injection
-  /// op schedules and paper disk-read counts stay bit-identical.
-  uint32_t prefetch_depth = 0;
+  /// Compatibility item for callers written against the retired
+  /// cut-aware prefetch: always 0, there is no prefetch.
+  static constexpr uint32_t prefetch_depth = 0;
 };
 
 /// One database: a single page file shared by every table and index of
@@ -74,25 +68,6 @@ class DbEnv {
   /// read their knobs — e.g. node_cache_bytes — from here).
   const DbOptions& options() const { return options_; }
 
-  /// Runtime override of DbOptions::prefetch_depth (query layers read
-  /// the knob per query, so benches flip it between A/B phases).
-  void set_prefetch_depth(uint32_t depth) { options_.prefetch_depth = depth; }
-
-  /// The async device the pool reads through, or nullptr when async
-  /// I/O is off.
-  AsyncPageDevice* async_device() { return async_.get(); }
-
-  /// (Re)binds an async read device to the pool. `backend` as in
-  /// DbOptions::async_backend minus "": "off" tears async down,
-  /// anything else builds that backend over the same device chain the
-  /// pool reads synchronously (fault shim included, so injected faults
-  /// and simulated latency apply per completion). Requires quiescence,
-  /// like FlushAll — benches call it between A/B phases. Returns the
-  /// backend actually running ("off", "uring", or "threadpool" — e.g.
-  /// "uring" falls back to "threadpool" on kernels without io_uring).
-  const char* EnableAsync(const std::string& backend);
-  void DisableAsync() { (void)EnableAsync("off"); }
-
   IoStats stats() const { return pool_->stats(); }
   void ResetStats() { pool_->ResetStats(); }
 
@@ -113,19 +88,8 @@ class DbEnv {
         pool_(std::move(pool)),
         options_(options) {}
 
-  /// The device the pool reads through: the fault shim when armed,
-  /// the raw disk otherwise. Async backends wrap the same chain.
-  PageDevice* read_chain() {
-    return fault_ != nullptr ? static_cast<PageDevice*>(fault_.get())
-                             : static_cast<PageDevice*>(disk_.get());
-  }
-
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<FaultInjectingDevice> fault_;  // may be null
-  // Declared before pool_ so the pool is destroyed first: its
-  // destructor drains outstanding prefetch reads through this device
-  // and unbinds before the device itself dies.
-  std::unique_ptr<AsyncPageDevice> async_;  // may be null
   std::unique_ptr<BufferPool> pool_;
   DbOptions options_;
 };

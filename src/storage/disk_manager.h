@@ -28,33 +28,6 @@ class PageDevice {
   virtual Status ReadPage(PageId id, uint8_t* out) = 0;
   virtual Status ReadPages(PageId first, uint32_t n, uint8_t* out) = 0;
   virtual Status WritePage(PageId id, const uint8_t* data) = 0;
-
-  /// Raw file descriptor fd-level async backends (io_uring) may read
-  /// directly, with pages laid out linearly at `id * page_size()`.
-  /// -1 (the default) means reads must go through ReadPages — the
-  /// thread-pool async backend path. A wrapping device forwards its
-  /// base's fd only if it can reproduce its read-side semantics via
-  /// FinishAsyncRead.
-  virtual int readable_fd() const { return -1; }
-
-  /// Applied once per completed fd-level async read, in completion
-  /// order: everything the device chain would have done around a
-  /// synchronous ReadPages of the same pages *except* the transfer
-  /// itself (`out` already holds the bytes). The fault-injection shim
-  /// draws its deterministic schedule here, so a request through the
-  /// io_uring backend counts as exactly one device op, like the
-  /// ReadPages call the thread-pool backend issues.
-  virtual Status FinishAsyncRead(PageId first, uint32_t n, uint8_t* out) {
-    (void)first;
-    (void)n;
-    (void)out;
-    return Status::OK();
-  }
-
-  /// Per-page simulated read latency an fd-level async backend must
-  /// model itself (its raw reads bypass the sleep in
-  /// DiskManager::ReadPages). 0 = real device speed.
-  virtual uint32_t simulated_read_latency_micros() const { return 0; }
 };
 
 /// Fixed-size-page file storage. One DiskManager per database file;
@@ -110,13 +83,6 @@ class DiskManager final : public PageDevice {
   void set_simulated_read_latency_micros(uint32_t micros) {
     simulated_read_latency_micros_ = micros;
   }
-  uint32_t simulated_read_latency_micros() const override {
-    return simulated_read_latency_micros_;
-  }
-
-  /// The page file's descriptor: io_uring reads it directly at
-  /// `id * page_size()` offsets — the same layout ReadPages uses.
-  int readable_fd() const override { return fd_; }
 
  private:
   DiskManager(int fd, uint32_t page_size, PageId num_pages)

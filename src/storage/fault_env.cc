@@ -130,52 +130,6 @@ Status FaultInjectingDevice::ReadPages(PageId first, uint32_t n,
   return base_->ReadPages(first, n, out);
 }
 
-Status FaultInjectingDevice::FinishAsyncRead(PageId first, uint32_t n,
-                                             uint8_t* out) {
-  if (n == 0) return base_->FinishAsyncRead(first, n, out);
-  uint64_t detail = 0;
-  const Fault fault = NextFault(/*is_read=*/true, &detail);
-  const uint32_t page_size = base_->page_size();
-  const uint32_t victim = static_cast<uint32_t>(detail % n);
-  switch (fault) {
-    case Fault::kReadError:
-      stats_.read_errors.fetch_add(1, std::memory_order_relaxed);
-      return Status::IOError("injected EIO reading page " +
-                             std::to_string(first + victim));
-    case Fault::kReadTransient:
-      stats_.read_transients.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("injected EINTR storm reading page " +
-                                 std::to_string(first + victim));
-    case Fault::kShortRead:
-      stats_.short_reads.fetch_add(1, std::memory_order_relaxed);
-      // The victim's second half and everything after it never made it
-      // off the platter; the transferred prefix stays, as in ReadPages.
-      std::memset(out + static_cast<size_t>(victim) * page_size +
-                      page_size / 2,
-                  0,
-                  static_cast<size_t>(n - victim) * page_size -
-                      page_size / 2);
-      return Status::IOError("injected short read of page " +
-                             std::to_string(first + victim));
-    case Fault::kBitFlip: {
-      stats_.bit_flips.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t bit =
-          (detail >> 8) % (static_cast<uint64_t>(page_size) * 8);
-      uint8_t* page = out + static_cast<size_t>(victim) * page_size;
-      page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      break;  // silent on the wire; CRC must catch it
-    }
-    case Fault::kLatencySpike:
-      stats_.latency_spikes.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(plan_.latency_spike_micros));
-      break;
-    default:
-      break;
-  }
-  return base_->FinishAsyncRead(first, n, out);
-}
-
 Status FaultInjectingDevice::WritePage(PageId id, const uint8_t* data) {
   uint64_t detail = 0;
   const Fault fault = NextFault(/*is_read=*/false, &detail);

@@ -112,23 +112,6 @@ class FaultInjectingDevice final : public PageDevice {
   Status ReadPages(PageId first, uint32_t n, uint8_t* out) override;
   Status WritePage(PageId id, const uint8_t* data) override;
 
-  /// The shim is transparent to fd-level async reads: it forwards the
-  /// base's fd and applies its read-side fault schedule per completed
-  /// request in FinishAsyncRead, so one async request draws exactly
-  /// one op — the same granularity as one ReadPages call.
-  int readable_fd() const override { return base_->readable_fd(); }
-  uint32_t simulated_read_latency_micros() const override {
-    return base_->simulated_read_latency_micros();
-  }
-
-  /// Per-completion fault application for fd-level async reads: draws
-  /// the same deterministic schedule as ReadPages and rewrites `out`
-  /// (bit flip, short read) or returns the injected Status. The bytes
-  /// were already transferred, so an injected read error poisons a
-  /// buffer the caller must discard — identical to the sync contract,
-  /// where a failed ReadPages leaves the buffer unspecified.
-  Status FinishAsyncRead(PageId first, uint32_t n, uint8_t* out) override;
-
  private:
   /// One decision per op class, drawn under the schedule lock.
   enum class Fault : uint8_t {

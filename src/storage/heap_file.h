@@ -107,9 +107,8 @@ class HeapFile {
   /// MaxRunPages) go to BufferPool::FetchRuns in one batch, so their
   /// misses coalesce into scatter-gather reads; disk-read accounting
   /// matches per-record Get calls exactly. The callback sees each
-  /// record's bytes run by run in the pool's delivery order — rid
-  /// order without an async device, completion order with one — and
-  /// in rid order within a run.
+  /// record's bytes in rid order (the pool delivers runs in index
+  /// order), except for the tolerant re-fetch below.
   ///
   /// With `failures == nullptr` the first error is fatal. Otherwise
   /// the fetch is tolerant: an unreadable or corrupt page fails only

@@ -10,12 +10,12 @@ namespace dm {
 ///
 /// The query layer arms a deadline before descending into storage;
 /// every blocking storage wait — the retry loop in
-/// BufferPool::ReadWithRetry and each read BufferPool::FetchRuns
-/// issues or re-issues — polls it and gives up with kDeadlineExceeded
-/// instead of holding a worker past its budget. Thread-local rather
-/// than threaded through every signature because the deadline crosses
-/// *seven* layers (router → processor → store → heap → pool → async
-/// backend → device) of which only the two endpoints care.
+/// BufferPool::ReadWithRetry, which Fetch and FetchRuns both read
+/// through — polls it before every read and retry and gives up with
+/// kDeadlineExceeded instead of holding a worker past its budget.
+/// Thread-local rather than threaded through every signature because
+/// the deadline crosses *six* layers (router → processor → store →
+/// heap → pool → device) of which only the two endpoints care.
 ///
 /// The value is an absolute steady_clock time_point; `time_point::max()`
 /// means "unarmed". Nesting takes the minimum of the outer and inner

@@ -190,6 +190,37 @@ class RawMutexTest(LintCase):
         self.assertEqual(self.lint(cc), [])
 
 
+class RawThreadTest(LintCase):
+    SPAWN = (
+        "#include <thread>\n"
+        "void F() {\n"
+        "  std::thread t([] {});\n"
+        "  t.join();\n"
+        "}\n"
+    )
+
+    def test_thread_in_storage_flagged(self):
+        cc = self.write("src/storage/buffer_pool.cc", self.SPAWN)
+        findings = self.lint(cc)
+        self.assertEqual(self.checks(findings), [("raw-thread", 3)])
+
+    def test_thread_in_server_clean(self):
+        cc = self.write("src/server/query_service.cc", self.SPAWN)
+        self.assertEqual(self.lint(cc), [])
+
+    def test_backoff_sleep_in_storage_clean(self):
+        # The retry ladder sleeps on the caller's thread; that is not a
+        # spawn.
+        cc = self.write(
+            "src/storage/buffer_pool.cc",
+            "#include <thread>\n"
+            "void Backoff() {\n"
+            "  std::this_thread::sleep_for(std::chrono::microseconds(1));\n"
+            "}\n",
+        )
+        self.assertEqual(self.lint(cc), [])
+
+
 class PinBalanceTest(LintCase):
     def test_pins_outside_pool_flagged(self):
         cc = self.write(

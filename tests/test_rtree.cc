@@ -9,7 +9,6 @@
 #include <string>
 
 #include "common/rng.h"
-#include "storage/async_io.h"
 #include "test_util.h"
 
 namespace dm {
@@ -289,24 +288,17 @@ TEST_F(RStarTreeTest, BulkLoadedTreeHasTightLeaves) {
   EXPECT_LT(packed_io, dynamic_io);
 }
 
-// ---- one index engine, per read backend ---------------------------
+// ---- one index engine, two traversals ------------------------------
 
 // RangeQuery (level waves over BufferPool::FetchRuns) against
-// RangeQueryEntries (depth-first, one pinned page at a time), with no
-// device and with each async backend.
-class RStarTreeEngineTest : public ::testing::TestWithParam<const char*> {
+// RangeQueryEntries (depth-first, one pinned page at a time).
+class RStarTreeEngineTest : public ::testing::Test {
  protected:
   static constexpr int kEntries = 2000;
 
   void SetUp() override {
-    if (std::string(GetParam()) == "uring" && !UringSupported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     env_ = dm::testing::OpenTempEnv(
-        std::string("rtree_engine_") + GetParam(),
-        DbOptions{.page_size = 512,
-                  .pool_pages = 256,
-                  .async_backend = GetParam()});
+        "rtree_engine", DbOptions{.page_size = 512, .pool_pages = 256});
     Rng rng(43);
     for (int i = 0; i < kEntries; ++i) {
       boxes_.push_back(RandomBox(&rng, 100.0, 4.0));
@@ -364,11 +356,11 @@ class RStarTreeEngineTest : public ::testing::TestWithParam<const char*> {
   std::vector<Box> boxes_;
 };
 
-TEST_P(RStarTreeEngineTest, BulkLoadedOrderParity) {
+TEST_F(RStarTreeEngineTest, BulkLoadedOrderParity) {
   ExpectParity(BulkLoaded());
 }
 
-TEST_P(RStarTreeEngineTest, InsertBuiltOrderParity) {
+TEST_F(RStarTreeEngineTest, InsertBuiltOrderParity) {
   ExpectParity(InsertBuilt());
 }
 
@@ -376,7 +368,7 @@ TEST_P(RStarTreeEngineTest, InsertBuiltOrderParity) {
 // still return the same sequence, that sequence is exactly the
 // brute-force filter over every leaf entry, and pruning never reads
 // more pages. Nested guards tighten and restore the outer filter.
-TEST_P(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
+TEST_F(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
   const RStarTree tree = BulkLoaded();
   ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
   // Monotone in the box's upper corner, hence conservative: any MBB
@@ -444,7 +436,7 @@ TEST_P(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
 // only the structure check can catch it) fails both traversals with a
 // Corruption naming the page, instead of reading child page ids as
 // leaf payloads.
-TEST_P(RStarTreeEngineTest, CorruptNodeLevelIsRejected) {
+TEST_F(RStarTreeEngineTest, CorruptNodeLevelIsRejected) {
   const RStarTree tree = BulkLoaded();
   ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
   PageId victim = kInvalidPage;
@@ -478,9 +470,6 @@ TEST_P(RStarTreeEngineTest, CorruptNodeLevelIsRejected) {
   EXPECT_NE(visited.ToString().find(page_name), std::string::npos)
       << visited.ToString();
 }
-
-INSTANTIATE_TEST_SUITE_P(ReadBackends, RStarTreeEngineTest,
-                         ::testing::Values("off", "threadpool", "uring"));
 
 }  // namespace
 }  // namespace dm

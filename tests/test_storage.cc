@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
-#include "storage/async_io.h"
 #include "storage/db_env.h"
 #include "storage/heap_file.h"
 #include "test_util.h"
@@ -147,6 +148,206 @@ TEST(BufferPoolTest, DirtyPagesSurviveEviction) {
   std::remove(path.c_str());
 }
 
+// --- FetchRuns: the batched read engine ---------------------------------
+
+// A patterned page file under a small pool: page k holds byte pattern
+// (k * 37 + 11) & 0xff across its logical bytes, stamped and flushed
+// so checksum verification passes. Every run of a batch is delivered
+// exactly once, in index order, with its guards in ascending page
+// order and no other run pinned meanwhile; the bytes match the page
+// written; and repeated batches over a pool smaller than the file
+// neither leak pins nor exhaust frames.
+TEST(BufferPoolTest, BatchedRunsDeliverOnceInOrder) {
+  constexpr int kDataPages = 64;
+  const std::string path = TempDbPath("fetch_runs");
+  auto disk = std::move(DiskManager::Open(path, 512, true)).ValueOrDie();
+  BufferPool pool(disk.get(), 32);
+  const auto pattern = [](PageId id) {
+    return static_cast<uint8_t>((id * 37 + 11) & 0xff);
+  };
+  for (int k = 0; k < kDataPages; ++k) {
+    auto g = std::move(pool.NewPage()).ValueOrDie();
+    ASSERT_EQ(g.id(), static_cast<PageId>(k));
+    std::memset(g.data(), pattern(g.id()), pool.logical_page_size());
+    g.MarkDirty();
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+
+  const std::vector<BufferPool::RunRequest> runs = {
+      {0, 4}, {10, 1}, {20, 8}, {40, 3}, {50, 6}, {63, 1}};
+  for (int iter = 0; iter < 20; ++iter) {
+    ASSERT_TRUE(pool.FlushAll().ok());
+    std::vector<size_t> order;
+    const Status st = pool.FetchRuns(
+        runs.data(), runs.size(),
+        [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          order.push_back(ri);
+          EXPECT_EQ(pool.total_pins(), runs[ri].n)
+              << "only the delivered run may be pinned";
+          ASSERT_EQ(guards->size(), runs[ri].n);
+          for (uint32_t i = 0; i < runs[ri].n; ++i) {
+            const PageGuard& g = (*guards)[i];
+            ASSERT_EQ(g.id(), runs[ri].first + i);
+            for (uint32_t b = 0; b < pool.logical_page_size(); ++b) {
+              ASSERT_EQ(g.data()[b], pattern(g.id()))
+                  << "page " << g.id() << " byte " << b;
+            }
+          }
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    std::vector<size_t> want(runs.size());
+    for (size_t ri = 0; ri < runs.size(); ++ri) want[ri] = ri;
+    EXPECT_EQ(order, want) << "iter " << iter;
+    EXPECT_EQ(pool.total_pins(), 0) << "iter " << iter;
+  }
+  // Pins balanced: the whole pool must still be reclaimable.
+  for (int k = 0; k < kDataPages; ++k) {
+    auto g = pool.Fetch(static_cast<PageId>(k));
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+// FetchRuns over the fault shim: per-run retry, error and checksum
+// handling of the one read engine.
+class FetchRunsFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DbOptions options;
+    options.pool_pages = 32;
+    options.enable_fault_injection = true;
+    env_ = dm::testing::OpenTempEnv("fetch_runs_fault", options);
+    device_ = env_->fault_device();
+    ASSERT_NE(device_, nullptr);
+    for (int k = 0; k < 64; ++k) {
+      auto g = env_->pool().NewPage();
+      ASSERT_TRUE(g.ok()) << g.status().ToString();
+      std::memset(g.value().data(), static_cast<uint8_t>(k + 1),
+                  env_->pool().logical_page_size());
+      g.value().MarkDirty();
+    }
+    ASSERT_TRUE(env_->FlushAll().ok());
+  }
+
+  // Fetches pages [0, 64) as 8-page runs; returns the per-run statuses
+  // in run order and asserts FetchRuns itself stayed OK.
+  std::vector<Status> FetchAll() {
+    std::vector<BufferPool::RunRequest> runs;
+    for (PageId first = 0; first < 64; first += 8) runs.push_back({first, 8});
+    std::vector<Status> out(runs.size());
+    const Status st = env_->pool().FetchRuns(
+        runs.data(), runs.size(),
+        [&](size_t ri, Status s, std::vector<PageGuard>* guards) {
+          if (s.ok()) {
+            EXPECT_EQ(guards->size(), 8u);
+            for (uint32_t i = 0; i < 8; ++i) {
+              // No silent escape: bytes of a successful run are intact.
+              EXPECT_EQ((*guards)[i].data()[0],
+                        static_cast<uint8_t>(runs[ri].first + i + 1));
+            }
+          } else {
+            EXPECT_TRUE(guards->empty()) << "failed run must deliver no pins";
+          }
+          out[ri] = std::move(s);
+        });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(env_->pool().total_pins(), 0) << "a pin outlived FetchRuns";
+    return out;
+  }
+
+  std::unique_ptr<DbEnv> env_;
+  FaultInjectingDevice* device_ = nullptr;
+};
+
+TEST_F(FetchRunsFaultTest, TransientsAreRetried) {
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.read_transient_rate = 0.25;
+  device_->set_plan(plan);
+  env_->ResetStats();
+  for (const Status& s : FetchAll()) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  EXPECT_GT(device_->stats().read_transients.load(), 0u);
+  EXPECT_GT(env_->stats().io_retries, 0);
+}
+
+TEST_F(FetchRunsFaultTest, ReadErrorsSurfacePerRunAsIOError) {
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.read_error_rate = 1.0;
+  device_->set_plan(plan);
+  for (const Status& s : FetchAll()) {
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  }
+  EXPECT_GT(device_->stats().read_errors.load(), 0u);
+}
+
+TEST_F(FetchRunsFaultTest, ShortReadsSurfaceAsIOError) {
+  FaultPlan plan;
+  plan.seed = 13;
+  plan.short_read_rate = 1.0;
+  device_->set_plan(plan);
+  for (const Status& s : FetchAll()) {
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  }
+  EXPECT_GT(device_->stats().short_reads.load(), 0u);
+}
+
+TEST_F(FetchRunsFaultTest, BitFlipsAreCaughtByChecksumsNeverRetried) {
+  FaultPlan plan;
+  plan.seed = 17;
+  plan.bit_flip_rate = 1.0;
+  device_->set_plan(plan);
+  env_->ResetStats();
+  for (const Status& s : FetchAll()) {
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  }
+  const IoStats io = env_->stats();
+  EXPECT_GT(io.corrupt_pages, 0);
+  EXPECT_EQ(io.io_retries, 0) << "corruption is permanent, never retried";
+  EXPECT_GT(device_->stats().bit_flips.load(), 0u);
+}
+
+TEST_F(FetchRunsFaultTest, MixedFaultsNeverEscapeSilently) {
+  FaultPlan plan;
+  plan.seed = 23;
+  plan.read_error_rate = 0.05;
+  plan.read_transient_rate = 0.10;
+  plan.short_read_rate = 0.05;
+  plan.bit_flip_rate = 0.05;
+  device_->set_plan(plan);
+  // FetchAll's callback asserts intact bytes on every OK run; failed
+  // runs must carry the right class.
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(env_->FlushAll().ok());
+    for (const Status& s : FetchAll()) {
+      if (!s.ok()) {
+        EXPECT_TRUE(s.code() == StatusCode::kIOError ||
+                    s.code() == StatusCode::kCorruption ||
+                    s.code() == StatusCode::kUnavailable)
+            << s.ToString();
+      }
+    }
+  }
+}
+
+// Reads are synchronous: a caller still naming an async backend gets
+// InvalidArgument instead of a silently different read path.
+TEST(DbEnvTest, RejectsAsyncBackendOtherThanOff) {
+  const std::string path = TempDbPath("async_backend");
+  DbOptions options;
+  options.async_backend = "uring";
+  auto rejected = DbEnv::Open(path, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  options.async_backend = "off";
+  EXPECT_TRUE(DbEnv::Open(path, options).ok());
+  std::remove(path.c_str());
+}
+
 class HeapFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -233,12 +434,10 @@ TEST_F(HeapFileTest, OpenRecountsRecords) {
   EXPECT_EQ(hf.num_records(), 78);
 }
 
-// --- GetMany coalescing edge cases, per read backend --------------------
+// --- GetMany coalescing edge cases ---------------------------------------
 
-// HeapFile::GetMany reads through BufferPool::FetchRuns whatever the
-// device: "off" reads each missing sub-run synchronously, the async
-// backends stage the whole batch. Every case runs on all three.
-class HeapGetManyTest : public ::testing::TestWithParam<const char*> {
+// HeapFile::GetMany reads through BufferPool::FetchRuns.
+class HeapGetManyTest : public ::testing::Test {
  protected:
   struct Delivery {
     RecordId rid;
@@ -247,18 +446,10 @@ class HeapGetManyTest : public ::testing::TestWithParam<const char*> {
   };
 
   void SetUp() override {
-    if (std::string(GetParam()) == "uring" && !UringSupported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     env_ = dm::testing::OpenTempEnv(
-        std::string("heap_getmany_") + GetParam(),
-        DbOptions{.page_size = 512,
-                  .pool_pages = 16,
-                  .async_backend = GetParam()});
+        "heap_getmany", DbOptions{.page_size = 512, .pool_pages = 16});
     hf_.emplace(std::move(HeapFile::Create(env_.get())).ValueOrDie());
   }
-
-  bool has_device() const { return env_->async_device() != nullptr; }
 
   /// Appends `n` records of `len` bytes, record i filled with
   /// `base + i`.
@@ -290,16 +481,9 @@ class HeapGetManyTest : public ::testing::TestWithParam<const char*> {
     return got;
   }
 
-  /// Every rid is delivered exactly once per request: in rid order
-  /// without a device, run by run in completion order with one.
-  void ExpectDeliveredOnce(std::vector<Delivery> got,
+  /// Every rid is delivered exactly once per request, in rid order.
+  void ExpectDeliveredOnce(const std::vector<Delivery>& got,
                            const std::vector<RecordId>& rids) {
-    if (has_device()) {
-      std::stable_sort(got.begin(), got.end(),
-                       [](const Delivery& a, const Delivery& b) {
-                         return a.rid.Pack() < b.rid.Pack();
-                       });
-    }
     ASSERT_EQ(got.size(), rids.size());
     for (size_t i = 0; i < rids.size(); ++i) {
       EXPECT_EQ(got[i].rid, rids[i]) << "delivery " << i;
@@ -310,14 +494,14 @@ class HeapGetManyTest : public ::testing::TestWithParam<const char*> {
   std::optional<HeapFile> hf_;
 };
 
-TEST_P(HeapGetManyTest, EmptyInputIsNoOp) {
+TEST_F(HeapGetManyTest, EmptyInputIsNoOp) {
   AppendRecords(1, 1, 1);
   int64_t reads = -1;
   EXPECT_TRUE(ColdGetMany({}, &reads).empty());
   EXPECT_EQ(reads, 0);
 }
 
-TEST_P(HeapGetManyTest, SinglePageRunReadsOnePage) {
+TEST_F(HeapGetManyTest, SinglePageRunReadsOnePage) {
   // 5 x 50B fits one 512B page: one run, delivered in rid order.
   const std::vector<RecordId> rids = AppendRecords(5, 50, 0);
   ASSERT_EQ(rids.front().page, rids.back().page);
@@ -332,7 +516,7 @@ TEST_P(HeapGetManyTest, SinglePageRunReadsOnePage) {
   EXPECT_EQ(reads, 1);
 }
 
-TEST_P(HeapGetManyTest, NonAdjacentPagesMatchPerGetAccounting) {
+TEST_F(HeapGetManyTest, NonAdjacentPagesMatchPerGetAccounting) {
   // ~1 record per 512B page, so consecutive records land on
   // consecutive pages.
   const std::vector<RecordId> all = AppendRecords(9, 400, 0);
@@ -363,7 +547,7 @@ TEST_P(HeapGetManyTest, NonAdjacentPagesMatchPerGetAccounting) {
   EXPECT_EQ(batch_reads, env_->stats().disk_reads - reads1);
 }
 
-TEST_P(HeapGetManyTest, RunCrossingLastPage) {
+TEST_F(HeapGetManyTest, RunCrossingLastPage) {
   const std::vector<RecordId> rids = AppendRecords(6, 400, 0x40);
   // A run that starts mid-file and extends through the final page of
   // the heap: coalescing must stop exactly at the tail.
@@ -382,7 +566,7 @@ TEST_P(HeapGetManyTest, RunCrossingLastPage) {
   EXPECT_EQ(reads, static_cast<int64_t>(tail.size()));
 }
 
-TEST_P(HeapGetManyTest, DuplicateRidsOnOnePage) {
+TEST_F(HeapGetManyTest, DuplicateRidsOnOnePage) {
   const RecordId rid = AppendRecords(1, 1, 0x77).front();
   int64_t reads = 0;
   const std::vector<Delivery> got = ColdGetMany({rid, rid, rid}, &reads);
@@ -393,9 +577,6 @@ TEST_P(HeapGetManyTest, DuplicateRidsOnOnePage) {
   }
   EXPECT_EQ(reads, 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(ReadBackends, HeapGetManyTest,
-                         ::testing::Values("off", "threadpool", "uring"));
 
 TEST_F(HeapFileTest, RandomizedRoundTripProperty) {
   auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();

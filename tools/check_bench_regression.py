@@ -35,10 +35,12 @@ ablation_compression:
     --min-group-density times more nodes per page than flat
     (`density_x`), cut cold disk accesses by at least
     --min-group-da-ratio on both query classes (`da_uniform_x`,
-    `da_view_x`), and keep warm decode CPU within
-    --max-decode-overhead-pct of the flat memcpy path
-    (`decode_overhead_pct`) — the ISSUE's density/IO/CPU contract for
-    the compressed page format.
+    `da_view_x`), and keep its warm decode time within
+    --max-decode-overhead-pct of the flat codec's
+    (`decode_overhead_pct`: one FetchNodes over every record of each
+    store, the whole store resident in the buffer pool and the node
+    cache off) — the density/IO/CPU contract of the compressed page
+    format.
 
 Improvements never fail, and fault rates present in only one of the
 two files are reported but ignored — the gate is meant to catch
@@ -110,8 +112,8 @@ def main():
                     help="floor for the v6 group codec's cold "
                     "disk-access ratios da_uniform_x / da_view_x")
     ap.add_argument("--max-decode-overhead-pct", type=float, default=10.0,
-                    help="cap on the v6 group codec's warm decode CPU "
-                    "overhead vs flat records")
+                    help="cap on the v6 group codec's warm decode time "
+                    "over the flat codec's, in percent")
     args = ap.parse_args()
 
     bench, base = load_doc(args.baseline)

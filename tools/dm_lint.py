@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """DM-specific lint pass, driven by compile_commands.json.
 
-Four checks that encode project invariants no generic tool enforces:
+Five checks that encode project invariants no generic tool enforces:
 
   dropped-status   A call to a Status/Result-returning function used as
                    a bare statement outside test code. [[nodiscard]]
@@ -31,13 +31,14 @@ Four checks that encode project invariants no generic tool enforces:
                    decrement must live in Unpin() so a new early-return
                    path cannot leak a pin.
   raw-thread       Raw thread spawning (std::thread / std::jthread /
-                   std::async / pthread_create) in the async I/O layer
-                   (src/storage/async*). Service threads there must go
-                   through WorkerPool / ServiceThreads from
-                   common/parallel.h, which own join-on-destruction and
-                   naming; an ad-hoc thread in a completion path is how
-                   shutdown races start. (std::mutex everywhere is
-                   already covered by raw-mutex.)
+                   std::async / pthread_create) in the storage layer
+                   (src/storage/). Storage never starts a thread: every
+                   read and write runs on its caller's thread, which is
+                   what lets the I/O deadline, the fault shim's op
+                   schedule and the pin accounting stay per-caller.
+                   Threads belong to the layers above (WorkerPool in
+                   common/parallel.h, the query service). (std::mutex
+                   everywhere is already covered by raw-mutex.)
 
 Suppressing a finding
 ---------------------
@@ -417,14 +418,14 @@ RAW_THREAD_RE = re.compile(
     r"std::j?thread\b|std::async\b|\bpthread_create\b"
 )
 
-# The async device layer; the invariant is scoped here (not repo-wide)
+# The storage layer; the invariant is scoped here (not repo-wide)
 # because servers and tests legitimately own std::thread workers.
-ASYNC_LAYER_PREFIX = "src/storage/async"
+STORAGE_LAYER_PREFIX = "src/storage/"
 
 
 def check_raw_thread(sf: SourceFile, repo_root: str) -> "list[Finding]":
     rel = _posix(os.path.relpath(sf.path, repo_root))
-    if not rel.startswith(ASYNC_LAYER_PREFIX):
+    if not rel.startswith(STORAGE_LAYER_PREFIX):
         return []
     findings = []
     for idx, line in enumerate(sf.code_lines):
@@ -434,9 +435,10 @@ def check_raw_thread(sf: SourceFile, repo_root: str) -> "list[Finding]":
                     sf.path,
                     idx + 1,
                     "raw-thread",
-                    "raw thread spawn in the async I/O layer; use "
-                    "WorkerPool or ServiceThreads from common/parallel.h "
-                    "so lifetime (join-on-destruction) stays centralized",
+                    "raw thread spawn in the storage layer, which runs "
+                    "every read and write on its caller's thread; start "
+                    "threads in the layers above (WorkerPool in "
+                    "common/parallel.h)",
                 )
             )
     return findings

@@ -163,8 +163,7 @@ const FlagSpec* FlagsOf(const std::string& command) {
                            {"obj", K::kText},
                            {"ppm", K::kText}})},
       {"cache-stats", with(open, workload)},
-      {"io-stats", with(with(open, workload), {{"backend", K::kText},
-                                               {"prefetch-depth", K::kInt}})},
+      {"io-stats", with(open, workload)},
   };
   const auto it = kCommands.find(command);
   return it == kCommands.end() ? nullptr : &it->second;
@@ -205,8 +204,7 @@ int Usage() {
       "[--single] [--obj OUT] [--ppm OUT]\n"
       "  dmctl cache-stats --db BASE [--cache-mb MB] [--queries N] "
       "[--roi-pct P] [--seed S] [--read-latency-us N]\n"
-      "  dmctl io-stats --db BASE [--backend off|auto|uring|threadpool] "
-      "[--prefetch-depth N] [--queries N] [--roi-pct P] [--seed S] "
+      "  dmctl io-stats --db BASE [--queries N] [--roi-pct P] [--seed S] "
       "[--read-latency-us N]\n");
   return 2;
 }
@@ -852,25 +850,19 @@ Status RunCacheStats(const Args& args) {
 }
 
 // Replays a deterministic query batch twice (cold, warm) and reports
-// the buffer-pool I/O counters plus the async-device and prefetch
-// counters from DESIGN.md §13 — the async analogue of cache-stats.
-// --backend defaults to "auto" so the command shows what the async
-// read path actually does on this kernel; --backend off reproduces
-// the synchronous seed numbers for comparison.
+// the buffer-pool I/O counters and the page-run histogram of the
+// batched read path (DESIGN.md §13) for each pass — the I/O analogue
+// of cache-stats.
 Status RunIoStats(const Args& args) {
   DM_ASSIGN_OR_RETURN(OpenDb db, Open(args));
   db.env->disk().set_simulated_read_latency_micros(
       static_cast<uint32_t>(args.GetInt("read-latency-us", 0)));
-  const std::string backend = args.Get("backend", "auto");
-  const char* actual = db.env->EnableAsync(backend);
-  db.env->set_prefetch_depth(
-      static_cast<uint32_t>(args.GetInt("prefetch-depth", 8)));
-  std::printf("async backend: requested=%s running=%s\n", backend.c_str(),
-              actual);
   // Open() itself faulted the catalog and index extents in; empty the
-  // pool so the cold pass demand-fetches through the async device and
-  // the counters below describe the async read path, not Open().
+  // pool and zero its counters so the cold pass demand-fetches every
+  // page it needs and the counters below describe the queries, not
+  // Open().
   DM_RETURN_NOT_OK(db.env->FlushAll());
+  db.env->ResetStats();
 
   const int count = static_cast<int>(args.GetInt("queries", 64));
   if (count <= 0) return Status::InvalidArgument("--queries must be > 0");
@@ -883,14 +875,11 @@ Status RunIoStats(const Args& args) {
       static_cast<int>(args.GetInt("mb-pct", 25)));
 
   IoStats prev_io;
-  AsyncIoStats prev_async;
   DmStoreSource source(db.store.get());
   for (const char* pass : {"cold", "warm"}) {
     DM_ASSIGN_OR_RETURN(const ThroughputReport r,
                         RunThroughput(&source, workload, 1));
     const IoStats io = db.env->stats();
-    AsyncPageDevice* dev = db.env->async_device();
-    const AsyncIoStats as = dev != nullptr ? dev->stats() : AsyncIoStats{};
     std::printf("%s pass: %lld queries, %.1f q/s\n", pass,
                 static_cast<long long>(r.queries), r.qps);
     std::printf(
@@ -900,17 +889,6 @@ Status RunIoStats(const Args& args) {
         static_cast<long long>(io.disk_reads - prev_io.disk_reads),
         static_cast<long long>(io.evictions - prev_io.evictions),
         static_cast<long long>(io.io_retries - prev_io.io_retries));
-    const int64_t pf_reads = io.prefetch_reads - prev_io.prefetch_reads;
-    const int64_t pf_hits = io.prefetch_hits - prev_io.prefetch_hits;
-    const double pf_rate =
-        pf_reads > 0 ? 100.0 * static_cast<double>(pf_hits) /
-                           static_cast<double>(pf_reads)
-                     : 0.0;
-    std::printf(
-        "  prefetch:    reads=%lld hits=%lld (%.1f%% useful) waste=%lld\n",
-        static_cast<long long>(pf_reads), static_cast<long long>(pf_hits),
-        pf_rate,
-        static_cast<long long>(io.prefetch_waste - prev_io.prefetch_waste));
     const int64_t runs = io.fetch_runs - prev_io.fetch_runs;
     const int64_t run_pages = io.fetch_run_pages - prev_io.fetch_run_pages;
     std::printf(
@@ -924,21 +902,7 @@ Status RunIoStats(const Args& args) {
                                                   prev_io.run_length_hist[b]));
     }
     std::printf("\n");
-    if (dev != nullptr) {
-      const int64_t subs = as.submissions - prev_async.submissions;
-      const int64_t reqs = as.requests - prev_async.requests;
-      std::printf(
-          "  async (%s):  submissions=%lld requests=%lld (%.1f/batch) "
-          "completions=%lld inflight_hwm=%lld\n",
-          dev->backend_name(), static_cast<long long>(subs),
-          static_cast<long long>(reqs),
-          subs > 0 ? static_cast<double>(reqs) / static_cast<double>(subs)
-                   : 0.0,
-          static_cast<long long>(as.completions - prev_async.completions),
-          static_cast<long long>(as.inflight_hwm));
-    }
     prev_io = io;
-    prev_async = as;
   }
   return Status::OK();
 }
