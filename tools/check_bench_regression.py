@@ -28,6 +28,13 @@ bench_chaos:
   * fails if `qps` dropped more than --max-qps-drop-pct relative to the
     baseline.
 
+fig6_uniform / fig8_viewdep:
+  * the paper's metric, cold disk accesses, is deterministic, so every
+    DM cell (`<fig>/x_<x>/DM-SB|DM-RP|DM-MB|DM-BF`) must equal the
+    baseline exactly, and a DM cell present in only one of the two
+    files fails too: a change that moves a count re-records the
+    baseline. The PM and HDoV arms are not gated.
+
 ablation_compression:
   * gates are absolute floors on the current run (the baseline file
     only pins the bench kind and records reference numbers): the v6
@@ -42,11 +49,12 @@ ablation_compression:
     cache off) — the density/IO/CPU contract of the compressed page
     format.
 
-Improvements never fail, and fault rates present in only one of the
-two files are reported but ignored — the gate is meant to catch
-"someone made the pipeline 2x slower", not to pin exact numbers on
-noisy shared CI runners. Keep the thresholds generous. Wall-clock
-performance with its spread is perfbench's job (perfbench/README.md).
+Outside the exact figure gates, improvements never fail, and fault
+rates present in only one of the two files are reported but ignored —
+the wall-clock gates are meant to catch "someone made the pipeline 2x
+slower", not to pin exact numbers on noisy shared CI runners. Keep
+their thresholds generous. Wall-clock performance with its spread is
+perfbench's job (perfbench/README.md).
 """
 
 import argparse
@@ -54,15 +62,32 @@ import json
 import sys
 
 
+BENCH_KINDS = ("bench_faults", "bench_chaos", "ablation_compression",
+               "fig6_uniform", "fig8_viewdep")
+FIGURE_KINDS = ("fig6_uniform", "fig8_viewdep")
+DM_ARMS = ("DM-SB", "DM-RP", "DM-MB", "DM-BF")
+
+
 def load_doc(path, expect_bench=None):
     with open(path) as f:
         doc = json.load(f)
     bench = doc.get("bench")
-    if bench not in ("bench_faults", "bench_chaos", "ablation_compression"):
+    if bench not in BENCH_KINDS:
         sys.exit(f"{path}: unsupported bench kind ({bench!r})")
     if expect_bench is not None and bench != expect_bench:
         sys.exit(f"{path}: bench kind {bench!r}, expected {expect_bench!r}")
     return bench, doc["metrics"]
+
+
+def higher_is_better_change(base_val, cur_val):
+    """Returns (worse_pct, label) for a higher-is-better metric:
+    worse_pct > 0 when the current value fell, and label reads
+    "25.4% better" or "3.1% worse" by the sign of the change."""
+    if base_val <= 0:
+        return 0.0, "0.0% better"
+    worse_pct = 100.0 * (base_val - cur_val) / base_val
+    word = "worse" if worse_pct > 0 else "better"
+    return worse_pct, f"{abs(worse_pct):.1f}% {word}"
 
 
 def compare_series(base, cur, suffix, max_worse_pct, failures):
@@ -76,21 +101,38 @@ def compare_series(base, cur, suffix, max_worse_pct, failures):
             print(f"note: {key} missing from current run, skipping")
             continue
         cur_val = cur[key]
-        if base_val > 0:
-            worse_pct = 100.0 * (base_val - cur_val) / base_val
-        else:
-            worse_pct = 0.0
+        worse_pct, label = higher_is_better_change(base_val, cur_val)
         status = "ok"
         if worse_pct > max_worse_pct:
             status = "REGRESSION"
             failures.append(
                 f"{key}: {base_val:.1f} -> {cur_val:.1f} "
-                f"({worse_pct:.1f}% worse > {max_worse_pct:.0f}% allowed)"
+                f"({label} > {max_worse_pct:.0f}% allowed)"
             )
         print(f"{key}: baseline {base_val:.1f} current {cur_val:.1f} "
-              f"({worse_pct:+.1f}% worse) {status}")
+              f"({label}) {status}")
         compared += 1
     return compared
+
+
+def compare_dm_cells_exactly(base, cur, failures):
+    """Gates every DM cell of a figure for equality; a cell present in
+    only one of the two files fails. Returns the count."""
+    def dm_cells(metrics):
+        return {k for k in metrics if k.rsplit("/", 1)[-1] in DM_ARMS}
+
+    base_cells, cur_cells = dm_cells(base), dm_cells(cur)
+    for key in sorted(base_cells | cur_cells):
+        base_val, cur_val = base.get(key), cur.get(key)
+        status = "ok"
+        if base_val is None or cur_val is None or base_val != cur_val:
+            status = "CHANGED"
+            failures.append(f"{key}: baseline {base_val!r} current "
+                            f"{cur_val!r} (must be equal)")
+        print(f"{key}: baseline {base_val!r} current {cur_val!r} {status}")
+    if not base_cells:
+        failures.append("baseline holds no DM cells")
+    return len(base_cells | cur_cells)
 
 
 def main():
@@ -162,16 +204,18 @@ def main():
         base_qps = base.get("qps")
         cur_qps = cur.get("qps")
         if base_qps and cur_qps is not None:
-            drop_pct = 100.0 * (base_qps - cur_qps) / base_qps
+            drop_pct, label = higher_is_better_change(base_qps, cur_qps)
             status = "ok"
             if drop_pct > args.max_qps_drop_pct:
                 status = "REGRESSION"
                 failures.append(f"qps: {base_qps:.1f} -> {cur_qps:.1f} "
-                                f"({drop_pct:.1f}% drop > "
+                                f"({label} > "
                                 f"{args.max_qps_drop_pct:.0f}% allowed)")
             print(f"qps: baseline {base_qps:.1f} current {cur_qps:.1f} "
-                  f"({drop_pct:+.1f}% drop) {status}")
+                  f"({label}) {status}")
             compared += 1
+    elif bench in FIGURE_KINDS:
+        compared = compare_dm_cells_exactly(base, cur, failures)
     elif bench == "ablation_compression":
         # Absolute floors on the current run; google-benchmark metric
         # names carry an "/iterations:N" segment, so match by

@@ -802,6 +802,11 @@ Status RunCacheStats(const Args& args) {
   }
   db.env->disk().set_simulated_read_latency_micros(
       static_cast<uint32_t>(args.GetInt("read-latency-us", 0)));
+  // As in io-stats: empty the pool and zero its counters, so the cold
+  // pass's buffer-pool deltas describe the queries, not Open()'s
+  // catalog scan.
+  DM_RETURN_NOT_OK(db.env->FlushAll());
+  db.env->ResetStats();
 
   const int count = static_cast<int>(args.GetInt("queries", 64));
   if (count <= 0) return Status::InvalidArgument("--queries must be > 0");
