@@ -198,6 +198,13 @@ class DmQueryProcessor {
   /// Multi-base viewpoint-dependent query (Section 5.3): the
   /// cost-model optimizer splits the cube into up to `max_cubes`
   /// staircase cubes, each fetched with its own range query.
+  ///
+  /// The plan reads the store's R*-tree node extents (through its
+  /// CostCatalog), so a store with another index layout can split the
+  /// cube differently and, where the plan differs, return a different
+  /// mesh. The uniform, single-base (cube and bounded) and perspective
+  /// queries fetch sets fixed by the data alone, so their meshes do
+  /// not depend on the layout.
   Result<DmQueryResult> MultiBase(const ViewQuery& q, int max_cubes = 64);
 
   /// Viewer-driven query with a radial required-LOD field (single

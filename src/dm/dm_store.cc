@@ -61,7 +61,11 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   // land on the same heap pages, and the packed R*-tree over the same
   // order has near-disjoint leaves — this preserves "(x, y)
   // clustering ... as much as possible" while also clustering the LOD
-  // dimension the paper's queries slice on.
+  // dimension the paper's queries slice on. StrOrder cuts its (x, y)
+  // cells at whole leaves and orders each cell by e_high, so every
+  // leaf, and the heap run appended beside it, covers one cell and a
+  // narrow band of segment tops; a plane query at LOD e skips the
+  // cell's leaves whose segments all end below e.
   const std::vector<size_t> order = RStarTree::StrOrder(
       segments, RStarTree::LeafCapacityFor(env->page_size()), pool);
   take_stage(&timings->str_millis);

@@ -91,12 +91,17 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
                                         uint32_t leaf_capacity,
                                         WorkerPool& pool) {
   // Sort-Tile-Recursive in 3D: slice by x into vertical slabs, each
-  // slab by y into runs, each run by e. Slab counts follow the cube
-  // root rule so leaves get near-square extents. Every comparator is a
-  // total order (index tie-break), so each sorted range has exactly
-  // one answer: the x sort parallelizes as a stable merge sort and the
-  // independent slab/run sorts fan out over the pool without changing
-  // the permutation.
+  // slab by y into runs, each run by segment top (e_high). Slab counts
+  // follow the cube root rule and run counts the square root rule, so
+  // leaves get near-square extents. Slabs and runs are cut only at
+  // whole-leaf boundaries, spread evenly (slab i ends at leaf
+  // floor((i+1)·L/slabs), run j of a slab at floor((j+1)·l/runs)), so
+  // no leaf joins the top of one cell's e-order to the bottom of the
+  // next and every leaf spans one cell and a narrow band of LOD.
+  // Every comparator is a total order (index tie-break), so each
+  // sorted range has exactly one answer: the x sort parallelizes as a
+  // stable merge sort and the independent slab/run sorts fan out over
+  // the pool without changing the permutation.
   const size_t n = boxes.size();
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
@@ -106,6 +111,10 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
     return (boxes[i].lo[static_cast<size_t>(d)] +
             boxes[i].hi[static_cast<size_t>(d)]) /
            2;
+  };
+  // First entry of leaf `leaf` (the last leaf alone may be partial).
+  auto leaf_start = [&](size_t leaf) {
+    return std::min(n, leaf * static_cast<size_t>(leaf_capacity));
   };
   const auto num_leaves =
       static_cast<size_t>((n + leaf_capacity - 1) / leaf_capacity);
@@ -117,19 +126,21 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
     if (ca != cb) return ca < cb;
     return a < b;
   });
-  const size_t slab_size = (n + slabs_x - 1) / slabs_x;
 
-  // Collect the slab ranges, y-sort them in parallel, then collect the
-  // run ranges of every slab and e-sort those in parallel. Ranges are
-  // disjoint, so workers never touch the same elements.
+  // Collect the slab ranges (in leaves), y-sort them in parallel, then
+  // collect the run ranges of every slab and e-sort those in parallel.
+  // Ranges are disjoint, so workers never touch the same elements.
   std::vector<std::pair<size_t, size_t>> slabs;
-  for (size_t s0 = 0; s0 < n; s0 += slab_size) {
-    slabs.emplace_back(s0, std::min(n, s0 + slab_size));
+  for (size_t i = 0; i < slabs_x; ++i) {
+    slabs.emplace_back(i * num_leaves / slabs_x,
+                       (i + 1) * num_leaves / slabs_x);
   }
   ParallelFor(pool, static_cast<int64_t>(slabs.size()), 1,
               [&](int64_t begin, int64_t end) {
                 for (int64_t s = begin; s < end; ++s) {
-                  const auto [s0, s1] = slabs[static_cast<size_t>(s)];
+                  const auto [l0, l1] = slabs[static_cast<size_t>(s)];
+                  const size_t s0 = leaf_start(l0);
+                  const size_t s1 = leaf_start(l1);
                   std::sort(order.begin() + static_cast<ptrdiff_t>(s0),
                             order.begin() + static_cast<ptrdiff_t>(s1),
                             [&](size_t a, size_t b) {
@@ -141,16 +152,18 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
                 }
               });
   std::vector<std::pair<size_t, size_t>> runs;
-  for (const auto& [s0, s1] : slabs) {
-    const size_t leaves_in_slab =
-        ((s1 - s0) + leaf_capacity - 1) / leaf_capacity;
+  for (const auto& [l0, l1] : slabs) {
+    const size_t leaves_in_slab = l1 - l0;
     const auto runs_y = static_cast<size_t>(
         std::ceil(std::sqrt(static_cast<double>(leaves_in_slab))));
-    const size_t run_size = ((s1 - s0) + runs_y - 1) / runs_y;
-    for (size_t r0 = s0; r0 < s1; r0 += run_size) {
-      runs.emplace_back(r0, std::min(s1, r0 + run_size));
+    for (size_t j = 0; j < runs_y; ++j) {
+      runs.emplace_back(leaf_start(l0 + j * leaves_in_slab / runs_y),
+                        leaf_start(l0 + (j + 1) * leaves_in_slab / runs_y));
     }
   }
+  // Within a run, ascending segment top puts fine segments (low
+  // e_high) in the first leaves and coarse ones in the last, so a
+  // plane query at LOD e skips the leaves whose tops lie below it.
   ParallelFor(pool, static_cast<int64_t>(runs.size()), 1,
               [&](int64_t begin, int64_t end) {
                 for (int64_t r = begin; r < end; ++r) {
@@ -158,9 +171,9 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
                   std::sort(order.begin() + static_cast<ptrdiff_t>(r0),
                             order.begin() + static_cast<ptrdiff_t>(r1),
                             [&](size_t a, size_t b) {
-                              const double ca = center(a, 2);
-                              const double cb = center(b, 2);
-                              if (ca != cb) return ca < cb;
+                              const double ta = boxes[a].hi[2];
+                              const double tb = boxes[b].hi[2];
+                              if (ta != tb) return ta < tb;
                               return a < b;
                             });
                 }

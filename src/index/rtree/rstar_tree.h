@@ -53,8 +53,11 @@ class RStarTree {
   /// al.; the packed R-trees of Kamel-Faloutsos that the paper's cost
   /// model assumes): the returned permutation lists the boxes in leaf
   /// order, consecutive `leaf_capacity`-sized runs forming one leaf.
-  /// Callers that co-locate records with the index (clustered storage)
-  /// write their data file in this order.
+  /// Slabs (x) and runs (y) are cut at whole-leaf boundaries, so every
+  /// leaf holds boxes of one (slab, run) cell, and each run is sorted
+  /// by box top (`hi[2]`, a segment's e_high), so within a cell the
+  /// leaves ascend by LOD. Callers that co-locate records with the
+  /// index (clustered storage) write their data file in this order.
   ///
   /// The overload taking a WorkerPool runs the x sort as a parallel
   /// stable merge sort and fans the per-slab y / per-run e sorts out

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -286,6 +289,115 @@ TEST_F(RStarTreeTest, BulkLoadedTreeHasTightLeaves) {
   const int64_t dynamic_io = env_->stats().disk_reads;
   EXPECT_EQ(out.size(), out2.size());
   EXPECT_LT(packed_io, dynamic_io);
+}
+
+// The (slab, run) cell of every box under leaf-aligned STR, from the
+// rule alone: rank the boxes by x center and end slab i at leaf
+// floor((i+1)·L/slabs); rank each slab by y center and end its run j
+// at leaf floor((j+1)·l/runs) of the slab. Slab and run counts are
+// the cube-root and square-root rules.
+std::vector<int> StrCells(const std::vector<Box>& boxes, size_t cap) {
+  const size_t n = boxes.size();
+  const size_t leaves = (n + cap - 1) / cap;
+  const auto slabs = static_cast<size_t>(
+      std::ceil(std::cbrt(static_cast<double>(leaves))));
+  auto by_center = [&](size_t d) {
+    return [&boxes, d](size_t a, size_t b) {
+      const double ca = boxes[a].lo[d] + boxes[a].hi[d];
+      const double cb = boxes[b].lo[d] + boxes[b].hi[d];
+      return ca != cb ? ca < cb : a < b;
+    };
+  };
+  std::vector<size_t> by_x(n);
+  std::iota(by_x.begin(), by_x.end(), size_t{0});
+  std::sort(by_x.begin(), by_x.end(), by_center(0));
+  std::vector<int> cell(n, -1);
+  int next_cell = 0;
+  for (size_t i = 0; i < slabs; ++i) {
+    const size_t l0 = i * leaves / slabs;
+    const size_t l1 = (i + 1) * leaves / slabs;
+    std::vector<size_t> slab(by_x.begin() + std::min(n, l0 * cap),
+                             by_x.begin() + std::min(n, l1 * cap));
+    std::sort(slab.begin(), slab.end(), by_center(1));
+    const auto runs = static_cast<size_t>(
+        std::ceil(std::sqrt(static_cast<double>(l1 - l0))));
+    for (size_t j = 0; j < runs; ++j) {
+      const size_t r0 = std::min(n, (l0 + j * (l1 - l0) / runs) * cap);
+      const size_t r1 = std::min(n, (l0 + (j + 1) * (l1 - l0) / runs) * cap);
+      for (size_t k = r0; k < r1; ++k) {
+        cell[slab[k - std::min(n, l0 * cap)]] = next_cell;
+      }
+      ++next_cell;
+    }
+  }
+  return cell;
+}
+
+TEST_F(RStarTreeTest, StrOrderLeavesNeverStraddleCells) {
+  // Vertical segments like a DM store's: a point in (x, y) and an
+  // LOD interval whose length grows with its bottom, so e-center and
+  // e_high orders disagree. Every BulkLoad leaf must hold the entries
+  // of one (slab, run) cell, and the leaves of a cell must ascend by
+  // e_high: no leaf joins the top of one cell's LOD order to the
+  // bottom of the next.
+  // A DM store's leaf capacity: 71 entries on 4 KiB pages (the
+  // logical page, without its integrity trailer, as BulkLoad packs).
+  auto env = dm::testing::OpenTempEnv(
+      "rtree_str_cells", DbOptions{.page_size = 4096, .pool_pages = 256});
+  const uint32_t cap = RStarTree::LeafCapacityFor(env->page_size());
+  ASSERT_EQ(cap, 71u);
+  for (size_t n : {size_t{1000}, size_t{10007}}) {
+    Rng rng(41 + n);
+    std::vector<Box> segs;
+    for (size_t i = 0; i < n; ++i) {
+      const double x = rng.Uniform(0, 100);
+      const double y = rng.Uniform(0, 100);
+      const double lo = std::pow(rng.NextDouble(), 3.0) * 50;
+      segs.push_back(Box::Of(x, y, lo, x, y, lo + rng.Uniform(0, lo + 1)));
+    }
+    const std::vector<int> cell = StrCells(segs, cap);
+    const auto order = RStarTree::StrOrder(segs, cap);
+    std::vector<std::pair<Box, uint64_t>> ordered;
+    for (size_t i : order) ordered.emplace_back(segs[i], i);
+    auto tree = std::move(RStarTree::BulkLoad(env.get(), ordered)).ValueOrDie();
+
+    // Leaf page -> its entries' cell and e_high range; BulkLoad
+    // allocates leaves in leaf order, so page order is leaf order.
+    struct Leaf {
+      int cell;
+      double min_top;
+      double max_top;
+    };
+    std::map<PageId, Leaf> leaves;
+    ASSERT_TRUE(tree.VisitNodes([&](PageId page, uint16_t level,
+                                    const std::vector<std::pair<Box, uint64_t>>&
+                                        entries) {
+                      if (level != 0) return true;
+                      Leaf leaf{cell[entries.front().second],
+                                entries.front().first.hi[2],
+                                entries.front().first.hi[2]};
+                      for (const auto& [box, payload] : entries) {
+                        EXPECT_EQ(cell[payload], leaf.cell)
+                            << "n=" << n << " leaf page " << page
+                            << " straddles two cells";
+                        leaf.min_top = std::min(leaf.min_top, box.hi[2]);
+                        leaf.max_top = std::max(leaf.max_top, box.hi[2]);
+                      }
+                      leaves.emplace(page, leaf);
+                      return true;
+                    })
+                    .ok());
+    ASSERT_EQ(leaves.size(), (n + cap - 1) / cap);
+    const Leaf* prev = nullptr;
+    for (const auto& [page, leaf] : leaves) {
+      if (prev != nullptr && prev->cell == leaf.cell) {
+        EXPECT_LE(prev->max_top, leaf.min_top)
+            << "n=" << n << " leaf page " << page
+            << " is out of e_high order within its cell";
+      }
+      prev = &leaf;
+    }
+  }
 }
 
 // ---- one index engine, two traversals ------------------------------

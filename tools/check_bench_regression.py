@@ -62,9 +62,9 @@ import json
 import sys
 
 
-BENCH_KINDS = ("bench_faults", "bench_chaos", "ablation_compression",
-               "fig6_uniform", "fig8_viewdep")
 FIGURE_KINDS = ("fig6_uniform", "fig8_viewdep")
+BENCH_KINDS = ("bench_faults", "bench_chaos",
+               "ablation_compression") + FIGURE_KINDS
 DM_ARMS = ("DM-SB", "DM-RP", "DM-MB", "DM-BF")
 
 
