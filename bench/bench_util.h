@@ -190,8 +190,7 @@ inline BenchContext& GetContext(bool crater) {
         crater ? CraterDatasetSpec() : SmallDatasetSpec();
     std::fprintf(stderr, "[bench] preparing dataset '%s' (%d x %d)...\n",
                  spec.name.c_str(), spec.side, spec.side);
-    auto ctx_or = BenchContext::Create(BenchDataDir(), spec, DbOptions{},
-                                       /*repack_dm=*/true);
+    auto ctx_or = BenchContext::Create(BenchDataDir(), spec);
     if (!ctx_or.ok()) {
       std::fprintf(stderr, "dataset build failed: %s\n",
                    ctx_or.status().ToString().c_str());
@@ -261,9 +260,10 @@ class FigureTable {
   }
 
  private:
-  static constexpr Method kColumns[] = {
-      Method::kDmSingleBase, Method::kDmRepacked, Method::kDmMultiBase,
-      Method::kDmBounded,    Method::kPm,         Method::kHdov};
+  static constexpr Method kColumns[] = {Method::kDmSingleBase,
+                                        Method::kDmMultiBase,
+                                        Method::kDmBounded, Method::kPm,
+                                        Method::kHdov};
 
   std::string title_;
   std::string key_;

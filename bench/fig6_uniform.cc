@@ -33,8 +33,6 @@ Method MethodFromIndex(int64_t i) {
     case 0:
       return Method::kDmSingleBase;
     case 1:
-      return Method::kDmRepacked;
-    case 2:
       return Method::kPm;
     default:
       return Method::kHdov;
@@ -106,7 +104,7 @@ void RegisterAll() {
   FigureTable* fig6c = &figs[2];
   FigureTable* fig6d = &figs[3];
 
-  for (int method = 0; method < 4; ++method) {
+  for (int method = 0; method < 3; ++method) {
     const std::string mname = MethodName(MethodFromIndex(method));
     for (double roi : kRoiSweep) {
       const std::string suffix =

@@ -1,8 +1,8 @@
 // Reproduces Figure 8 of the paper: viewpoint-dependent query cost in
 // disk accesses for DM single-base (SB), DM multi-base (MB), the PM +
-// LOD-quadtree baseline, and the HDoV-tree. Two repo-local arms ride
-// along: DM-RP (single-base over the repacked layout) and DM-BF
-// (single-base with the surface-bounded fetch, DESIGN.md §18).
+// LOD-quadtree baseline, and the HDoV-tree. One repo-local arm rides
+// along: DM-BF (single-base with the surface-bounded fetch, DESIGN.md
+// §18).
 //
 //   fig8a/d: varying ROI   (angle = theta_max / 2)
 //   fig8b/e: varying e_min (angle = theta_max / 2)
@@ -38,8 +38,6 @@ Method MethodFromIndex(int64_t i) {
       return Method::kPm;
     case 3:
       return Method::kHdov;
-    case 4:
-      return Method::kDmRepacked;
     default:
       return Method::kDmBounded;
   }
@@ -99,7 +97,7 @@ void RegisterAll() {
     const char* tag = crater == 0 ? "small" : "crater";
     const std::string prefix_roi =
         std::string("fig8_roi/") + tag + "/";
-    for (int method = 0; method < 6; ++method) {
+    for (int method = 0; method < 5; ++method) {
       const std::string mname = MethodName(MethodFromIndex(method));
       for (double roi : kRoiSweep) {
         Sweep sweep;

@@ -141,7 +141,7 @@ Result<DmNode> DecodeDmRecord(DmCodec codec, uint16_t slot,
                               const uint8_t* data, uint32_t size);
 
 /// Greedy first-fit group packing shared by the store builder and the
-/// repacker: feeds `node_at(0..count)` in order into group encoders
+/// shard builder: feeds `node_at(0..count)` in order into group encoders
 /// capped at `max_block_bytes`, emitting one blob + record count per
 /// group. Fails (Internal) only if a single record exceeds the cap.
 Status EncodeNodeGroups(const std::function<const DmNode&(size_t)>& node_at,

@@ -93,7 +93,7 @@ struct QueryStats {
   /// Coalesced page runs (heap and R*-tree) this query issued through
   /// the pool (pool-wide deltas, like `disk_accesses`). Mean pages per run
   /// (fetch_run_pages / fetch_runs) measures how well the on-disk
-  /// layout clusters the cut — the repacked layout raises it.
+  /// layout clusters the cut.
   int64_t fetch_runs = 0;
   int64_t fetch_run_pages = 0;
   double cpu_millis = 0.0;  // mesh construction time

@@ -35,8 +35,6 @@ struct DmMeta {
   /// Record codec of the heap file (flat records or v6 group blocks);
   /// every reader dispatches through DecodeDmRecord.
   DmCodec codec = DmCodec::kFlat;
-  /// Heap rewritten by RepackDmStore into LOD-band x Hilbert order.
-  bool repacked = false;
   /// Size of the global vertex-id space this store's records are drawn
   /// from. 0 (the default) means the store is complete: ids are dense
   /// in [0, num_nodes). A spatial shard (DESIGN.md §16) holds only the
@@ -86,7 +84,7 @@ struct DmStoreOptions {
 
 /// A Direct Mesh database: DM node records in a heap file (appended in
 /// the STR packing order of their index entries to preserve spatial
-/// clustering on disk; a repacked store uses tile-Hilbert order) and
+/// clustering on disk; this build order is the one on-disk layout) and
 /// a 3D R*-tree indexing each node as the vertical line segment
 /// <(x, y, e_low), (x, y, e_high)> in (x, y, e) space — Section 4 of
 /// the paper.

@@ -20,7 +20,6 @@ Status SaveDmMeta(const std::string& path, const DmMeta& meta,
       << "max_lod=" << meta.max_lod << "\n"
       << "mean_lod=" << meta.mean_lod << "\n"
       << "codec=" << static_cast<int>(meta.codec) << "\n"
-      << "repacked=" << (meta.repacked ? 1 : 0) << "\n"
       << "bounds=" << meta.bounds.lo_x << "," << meta.bounds.lo_y << ","
       << meta.bounds.hi_x << "," << meta.bounds.hi_y << "\n";
   // Written only when set, so complete-store meta files stay
@@ -61,11 +60,6 @@ Result<LoadedDmMeta> LoadDmMeta(const std::string& path) {
       int64_t v = 0;
       ss >> v;
       DM_ASSIGN_OR_RETURN(lm.meta.codec, ParseDmCodec(v));
-    }
-    if (key == "repacked") {
-      int v = 0;
-      ss >> v;
-      lm.meta.repacked = v != 0;
     }
     if (key == "bounds") {
       char c;

@@ -41,10 +41,9 @@ Status DmStoreSource::FetchBox(const Box& box, bool allow_degraded,
     return index_st;
   }
   // Fetch in page order: the R*-tree returns leaf entries in traversal
-  // order, while records are clustered in STR (or, repacked,
-  // tile-Hilbert) page order; sorting by record id
-  // visits each heap page once and lets the store coalesce runs of
-  // adjacent pages into scatter-gather disk reads.
+  // order, while records are clustered in STR page order; sorting by
+  // record id visits each heap page once and lets the store coalesce
+  // runs of adjacent pages into scatter-gather disk reads.
   std::sort(rids.begin(), rids.end());
   // The R*-tree result count sizes the caller's node map up front, so
   // the hot path never rehashes mid-fetch.

@@ -77,7 +77,7 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
   // its region. Flat records carry their raw bytes verbatim (links
   // are VertexIds, placement-independent); group blobs share
   // frame-of-reference bases with page-mates, so carry decoded nodes
-  // and re-encode fresh groups per shard (same rule as the repacker).
+  // and re-encode fresh groups per shard.
   const bool group = meta.codec == DmCodec::kGroup;
   struct Extract {
     std::vector<DmNode> nodes;              // group codec
@@ -180,7 +180,6 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
       shard_meta.rtree_size = rtree.size();
       shard_meta.num_nodes = static_cast<int64_t>(n);
       shard_meta.num_leaves = part.leaves;
-      shard_meta.repacked = false;
       shard_meta.id_space = meta.num_nodes;  // partial-store marker
       DM_RETURN_NOT_OK(env->FlushAll());
       // env closes here so the file is complete before replication.

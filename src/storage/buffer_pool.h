@@ -38,7 +38,7 @@ struct IoStats {
   /// Page runs fetched by FetchRuns (heap runs and R*-tree node runs
   /// alike), and the pages they covered. Mean pages-per-run
   /// (fetch_run_pages / fetch_runs) measures on-disk layout locality
-  /// directly: the repacked layout exists to make this number grow.
+  /// directly.
   int64_t fetch_runs = 0;
   int64_t fetch_run_pages = 0;
   /// Histogram of run lengths; bucket upper bounds are 1, 2, 4, 8, 16,

@@ -39,8 +39,8 @@ struct RecordFetchFailure {
 ///
 /// DmStore::Build appends terrain nodes in the STR packing order of
 /// their index entries, so disk pages preserve spatial clustering, as
-/// the paper's setup requires; a repacked store (dm/repack.h) rewrites
-/// them in tile-Hilbert order.
+/// the paper's setup requires. That build order is the one on-disk
+/// layout.
 ///
 /// Concurrency: `Get`, `GetMany`, and `Scan` are const and safe to
 /// call from many threads once building is done (all mutable state is

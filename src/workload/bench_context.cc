@@ -20,8 +20,6 @@ const char* MethodName(Method m) {
       return "PM";
     case Method::kHdov:
       return "HDoV";
-    case Method::kDmRepacked:
-      return "DM-RP";
     case Method::kDmBounded:
       return "DM-BF";
   }
@@ -37,11 +35,9 @@ std::string BenchDataDir() {
 
 Result<BenchContext> BenchContext::Create(const std::string& dir,
                                           const DatasetSpec& spec,
-                                          const DbOptions& options,
-                                          bool repack_dm) {
-  DM_ASSIGN_OR_RETURN(
-      BuiltDataset ds,
-      BuildOrLoadDataset(dir, spec, options, /*build_threads=*/1, repack_dm));
+                                          const DbOptions& options) {
+  DM_ASSIGN_OR_RETURN(BuiltDataset ds,
+                      BuildOrLoadDataset(dir, spec, options));
   return BenchContext(std::move(ds));
 }
 
@@ -66,11 +62,7 @@ std::vector<Rect> BenchContext::SampleRois(double area_fraction,
 Status BenchContext::FlushAll() {
   DM_RETURN_NOT_OK(ds_.dm_env->FlushAll());
   DM_RETURN_NOT_OK(ds_.pm_env->FlushAll());
-  DM_RETURN_NOT_OK(ds_.hdov_env->FlushAll());
-  if (ds_.dm_rp_env != nullptr) {
-    DM_RETURN_NOT_OK(ds_.dm_rp_env->FlushAll());
-  }
-  return Status::OK();
+  return ds_.hdov_env->FlushAll();
 }
 
 Result<QueryStats> BenchContext::RunUniform(Method m, const Rect& roi,
@@ -91,15 +83,6 @@ Result<QueryStats> BenchContext::RunUniform(Method m, const Rect& roi,
     }
     case Method::kHdov: {
       DM_ASSIGN_OR_RETURN(DmQueryResult r, ds_.hdov->Uniform(roi, e));
-      return r.stats;
-    }
-    case Method::kDmRepacked: {
-      if (!ds_.dm_rp.has_value()) {
-        return Status::NotFound(
-            "repacked DM store not built (pass repack_dm to Create)");
-      }
-      DmQueryProcessor proc(&*ds_.dm_rp);
-      DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.ViewpointIndependent(roi, e));
       return r.stats;
     }
   }
@@ -142,15 +125,6 @@ Result<QueryStats> BenchContext::RunView(Method m, const ViewQuery& q) {
       }
       DM_ASSIGN_OR_RETURN(DmQueryResult r,
                           ds_.hdov->ViewDependent(q, viewer));
-      return r.stats;
-    }
-    case Method::kDmRepacked: {
-      if (!ds_.dm_rp.has_value()) {
-        return Status::NotFound(
-            "repacked DM store not built (pass repack_dm to Create)");
-      }
-      DmQueryProcessor proc(&*ds_.dm_rp, paper);
-      DM_ASSIGN_OR_RETURN(DmQueryResult r, proc.SingleBase(q));
       return r.stats;
     }
   }

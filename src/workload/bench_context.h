@@ -8,19 +8,10 @@
 
 namespace dm {
 
-/// The competing methods of the paper's evaluation, plus two
-/// repo-local arms: DM over the repacked (cut-locality) layout, and
-/// single-base DM with the surface-bounded fetch (DESIGN.md §18). The
-/// paper arms (DM-SB, DM-MB, and DM-RP, which A/Bs the layout under
-/// DM-SB's protocol) fetch the plain cube.
-enum class Method {
-  kDmSingleBase,
-  kDmMultiBase,
-  kPm,
-  kHdov,
-  kDmRepacked,
-  kDmBounded
-};
+/// The competing methods of the paper's evaluation, plus one
+/// repo-local arm: single-base DM with the surface-bounded fetch
+/// (DESIGN.md §18). The paper arms (DM-SB, DM-MB) fetch the plain cube.
+enum class Method { kDmSingleBase, kDmMultiBase, kPm, kHdov, kDmBounded };
 
 const char* MethodName(Method m);
 
@@ -40,13 +31,9 @@ struct BenchPoint {
 /// randomly-selected locations").
 class BenchContext {
  public:
-  /// `repack_dm` additionally builds/reopens the repacked DM store so
-  /// Method::kDmRepacked is runnable (it fails with NotFound
-  /// otherwise).
   static Result<BenchContext> Create(const std::string& dir,
                                      const DatasetSpec& spec,
-                                     const DbOptions& options = {},
-                                     bool repack_dm = false);
+                                     const DbOptions& options = {});
 
   const BuiltDataset& dataset() const { return ds_; }
   BuiltDataset& mutable_dataset() { return ds_; }

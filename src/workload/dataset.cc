@@ -8,7 +8,6 @@
 
 #include "dem/crater.h"
 #include "dem/fractal.h"
-#include "dm/repack.h"
 #include "mesh/triangle_mesh.h"
 #include "pm/pm_tree.h"
 #include "simplify/simplifier.h"
@@ -23,7 +22,7 @@ namespace {
 // strict-greedy v3 builds. v5: every page carries an 8-byte CRC32C
 // trailer, shrinking the logical page size and moving every record.
 // v6: DM heap records stored as frame-of-reference group blocks
-// (DmCodec::kGroup), repacking every DM page.
+// (DmCodec::kGroup), re-encoding every DM page.
 constexpr int64_t kFormatVersion = 6;
 
 int SideFromEnv(const char* var, int fallback) {
@@ -143,48 +142,14 @@ DatasetSpec CraterDatasetSpec() {
 void DropDatasetCache(const std::string& dir, const DatasetSpec& spec) {
   std::remove(MetaPath(dir, spec).c_str());
   std::remove(DbPath(dir, spec, "dm").c_str());
-  std::remove(DbPath(dir, spec, "dm.rp").c_str());
   std::remove(DbPath(dir, spec, "pm").c_str());
   std::remove(DbPath(dir, spec, "hdov").c_str());
 }
 
-namespace {
-
-/// Builds the repacked DM store from `ds->dm` into a fresh
-/// `<name>.dm.rp.db` and records its catalog ids in `mf` (the caller
-/// persists the meta file).
-Status BuildRepackedDm(const std::string& dir, const DatasetSpec& spec,
-                       const DbOptions& options, int threads,
-                       BuiltDataset* ds, MetaFile* mf) {
-  DbOptions create = options;
-  create.truncate = true;
-  DM_ASSIGN_OR_RETURN(ds->dm_rp_env,
-                      DbEnv::Open(DbPath(dir, spec, "dm.rp"), create));
-  RepackOptions ro;
-  ro.threads = threads;
-  // Experiment knob for the EXPERIMENTS.md layout A/B: overrides the
-  // auto tile-grid level. Drop the dataset cache when changing it —
-  // a cached dm.rp file is reopened as-is.
-  if (const char* tl = std::getenv("DM_REPACK_TILE_LEVEL")) {
-    ro.tile_level = std::atoi(tl);
-  }
-  DM_ASSIGN_OR_RETURN(
-      ds->dm_rp, RepackDmStore(*ds->dm, ds->dm_rp_env.get(), ro));
-  mf->Set("dmrp.heap_first",
-          static_cast<int64_t>(ds->dm_rp->meta().heap_first));
-  mf->Set("dmrp.rtree_root",
-          static_cast<int64_t>(ds->dm_rp->meta().rtree_root));
-  mf->Set("dmrp.rtree_size", ds->dm_rp->meta().rtree_size);
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
                                         const DatasetSpec& spec,
                                         const DbOptions& options,
-                                        int build_threads,
-                                        bool repack_dm) {
+                                        int build_threads) {
   BuiltDataset ds;
   ds.spec = spec;
 
@@ -271,26 +236,6 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
                                       mf.GetDouble(p + ".e"));
       }
 
-      if (repack_dm) {
-        if (mf.Has("dmrp.heap_first")) {
-          DM_ASSIGN_OR_RETURN(ds.dm_rp_env,
-                              DbEnv::Open(DbPath(dir, spec, "dm.rp"), open));
-          DmMeta rpm = dmm;
-          rpm.heap_first = static_cast<PageId>(mf.GetInt("dmrp.heap_first"));
-          rpm.rtree_root = static_cast<PageId>(mf.GetInt("dmrp.rtree_root"));
-          rpm.rtree_size = mf.GetInt("dmrp.rtree_size");
-          rpm.repacked = true;
-          DM_ASSIGN_OR_RETURN(ds.dm_rp,
-                              DmStore::Open(ds.dm_rp_env.get(), rpm));
-        } else {
-          // Cached build predates repacking: repack the cached DM store
-          // now and record it so the next load reopens directly.
-          DM_RETURN_NOT_OK(BuildRepackedDm(dir, spec, options, build_threads,
-                                           &ds, &mf));
-          DM_RETURN_NOT_OK(mf.Save(MetaPath(dir, spec)));
-        }
-      }
-
       // Cold caches for the first query.
       DM_RETURN_NOT_OK(ds.dm_env->FlushAll());
       DM_RETURN_NOT_OK(ds.pm_env->FlushAll());
@@ -298,10 +243,6 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
       ds.dm_env->ResetStats();
       ds.pm_env->ResetStats();
       ds.hdov_env->ResetStats();
-      if (ds.dm_rp_env != nullptr) {
-        DM_RETURN_NOT_OK(ds.dm_rp_env->FlushAll());
-        ds.dm_rp_env->ResetStats();
-      }
       return ds;
     }
   }
@@ -421,10 +362,6 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
     mf.Set(p + ".f", ds.lod_quantiles[i].first);
     mf.Set(p + ".e", ds.lod_quantiles[i].second);
   }
-  if (repack_dm) {
-    DM_RETURN_NOT_OK(
-        BuildRepackedDm(dir, spec, options, build_threads, &ds, &mf));
-  }
   DM_RETURN_NOT_OK(mf.Save(MetaPath(dir, spec)));
 
   DM_RETURN_NOT_OK(ds.dm_env->FlushAll());
@@ -433,10 +370,6 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   ds.dm_env->ResetStats();
   ds.pm_env->ResetStats();
   ds.hdov_env->ResetStats();
-  if (ds.dm_rp_env != nullptr) {
-    DM_RETURN_NOT_OK(ds.dm_rp_env->FlushAll());
-    ds.dm_rp_env->ResetStats();
-  }
   return ds;
 }
 

@@ -44,15 +44,9 @@ struct BuiltDataset {
   std::unique_ptr<DbEnv> dm_env;
   std::unique_ptr<DbEnv> pm_env;
   std::unique_ptr<DbEnv> hdov_env;
-  /// Repacked copy of the DM store (cut-locality layout, see
-  /// dm/repack.h); present only when BuildOrLoadDataset was asked for
-  /// it. Lives in its own env/file so DM and DM-repacked A/B runs see
-  /// independent buffer pools.
-  std::unique_ptr<DbEnv> dm_rp_env;
   std::optional<DmStore> dm;
   std::optional<PmDbStore> pm;
   std::optional<HdovTree> hdov;
-  std::optional<DmStore> dm_rp;
 
   double max_lod = 0.0;
   double mean_lod = 0.0;
@@ -79,15 +73,11 @@ struct BuiltDataset {
 /// already cached there. Deterministic: same spec => same files and
 /// the same disk-access counts, at any `build_threads` (<= 0 means one
 /// per hardware core) — the parallel build stages are bit-reproducible
-/// by construction.
-/// With `repack_dm` set, also builds (or reopens) the repacked copy of
-/// the DM store (`BuiltDataset::dm_rp`); a cached dataset built before
-/// repacking existed is upgraded in place from its cached DM store.
+/// by construction. Catalog keys it does not read are ignored.
 Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
                                         const DatasetSpec& spec,
                                         const DbOptions& options = {},
-                                        int build_threads = 1,
-                                        bool repack_dm = false);
+                                        int build_threads = 1);
 
 /// Deletes a cached build (used by ablations that vary page size).
 void DropDatasetCache(const std::string& dir, const DatasetSpec& spec);

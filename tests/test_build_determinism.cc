@@ -17,7 +17,6 @@
 #include "dm/connectivity.h"
 #include "dm/dm_store.h"
 #include "dm/invariants.h"
-#include "dm/repack.h"
 #include "index/rtree/rstar_tree.h"
 #include "test_util.h"
 #include "workload/dataset.h"
@@ -174,58 +173,6 @@ TEST(BuildDeterminismTest, GroupCodecBuildIsThreadCountInvariant) {
   }
 }
 
-TEST(BuildDeterminismTest, RepackIsThreadCountInvariant) {
-  // The repacker's acceptance gate: repacking the same store at any
-  // worker count must produce a byte-identical output file and an
-  // identical (clean) verify report. The placement order is a total
-  // order and every parallel stage is bit-reproducible, so 1, 2, 4 and
-  // 8 threads all land on the same bytes.
-  const Scene scene = MakeScene(33, /*seed=*/7);
-  const std::string src_path = TempDbPath("repack_det_src");
-  std::remove(src_path.c_str());
-  auto src_env_or = DbEnv::Open(src_path, {});
-  ASSERT_TRUE(src_env_or.ok()) << src_env_or.status().ToString();
-  auto src_env = std::move(src_env_or).value();
-  auto store_or =
-      DmStore::Build(src_env.get(), scene.base, scene.tree, scene.sr);
-  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
-
-  std::vector<uint8_t> ref_bytes;
-  std::string ref_report;
-  for (int threads : {1, 2, 4, 8}) {
-    const std::string path =
-        TempDbPath("repack_det_t" + std::to_string(threads));
-    std::remove(path.c_str());
-    auto env_or = DbEnv::Open(path, {});
-    ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
-    auto env = std::move(env_or).value();
-    RepackOptions ro;
-    ro.threads = threads;
-    auto rp_or = RepackDmStore(store_or.value(), env.get(), ro);
-    ASSERT_TRUE(rp_or.ok()) << rp_or.status().ToString();
-
-    auto report_or = VerifyDmStore(rp_or.value());
-    ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
-    EXPECT_TRUE(report_or.value().ok()) << report_or.value().ToString();
-
-    ASSERT_TRUE(env->FlushAll().ok());
-    const std::vector<uint8_t> bytes = FileBytes(path);
-    ASSERT_FALSE(bytes.empty());
-    if (threads == 1) {
-      ref_bytes = bytes;
-      ref_report = report_or.value().ToString();
-    } else {
-      EXPECT_EQ(bytes, ref_bytes)
-          << "repacked store bytes differ at threads=" << threads;
-      EXPECT_EQ(report_or.value().ToString(), ref_report);
-    }
-    env.reset();
-    std::remove(path.c_str());
-  }
-  src_env.reset();
-  std::remove(src_path.c_str());
-}
-
 TEST(BuildDeterminismTest, DatasetBuildIsThreadCountInvariant) {
   // Full BuildOrLoadDataset (all three method databases + cache
   // manifest) built at 1 and 4 threads into separate directories must
@@ -246,14 +193,12 @@ TEST(BuildDeterminismTest, DatasetBuildIsThreadCountInvariant) {
   {
     // Scoped so the environments close (flushing everything) before
     // the files are compared.
-    auto built1_or = BuildOrLoadDataset(dir1, spec, {}, /*build_threads=*/1,
-                                        /*repack_dm=*/true);
+    auto built1_or = BuildOrLoadDataset(dir1, spec, {}, /*build_threads=*/1);
     ASSERT_TRUE(built1_or.ok()) << built1_or.status().ToString();
-    auto built4_or = BuildOrLoadDataset(dir4, spec, {}, /*build_threads=*/4,
-                                        /*repack_dm=*/true);
+    auto built4_or = BuildOrLoadDataset(dir4, spec, {}, /*build_threads=*/4);
     ASSERT_TRUE(built4_or.ok()) << built4_or.status().ToString();
   }
-  for (const char* method : {"dm", "pm", "hdov", "dm.rp"}) {
+  for (const char* method : {"dm", "pm", "hdov"}) {
     const std::string f1 = dir1 + "/det." + method + ".db";
     const std::string f4 = dir4 + "/det." + method + ".db";
     EXPECT_EQ(FileBytes(f1), FileBytes(f4)) << method;

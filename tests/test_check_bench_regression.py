@@ -81,7 +81,7 @@ class QpsLabelTest(CheckerCase):
 class FigureGateTest(CheckerCase):
     BASE = {
         "fig6a/x_1/DM-SB": 26.3333,
-        "fig6a/x_1/DM-RP": 27.0,
+        "fig6a/x_1/DM-MB": 27.0,
         "fig6a/x_1/PM": 209.0,
         "fig6a/x_1/HDoV": 43.0,
     }
@@ -107,7 +107,7 @@ class FigureGateTest(CheckerCase):
 
     def test_cell_in_one_file_only_fails(self):
         cur = dict(self.BASE)
-        del cur["fig6a/x_1/DM-RP"]
+        del cur["fig6a/x_1/DM-MB"]
         code, out = self.check("fig6_uniform", self.BASE, cur)
         self.assertEqual(code, 1, out)
         extra = dict(self.BASE, **{"fig8d/x_1/DM-BF": 80.0})

@@ -388,6 +388,43 @@ TEST_F(ReachMetaFileTest, RetiredAndUnknownCodecsAreRejected) {
   }
 }
 
+// Older writers put a `repacked=0|1` line after `codec=` for a layout
+// flag that no longer exists. It is an unknown key now: the file loads
+// with every field equal to the same file without the line, and the
+// store opens as an ordinary one (its R*-tree names its own rids).
+TEST_F(ReachMetaFileTest, LegacyRepackedLineIsIgnored) {
+  auto plain = LoadDmMeta(meta_path_);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  Rewrite([](std::vector<std::string>* l) {
+    const auto codec = std::find_if(l->begin(), l->end(), [](const auto& s) {
+      return s.rfind("codec=", 0) == 0;
+    });
+    ASSERT_NE(codec, l->end());
+    l->insert(codec + 1, "repacked=1");
+  });
+  auto legacy = LoadDmMeta(meta_path_);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  const DmMeta& a = plain.value().meta;
+  const DmMeta& b = legacy.value().meta;
+  EXPECT_EQ(b.heap_first, a.heap_first);
+  EXPECT_EQ(b.rtree_root, a.rtree_root);
+  EXPECT_EQ(b.rtree_size, a.rtree_size);
+  EXPECT_EQ(b.num_nodes, a.num_nodes);
+  EXPECT_EQ(b.num_leaves, a.num_leaves);
+  EXPECT_EQ(b.max_lod, a.max_lod);
+  EXPECT_EQ(b.mean_lod, a.mean_lod);
+  EXPECT_EQ(b.codec, a.codec);
+  EXPECT_EQ(b.bounds.lo_x, a.bounds.lo_x);
+  EXPECT_EQ(b.bounds.lo_y, a.bounds.lo_y);
+  EXPECT_EQ(b.bounds.hi_x, a.bounds.hi_x);
+  EXPECT_EQ(b.bounds.hi_y, a.bounds.hi_y);
+  EXPECT_EQ(b.id_space, a.id_space);
+  EXPECT_EQ(b.reach, a.reach);
+  EXPECT_EQ(legacy.value().quantiles, plain.value().quantiles);
+  EXPECT_EQ(legacy.value().stages, plain.value().stages);
+  EXPECT_TRUE(DmStore::Open(env_, b).ok());
+}
+
 // A meta file from before the table existed opens with no bound and
 // fetches the whole cube — with the same geometry as a bounded fetch.
 TEST_F(ReachMetaFileTest, MissingTableFetchesTheCube) {

@@ -316,6 +316,52 @@ TEST(FaultEnv, BuildUnderWriteFaultsFailsCleanly) {
 
 // ---- graceful degradation ------------------------------------------
 
+TEST(Degradation, DegradedModeIsByteIdenticalOnHealthyStores) {
+  // The degraded path takes different fetch/refine branches, so it
+  // needs its own round-trip check: with no fault armed it must neither
+  // degrade nor change a single byte of geometry, on either codec.
+  for (DmCodec codec : {DmCodec::kFlat, DmCodec::kGroup}) {
+    DmStoreOptions so;
+    so.codec = codec;
+    FaultDb db = BuildFaultDb("degrade_healthy", 33, {}, so);
+    const Rect b = db.store->meta().bounds;
+    const double max_lod = db.store->meta().max_lod;
+    const Rect roi =
+        Rect::Of(b.lo_x + 0.05 * b.width(), b.lo_y + 0.05 * b.height(),
+                 b.lo_x + 0.95 * b.width(), b.lo_y + 0.95 * b.height());
+    ViewQuery q;
+    q.roi = roi;
+    q.e_min = 0.01 * max_lod;
+    q.e_max = 0.5 * max_lod;
+    DmQueryOptions lenient;
+    lenient.allow_degraded = true;
+    DmQueryProcessor strict(db.store.get());
+    DmQueryProcessor degraded(db.store.get(), lenient);
+    const auto run = [&](DmQueryProcessor& p, int kind) {
+      return kind == 0   ? p.ViewpointIndependent(roi, 0.05 * max_lod)
+             : kind == 1 ? p.SingleBase(q)
+                         : p.MultiBase(q);
+    };
+    const char* kKinds[] = {"uniform", "single-base", "multi-base"};
+    for (int kind = 0; kind < 3; ++kind) {
+      SCOPED_TRACE(std::string(kKinds[kind]) + " codec " +
+                   std::to_string(static_cast<int>(codec)));
+      const auto a = run(strict, kind);
+      const auto r = run(degraded, kind);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r.value().health.degraded);
+      EXPECT_EQ(r.value().vertices, a.value().vertices);
+      EXPECT_EQ(r.value().positions, a.value().positions);
+      ASSERT_EQ(r.value().triangles.size(), a.value().triangles.size());
+      for (size_t i = 0; i < a.value().triangles.size(); ++i) {
+        EXPECT_EQ(r.value().triangles[i].v, a.value().triangles[i].v) << i;
+      }
+      EXPECT_FALSE(a.value().triangles.empty());
+    }
+  }
+}
+
 TEST(Degradation, LostHeapPagesYieldCoarserValidMesh) {
   FaultDb db = BuildFaultDb("degrade_eio", 49);
   // A deep cut (the LOD axis is heavily skewed, so a small fraction of

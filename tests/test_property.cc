@@ -15,7 +15,6 @@
 #include "dm/connectivity.h"
 #include "dm/dm_query.h"
 #include "dm/dm_store.h"
-#include "dm/repack.h"
 #include "pm/cut_replay.h"
 #include "server/shard_router.h"
 #include "server/shard_set.h"
@@ -122,8 +121,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Differential oracle for the surface-bounded fetch (DESIGN.md §18):
 // over seeded random view and perspective queries, the bounded fetch
 // must return byte-identical geometry to the paper's cube fetch while
-// reading no more nodes and no more pages, on every codec, layout and
-// shard layout.
+// reading no more nodes and no more pages, on every codec and shard
+// layout.
 class BoundedFetchDifferential : public ::testing::Test {
  protected:
   /// One store layout under test: a data source plus a way to empty
@@ -146,11 +145,6 @@ class BoundedFetchDifferential : public ::testing::Test {
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       DmStore* store = Own(std::move(built).value());
       AddTarget(tag + "/built", store, {env});
-
-      DbEnv* rp_env = Own(testing::OpenTempEnv("bf_rp_" + tag));
-      auto rp = RepackDmStore(*store, rp_env);
-      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-      AddTarget(tag + "/repacked", Own(std::move(rp).value()), {rp_env});
 
       if (codec == DmCodec::kFlat) {
         ShardSetOptions opt;
@@ -279,7 +273,7 @@ ShardSet* BoundedFetchDifferential::shards_ = nullptr;
 ShardRouter* BoundedFetchDifferential::router_ = nullptr;
 
 TEST_F(BoundedFetchDifferential, ViewQueriesMatchTheCubeFetch) {
-  ASSERT_EQ(targets_->size(), 5u);
+  ASSERT_EQ(targets_->size(), 3u);  // flat, group, flat 2x2 shards
   const double max_lod = scene_->tree.max_lod();
   Rng rng(2024);
   for (const Target& t : *targets_) {

@@ -30,7 +30,7 @@ bench_chaos:
 
 fig6_uniform / fig8_viewdep:
   * the paper's metric, cold disk accesses, is deterministic, so every
-    DM cell (`<fig>/x_<x>/DM-SB|DM-RP|DM-MB|DM-BF`) must equal the
+    DM cell (`<fig>/x_<x>/DM-SB|DM-MB|DM-BF`) must equal the
     baseline exactly, and a DM cell present in only one of the two
     files fails too: a change that moves a count re-records the
     baseline. The PM and HDoV arms are not gated.
@@ -65,7 +65,7 @@ import sys
 FIGURE_KINDS = ("fig6_uniform", "fig8_viewdep")
 BENCH_KINDS = ("bench_faults", "bench_chaos",
                "ablation_compression") + FIGURE_KINDS
-DM_ARMS = ("DM-SB", "DM-RP", "DM-MB", "DM-BF")
+DM_ARMS = ("DM-SB", "DM-MB", "DM-BF")
 
 
 def load_doc(path, expect_bench=None):

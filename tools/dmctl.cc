@@ -32,7 +32,6 @@
 #include "dm/dm_store.h"
 #include "dm/invariants.h"
 #include "dm/meta_io.h"
-#include "dm/repack.h"
 #include "mesh/obj_io.h"
 #include "mesh/render.h"
 #include "pm/pm_tree.h"
@@ -148,9 +147,6 @@ const FlagSpec* FlagsOf(const std::string& command) {
       {"scrub", {{"db", K::kText},
                  {"json", K::kText},
                  {"max-violations", K::kInt}}},
-      {"repack", with(open, {{"out", K::kText},
-                             {"threads", K::kInt},
-                             {"tile-level", K::kInt}})},
       {"query", with(open, {{"roi", K::kText},
                             {"lod", K::kDouble},
                             {"keep", K::kDouble},
@@ -197,7 +193,6 @@ int Usage() {
       "  dmctl info  --db BASE\n"
       "  dmctl verify --db BASE [--max-violations N]\n"
       "  dmctl scrub --db BASE [--json] [--max-violations N]\n"
-      "  dmctl repack --db BASE --out BASE2 [--threads T] [--tile-level N]\n"
       "  dmctl query --db BASE --roi x0,y0,x1,y1 (--lod E | --keep F) "
       "[--obj OUT] [--ppm OUT]\n"
       "  dmctl view  --db BASE --roi x0,y0,x1,y1 --emin E --emax E "
@@ -684,42 +679,6 @@ int RunScrub(const Args& args) {
   return 0;
 }
 
-// Post-build cut-locality repack (DESIGN.md §14): rewrites the store
-// at --db into --out with records placed in (LOD band, Hilbert(x, y))
-// order and the R*-tree rebuilt over the new RecordIds. Deterministic
-// at any --threads count.
-Status RunRepack(const Args& args) {
-  DM_ASSIGN_OR_RETURN(OpenDb db, Open(args));
-  const std::string out_base = args.Get("out");
-  if (out_base.empty()) return Status::InvalidArgument("--out required");
-
-  // Physical page size (DbEnv::page_size() is the logical size, minus
-  // the integrity trailer, and would not round-trip through Open).
-  DbOptions options;
-  options.page_size = db.env->options().page_size;
-  DM_ASSIGN_OR_RETURN(std::unique_ptr<DbEnv> out_env,
-                      DbEnv::Open(out_base + ".db", options));
-  RepackOptions ro;
-  ro.threads = static_cast<int>(args.GetInt("threads", 1));
-  ro.tile_level = static_cast<int>(args.GetInt("tile-level", -1));
-  RepackReport report;
-  const auto t0 = std::chrono::steady_clock::now();
-  DM_ASSIGN_OR_RETURN(const DmStore repacked,
-                      RepackDmStore(*db.store, out_env.get(), ro, &report));
-  const auto t1 = std::chrono::steady_clock::now();
-  DM_RETURN_NOT_OK(SaveMeta(out_base + ".meta", repacked.meta(),
-                            db.lm.quantiles, db.lm.stages));
-  std::printf(
-      "repacked %lld nodes into %lld heap pages (tile level %d, leaf "
-      "capacity %u) in %.1f ms\n",
-      static_cast<long long>(report.num_nodes),
-      static_cast<long long>(repacked.heap().num_pages()), report.tile_level,
-      report.leaf_capacity,
-      std::chrono::duration<double, std::milli>(t1 - t0).count());
-  std::printf("wrote %s.db + %s.meta\n", out_base.c_str(), out_base.c_str());
-  return Status::OK();
-}
-
 Result<double> LodFromArgs(const Args& args, const LoadedMeta& lm) {
   if (args.Has("lod")) return args.GetDouble("lod", 0.0);
   const double keep = args.GetDouble("keep", 0.1);
@@ -930,8 +889,6 @@ int Main(int argc, char** argv) {
   } else if (args.command == "scrub") {
     // Scrub owns its exit codes (stable damage taxonomy; see RunScrub).
     return RunScrub(args);
-  } else if (args.command == "repack") {
-    st = RunRepack(args);
   } else if (args.command == "query") {
     st = RunQuery(args);
   } else if (args.command == "view") {
