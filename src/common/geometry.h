@@ -76,8 +76,6 @@ struct Rect {
   double width() const { return empty() ? 0.0 : hi_x - lo_x; }
   double height() const { return empty() ? 0.0 : hi_y - lo_y; }
   double Area() const { return width() * height(); }
-  /// Half-perimeter; the R*-tree margin criterion.
-  double Margin() const { return width() + height(); }
 
   bool Contains(double x, double y) const {
     return x >= lo_x && x <= hi_x && y >= lo_y && y <= hi_y;
@@ -103,16 +101,6 @@ struct Rect {
     lo_y = std::min(lo_y, o.lo_y);
     hi_x = std::max(hi_x, o.hi_x);
     hi_y = std::max(hi_y, o.hi_y);
-  }
-
-  Rect Intersection(const Rect& o) const {
-    Rect r;
-    r.lo_x = std::max(lo_x, o.lo_x);
-    r.lo_y = std::max(lo_y, o.lo_y);
-    r.hi_x = std::min(hi_x, o.hi_x);
-    r.hi_y = std::min(hi_y, o.hi_y);
-    if (r.empty()) return Rect{};
-    return r;
   }
 
   std::string ToString() const;
@@ -154,8 +142,6 @@ struct Box {
   double Volume() const {
     return Extent(0) * Extent(1) * Extent(2);
   }
-  /// Sum of side lengths; the 3D margin criterion.
-  double Margin() const { return Extent(0) + Extent(1) + Extent(2); }
 
   bool Contains(double x, double y, double e) const {
     return x >= lo[0] && x <= hi[0] && y >= lo[1] && y <= hi[1] &&
@@ -180,16 +166,6 @@ struct Box {
       lo[d] = std::min(lo[d], o.lo[d]);
       hi[d] = std::max(hi[d], o.hi[d]);
     }
-  }
-
-  Box Intersection(const Box& o) const {
-    Box r;
-    for (int d = 0; d < 3; ++d) {
-      r.lo[d] = std::max(lo[d], o.lo[d]);
-      r.hi[d] = std::min(hi[d], o.hi[d]);
-    }
-    if (r.empty()) return Box{};
-    return r;
   }
 
   Rect rect_xy() const { return Rect::Of(lo[0], lo[1], hi[0], hi[1]); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
-
 #include <memory>
 
 #include "common/check.h"
@@ -42,43 +40,34 @@ constexpr uint32_t kCountOff = 2;
 constexpr uint32_t kEntriesOff = 8;
 constexpr uint32_t kEntrySize = 56;
 
-// Fraction of capacity required in every node (R* default 40%), and
-// the share of entries removed by forced reinsert (R* default 30%).
-constexpr double kMinFill = 0.4;
-constexpr double kReinsertShare = 0.3;
-
-double Enlargement(const Box& box, const Box& add) {
-  Box u = box;
-  u.ExpandToInclude(add);
-  return u.Volume() - box.Volume();
-}
-
-double OverlapWith(const Box& box, const std::vector<Box>& others,
-                   size_t skip) {
-  double total = 0.0;
-  for (size_t i = 0; i < others.size(); ++i) {
-    if (i == skip) continue;
-    total += box.Intersection(others[i]).Volume();
-  }
-  return total;
-}
-
 }  // namespace
 
 uint32_t RStarTree::MaxEntries() const {
-  // One slot per page is reserved so a node can transiently hold
-  // M + 1 entries on disk between the insert that overflows it and
-  // the overflow treatment that splits or reinserts.
-  return (env_->page_size() - kEntriesOff) / kEntrySize - 1;
-}
-
-uint32_t RStarTree::MinEntries() const {
-  const uint32_t m = static_cast<uint32_t>(MaxEntries() * kMinFill);
-  return std::max(2u, m);
+  return LeafCapacityFor(env_->page_size());
 }
 
 uint32_t RStarTree::LeafCapacityFor(uint32_t page_size) {
+  // The last whole entry slot of a page stays unused (dynamic insertion
+  // once parked an overflowing node's M + 1st entry there). Reclaiming
+  // it changes every store's bytes and every disk-access count, so it
+  // belongs to the next leaf-entry format (v7).
   return (page_size - kEntriesOff) / kEntrySize - 1;
+}
+
+Status RStarTree::CheckHeader(PageId id, const uint8_t* data,
+                              int expected_level, uint16_t* level,
+                              uint16_t* count) const {
+  std::memcpy(level, data + kLevelOff, 2);
+  std::memcpy(count, data + kCountOff, 2);
+  DM_ENSURE(expected_level < 0 || *level == expected_level,
+            Status::Corruption("R*-tree node " + std::to_string(id) +
+                               " level disagrees with its parent"));
+  DM_ENSURE(*count <= MaxEntries(),
+            Status::Corruption("R*-tree node " + std::to_string(id) +
+                               " entry count " + std::to_string(*count) +
+                               " exceeds node capacity " +
+                               std::to_string(MaxEntries())));
+  return Status::OK();
 }
 
 std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
@@ -183,6 +172,14 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
 
 Result<RStarTree> RStarTree::BulkLoad(
     DbEnv* env, const std::vector<std::pair<Box, uint64_t>>& ordered) {
+  // An empty box would drop out of every NodeBox above it, so no query
+  // could ever reach its entry.
+  for (const auto& [box, payload] : ordered) {
+    if (box.empty()) {
+      return Status::InvalidArgument("cannot index an empty box (payload " +
+                                     std::to_string(payload) + ")");
+    }
+  }
   RStarTree tree(env, kInvalidPage);
   if (ordered.empty()) {
     Node root;
@@ -237,14 +234,6 @@ Result<RStarTree> RStarTree::BulkLoad(
   return tree;
 }
 
-Result<RStarTree> RStarTree::Create(DbEnv* env) {
-  RStarTree tree(env, kInvalidPage);
-  Node root;
-  root.level = 0;
-  DM_ASSIGN_OR_RETURN(tree.root_, tree.AllocNode(root));
-  return tree;
-}
-
 RStarTree RStarTree::Open(DbEnv* env, PageId root, int64_t size) {
   RStarTree t(env, root);
   t.size_ = size;
@@ -255,15 +244,10 @@ Result<RStarTree::Node> RStarTree::ReadNode(PageId id) const {
   DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(id));
   Node node;
   uint16_t count;
-  std::memcpy(&node.level, page.data() + kLevelOff, 2);
-  std::memcpy(&count, page.data() + kCountOff, 2);
-  // M + 1 entries may legitimately sit on disk between an overflowing
-  // insert and its overflow treatment.
-  DM_ENSURE(kEntriesOff + static_cast<uint32_t>(count) * kEntrySize <=
-                env_->page_size(),
-            Status::Corruption("R*-tree node " + std::to_string(id) +
-                               " entry count " + std::to_string(count) +
-                               " exceeds page capacity"));
+  // No level is implied here (the root, audits); the count bound is the
+  // same as the traversals': BulkLoad never writes more than
+  // MaxEntries() entries to a node.
+  DM_RETURN_NOT_OK(CheckHeader(id, page.data(), -1, &node.level, &count));
   node.entries.resize(count);
   const uint8_t* p = page.data() + kEntriesOff;
   for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
@@ -274,8 +258,8 @@ Result<RStarTree::Node> RStarTree::ReadNode(PageId id) const {
   return node;
 }
 
-Status RStarTree::WriteNode(PageId id, const Node& node) {
-  DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(id));
+Result<PageId> RStarTree::AllocNode(const Node& node) {
+  DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().NewPage());
   const uint16_t count = static_cast<uint16_t>(node.entries.size());
   std::memcpy(page.data() + kLevelOff, &node.level, 2);
   std::memcpy(page.data() + kCountOff, &count, 2);
@@ -286,306 +270,13 @@ Status RStarTree::WriteNode(PageId id, const Node& node) {
     std::memcpy(p + 48, &node.entries[i].payload, 8);
   }
   page.MarkDirty();
-  return Status::OK();
-}
-
-Result<PageId> RStarTree::AllocNode(const Node& node) {
-  DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().NewPage());
-  const PageId id = page.id();
-  page.Release();
-  DM_RETURN_NOT_OK(WriteNode(id, node));
-  return id;
+  return page.id();
 }
 
 Box RStarTree::NodeBox(const Node& node) {
   Box box;
   for (const Entry& e : node.entries) box.ExpandToInclude(e.box);
   return box;
-}
-
-Result<RStarTree::Path> RStarTree::ChoosePath(const Box& box,
-                                              uint16_t target_level) const {
-  Path path;
-  PageId id = root_;
-  while (true) {
-    path.pages.push_back(id);
-    DM_ASSIGN_OR_RETURN(Node node, ReadNode(id));
-    if (node.level == target_level) return path;
-
-    uint32_t best = 0;
-    if (node.level == target_level + 1 && node.level > 0 &&
-        target_level == 0) {
-      // Children are leaves: minimize overlap enlargement (ties: area
-      // enlargement, then area).
-      std::vector<Box> child_boxes;
-      child_boxes.reserve(node.entries.size());
-      for (const Entry& e : node.entries) child_boxes.push_back(e.box);
-      double best_overlap = std::numeric_limits<double>::infinity();
-      double best_enl = best_overlap;
-      double best_area = best_overlap;
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        Box enlarged = node.entries[i].box;
-        enlarged.ExpandToInclude(box);
-        const double before =
-            OverlapWith(node.entries[i].box, child_boxes, i);
-        const double after = OverlapWith(enlarged, child_boxes, i);
-        const double d_overlap = after - before;
-        const double d_enl = Enlargement(node.entries[i].box, box);
-        const double area = node.entries[i].box.Volume();
-        if (d_overlap < best_overlap ||
-            (d_overlap == best_overlap &&
-             (d_enl < best_enl ||
-              (d_enl == best_enl && area < best_area)))) {
-          best_overlap = d_overlap;
-          best_enl = d_enl;
-          best_area = area;
-          best = static_cast<uint32_t>(i);
-        }
-      }
-    } else {
-      // Minimize area enlargement (ties: area).
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_area = best_enl;
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        const double d_enl = Enlargement(node.entries[i].box, box);
-        const double area = node.entries[i].box.Volume();
-        if (d_enl < best_enl || (d_enl == best_enl && area < best_area)) {
-          best_enl = d_enl;
-          best_area = area;
-          best = static_cast<uint32_t>(i);
-        }
-      }
-    }
-    path.slots.push_back(best);
-    id = static_cast<PageId>(node.entries[best].payload);
-  }
-}
-
-Status RStarTree::AdjustPath(const Path& path) {
-  // Recompute exact MBRs bottom-up (handles both growth and shrink).
-  for (size_t i = path.pages.size(); i-- > 1;) {
-    DM_ASSIGN_OR_RETURN(Node child, ReadNode(path.pages[i]));
-    DM_ASSIGN_OR_RETURN(Node parent, ReadNode(path.pages[i - 1]));
-    parent.entries[path.slots[i - 1]].box = NodeBox(child);
-    DM_RETURN_NOT_OK(WriteNode(path.pages[i - 1], parent));
-  }
-  return Status::OK();
-}
-
-void RStarTree::SplitNode(const Node& node, uint32_t min_entries, Node* left,
-                          Node* right) {
-  // R* topological split. ChooseSplitAxis: for each axis, sort by lo
-  // (and by hi) and sum margins over all legal distributions; pick the
-  // axis with the minimum margin sum. ChooseSplitIndex: on that axis,
-  // pick the distribution with minimum overlap (ties: minimum total
-  // area).
-  const uint32_t total = static_cast<uint32_t>(node.entries.size());
-  const uint32_t m = min_entries;
-
-  int best_axis = -1;
-  bool best_by_hi = false;
-  double best_margin_sum = std::numeric_limits<double>::infinity();
-
-  std::vector<uint32_t> order(total);
-  auto eval_axis = [&](int axis, bool by_hi) {
-    for (uint32_t i = 0; i < total; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const Box& ba = node.entries[a].box;
-      const Box& bb = node.entries[b].box;
-      const double ka = by_hi ? ba.hi[axis] : ba.lo[axis];
-      const double kb = by_hi ? bb.hi[axis] : bb.lo[axis];
-      if (ka != kb) return ka < kb;
-      return a < b;
-    });
-    // Prefix/suffix boxes for O(n) distribution evaluation.
-    std::vector<Box> prefix(total);
-    std::vector<Box> suffix(total);
-    Box acc;
-    for (uint32_t i = 0; i < total; ++i) {
-      acc.ExpandToInclude(node.entries[order[i]].box);
-      prefix[i] = acc;
-    }
-    acc = Box{};
-    for (uint32_t i = total; i-- > 0;) {
-      acc.ExpandToInclude(node.entries[order[i]].box);
-      suffix[i] = acc;
-    }
-    double margin_sum = 0.0;
-    for (uint32_t k = m; k <= total - m; ++k) {
-      margin_sum += prefix[k - 1].Margin() + suffix[k].Margin();
-    }
-    if (margin_sum < best_margin_sum) {
-      best_margin_sum = margin_sum;
-      best_axis = axis;
-      best_by_hi = by_hi;
-    }
-  };
-  for (int axis = 0; axis < 3; ++axis) {
-    eval_axis(axis, false);
-    eval_axis(axis, true);
-  }
-
-  // Re-sort on the chosen axis and pick the best split index.
-  for (uint32_t i = 0; i < total; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const Box& ba = node.entries[a].box;
-    const Box& bb = node.entries[b].box;
-    const double ka = best_by_hi ? ba.hi[best_axis] : ba.lo[best_axis];
-    const double kb = best_by_hi ? bb.hi[best_axis] : bb.lo[best_axis];
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
-  std::vector<Box> prefix(total);
-  std::vector<Box> suffix(total);
-  Box acc;
-  for (uint32_t i = 0; i < total; ++i) {
-    acc.ExpandToInclude(node.entries[order[i]].box);
-    prefix[i] = acc;
-  }
-  acc = Box{};
-  for (uint32_t i = total; i-- > 0;) {
-    acc.ExpandToInclude(node.entries[order[i]].box);
-    suffix[i] = acc;
-  }
-  uint32_t best_k = m;
-  double best_overlap = std::numeric_limits<double>::infinity();
-  double best_area = best_overlap;
-  for (uint32_t k = m; k <= total - m; ++k) {
-    const double overlap = prefix[k - 1].Intersection(suffix[k]).Volume();
-    const double area = prefix[k - 1].Volume() + suffix[k].Volume();
-    if (overlap < best_overlap ||
-        (overlap == best_overlap && area < best_area)) {
-      best_overlap = overlap;
-      best_area = area;
-      best_k = k;
-    }
-  }
-
-  left->level = node.level;
-  right->level = node.level;
-  left->entries.clear();
-  right->entries.clear();
-  for (uint32_t i = 0; i < total; ++i) {
-    (i < best_k ? left : right)->entries.push_back(node.entries[order[i]]);
-  }
-}
-
-Status RStarTree::HandleOverflow(Path path, std::vector<bool>* reinserted) {
-  const PageId node_id = path.pages.back();
-  DM_ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-  const bool is_root = node_id == root_;
-
-  if (!is_root && node.level < reinserted->size() &&
-      !(*reinserted)[node.level]) {
-    // Forced reinsert: remove the 30% of entries whose centers are
-    // farthest from the node MBR center, tighten the node, and
-    // reinsert them (closest first — Beckmann's "close reinsert").
-    (*reinserted)[node.level] = true;
-    const Box nb = NodeBox(node);
-    std::array<double, 3> c{(nb.lo[0] + nb.hi[0]) / 2,
-                            (nb.lo[1] + nb.hi[1]) / 2,
-                            (nb.lo[2] + nb.hi[2]) / 2};
-    auto dist2 = [&](const Entry& e) {
-      double d = 0;
-      for (int k = 0; k < 3; ++k) {
-        const double ec = (e.box.lo[k] + e.box.hi[k]) / 2;
-        d += (ec - c[k]) * (ec - c[k]);
-      }
-      return d;
-    };
-    std::vector<uint32_t> order(node.entries.size());
-    for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const double da = dist2(node.entries[a]);
-      const double db = dist2(node.entries[b]);
-      if (da != db) return da > db;  // farthest first
-      return a < b;
-    });
-    const uint32_t p = std::max<uint32_t>(
-        1, static_cast<uint32_t>(node.entries.size() * kReinsertShare));
-    std::vector<Entry> removed;
-    removed.reserve(p);
-    std::vector<bool> drop(node.entries.size(), false);
-    for (uint32_t i = 0; i < p; ++i) {
-      removed.push_back(node.entries[order[i]]);
-      drop[order[i]] = true;
-    }
-    Node kept;
-    kept.level = node.level;
-    for (uint32_t i = 0; i < node.entries.size(); ++i) {
-      if (!drop[i]) kept.entries.push_back(node.entries[i]);
-    }
-    DM_RETURN_NOT_OK(WriteNode(node_id, kept));
-    DM_RETURN_NOT_OK(AdjustPath(path));
-    // Close reinsert: insert in increasing distance order.
-    for (auto it = removed.rbegin(); it != removed.rend(); ++it) {
-      DM_RETURN_NOT_OK(InsertEntry(*it, node.level, reinserted));
-    }
-    return Status::OK();
-  }
-
-  // Split.
-  Node left;
-  Node right;
-  SplitNode(node, MinEntries(), &left, &right);
-  DM_RETURN_NOT_OK(WriteNode(node_id, left));
-  DM_ASSIGN_OR_RETURN(const PageId right_id, AllocNode(right));
-
-  if (is_root) {
-    Node new_root;
-    new_root.level = static_cast<uint16_t>(node.level + 1);
-    new_root.entries.push_back(Entry{NodeBox(left), node_id});
-    new_root.entries.push_back(Entry{NodeBox(right), right_id});
-    DM_ASSIGN_OR_RETURN(root_, AllocNode(new_root));
-    return Status::OK();
-  }
-
-  // Update the parent: tighten the left box, add the right entry.
-  path.pages.pop_back();
-  const uint32_t slot = path.slots.back();
-  path.slots.pop_back();
-  const PageId parent_id = path.pages.back();
-  DM_ASSIGN_OR_RETURN(Node parent, ReadNode(parent_id));
-  parent.entries[slot].box = NodeBox(left);
-  parent.entries.push_back(Entry{NodeBox(right), right_id});
-  const bool parent_overflow = parent.entries.size() > MaxEntries();
-  DM_RETURN_NOT_OK(WriteNode(parent_id, parent));
-  DM_RETURN_NOT_OK(AdjustPath(path));
-  if (parent_overflow) {
-    DM_RETURN_NOT_OK(HandleOverflow(std::move(path), reinserted));
-  }
-  return Status::OK();
-}
-
-Status RStarTree::InsertEntry(const Entry& entry, uint16_t target_level,
-                              std::vector<bool>* reinserted) {
-  DM_ASSIGN_OR_RETURN(Path path, ChoosePath(entry.box, target_level));
-  const PageId node_id = path.pages.back();
-  DM_ASSIGN_OR_RETURN(Node node, ReadNode(node_id));
-  node.entries.push_back(entry);
-  const bool overflow = node.entries.size() > MaxEntries();
-  DM_RETURN_NOT_OK(WriteNode(node_id, node));
-  DM_RETURN_NOT_OK(AdjustPath(path));
-  if (overflow) {
-    DM_RETURN_NOT_OK(HandleOverflow(std::move(path), reinserted));
-  }
-  return Status::OK();
-}
-
-Status RStarTree::Insert(const Box& box, uint64_t payload) {
-  if (box.empty()) return Status::InvalidArgument("cannot insert empty box");
-  {
-    // The insert may grow the root or rewrite it in place; drop the
-    // decoded copy so the next traversal re-reads it.
-    MutexLock lock(root_cache_->mu);
-    root_cache_->node.reset();
-  }
-  // One reinsert pass allowed per level per top-level insertion.
-  DM_ASSIGN_OR_RETURN(Node root, ReadNode(root_));
-  std::vector<bool> reinserted(static_cast<size_t>(root.level) + 2, false);
-  DM_RETURN_NOT_OK(InsertEntry(Entry{box, payload}, 0, &reinserted));
-  ++size_;
-  return Status::OK();
 }
 
 Status RStarTree::RangeQuery(const Box& query,
@@ -604,7 +295,6 @@ Status RStarTree::RangeQuery(const Box& query,
   frontier.clear();
   leaf_seq.clear();
 
-  const uint32_t page_size = env_->page_size();
   // The decoded root is cached (every query starts there); a leaf
   // root degenerates to the serial scan. Seed the frontier with the
   // root's intersecting children in reverse entry order — the serial
@@ -665,21 +355,8 @@ Status RStarTree::RangeQuery(const Box& query,
             const uint8_t* data = (*guards)[g].data();
             uint16_t node_level;
             uint16_t count;
-            std::memcpy(&node_level, data + kLevelOff, 2);
-            std::memcpy(&count, data + kCountOff, 2);
-            if (node_level != level) {
-              wave_st = Status::Corruption(
-                  "R*-tree node " + std::to_string(id) +
-                  " level disagrees with its parent");
-              return;
-            }
-            if (kEntriesOff + static_cast<uint32_t>(count) * kEntrySize >
-                page_size) {
-              wave_st = Status::Corruption(
-                  "R*-tree node " + std::to_string(id) + " entry count " +
-                  std::to_string(count) + " exceeds page capacity");
-              return;
-            }
+            wave_st = CheckHeader(id, data, level, &node_level, &count);
+            if (!wave_st.ok()) return;
             const size_t pos = static_cast<size_t>(
                 std::lower_bound(sorted_nodes.begin(), sorted_nodes.end(),
                                  id) -
@@ -752,15 +429,8 @@ Status RStarTree::RangeQuery(const Box& query,
           const uint8_t* data = (*guards)[g].data();
           uint16_t level;
           uint16_t count;
-          std::memcpy(&level, data + kLevelOff, 2);
-          std::memcpy(&count, data + kCountOff, 2);
-          if (level != 0 ||
-              kEntriesOff + static_cast<uint32_t>(count) * kEntrySize >
-                  page_size) {
-            scan_st = Status::Corruption("R*-tree leaf " + std::to_string(id) +
-                                         " has an invalid header");
-            return;
-          }
+          scan_st = CheckHeader(id, data, 0, &level, &count);
+          if (!scan_st.ok()) return;
           const size_t pos = static_cast<size_t>(
               std::lower_bound(sorted_leaves.begin(), sorted_leaves.end(),
                                id) -
@@ -828,16 +498,8 @@ Status RStarTree::RangeQueryEntries(
     DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(id));
     uint16_t level;
     uint16_t count;
-    std::memcpy(&level, page.data() + kLevelOff, 2);
-    std::memcpy(&count, page.data() + kCountOff, 2);
-    DM_ENSURE(level == expected_level,
-              Status::Corruption("R*-tree node " + std::to_string(id) +
-                                 " level disagrees with its parent"));
-    DM_ENSURE(kEntriesOff + static_cast<uint32_t>(count) * kEntrySize <=
-                  env_->page_size(),
-              Status::Corruption("R*-tree node " + std::to_string(id) +
-                                 " entry count " + std::to_string(count) +
-                                 " exceeds page capacity"));
+    DM_RETURN_NOT_OK(
+        CheckHeader(id, page.data(), expected_level, &level, &count));
     const uint8_t* p = page.data() + kEntriesOff;
     for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
       Box box;
@@ -905,11 +567,6 @@ Status RStarTree::VisitNodes(
 Result<int> RStarTree::Height() const {
   DM_ASSIGN_OR_RETURN(Node root, ReadNode(root_));
   return static_cast<int>(root.level) + 1;
-}
-
-Result<Box> RStarTree::RootBox() const {
-  DM_ASSIGN_OR_RETURN(Node root, ReadNode(root_));
-  return NodeBox(root);
 }
 
 }  // namespace dm

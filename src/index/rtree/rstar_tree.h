@@ -25,27 +25,23 @@ struct RTreeNodeExtent {
   uint16_t count = 0;
 };
 
-/// Disk-based R*-tree (Beckmann et al., SIGMOD 1990) over 3D boxes.
-/// 2D indexing uses degenerate boxes (lo[2] == hi[2] == 0). One node
-/// per page; entries are (Box, payload) where payload is a child page
-/// id in internal nodes and an opaque 64-bit value (typically a packed
+/// Disk-based, read-only R*-tree over 3D (x, y, LOD) boxes: the
+/// paper's index of DM nodes as vertical segments. One node per page;
+/// entries are (Box, payload) where payload is a child page id in
+/// internal nodes and an opaque 64-bit value (typically a packed
 /// RecordId) in leaves.
 ///
-/// Implements the full R* insertion heuristics: least-overlap
-/// ChooseSubtree at the leaf level, forced reinsert of the 30%
-/// farthest entries on first overflow per level, and the
-/// margin-driven topological split.
+/// A tree is written once, by BulkLoad over entries in StrOrder (the
+/// packed R-tree that Kamel-Faloutsos's cost model assumes), and never
+/// changes afterwards; there is no dynamic insertion.
 ///
-/// Concurrency: once loading is done the tree structure is frozen, so
-/// the const traversals (RangeQuery, RangeQueryEntries,
-/// CollectNodeExtents, VisitNodes, Height, RootBox) are safe from many
-/// threads; node pages are materialized through the thread-safe buffer
-/// pool. `Insert` is single-writer and must not overlap with readers.
+/// Concurrency: the tree is immutable, so the const traversals
+/// (RangeQuery, RangeQueryEntries, CollectNodeExtents, VisitNodes,
+/// Height) are safe from many threads; node pages are materialized
+/// through the thread-safe buffer pool. The only shared mutable state
+/// is the decoded-root cache, filled once under its mutex.
 class RStarTree {
  public:
-  /// Creates an empty tree (root = empty leaf) in `env`.
-  static Result<RStarTree> Create(DbEnv* env);
-
   /// Opens an existing tree.
   static RStarTree Open(DbEnv* env, PageId root, int64_t size);
 
@@ -68,10 +64,12 @@ class RStarTree {
   static std::vector<size_t> StrOrder(const std::vector<Box>& boxes,
                                       uint32_t leaf_capacity,
                                       WorkerPool& pool);
-  /// Capacity used by BulkLoad leaves (== MaxEntries()).
+  /// Entries per BulkLoad node, leaf or internal, on `page_size` pages.
   static uint32_t LeafCapacityFor(uint32_t page_size);
 
   /// Builds a packed tree from entries already arranged in StrOrder.
+  /// InvalidArgument if any box is empty: it would drop out of every
+  /// node MBR above it, out of reach of every query.
   static Result<RStarTree> BulkLoad(
       DbEnv* env, const std::vector<std::pair<Box, uint64_t>>& ordered);
 
@@ -79,8 +77,6 @@ class RStarTree {
   int64_t size() const { return size_; }
   /// Number of levels (1 = the root is a leaf).
   Result<int> Height() const;
-
-  Status Insert(const Box& box, uint64_t payload);
 
   /// Collects payloads of all leaf entries whose box intersects
   /// `query`. The traversal expands level by level, fetching each
@@ -114,9 +110,6 @@ class RStarTree {
                                const std::vector<std::pair<Box, uint64_t>>&)>&
           callback) const;
 
-  /// The MBR of the whole tree (empty box when the tree is empty).
-  Result<Box> RootBox() const;
-
  private:
   struct Entry {
     Box box;
@@ -129,45 +122,33 @@ class RStarTree {
 
   /// Decoded root node, cached on first use. Every traversal touches
   /// the root, so a buffer-starved pool would otherwise pay one device
-  /// round trip per query just to re-learn the fan-out. The tree is
-  /// frozen while readers run (Insert is single-writer and must not
-  /// overlap them), so the cache can only go stale across an Insert,
-  /// which invalidates it. Held behind a shared_ptr so tree handles
-  /// stay copyable and copies share one cache (they view one tree).
+  /// round trip per query just to re-learn the fan-out. The tree never
+  /// changes after BulkLoad, so the cache is filled once and never goes
+  /// stale. Held behind a shared_ptr so tree handles stay copyable and
+  /// copies share one cache (they view one tree).
   struct RootCache;
 
   RStarTree(DbEnv* env, PageId root);
 
+  /// Entries per node: LeafCapacityFor(page size), leaves and internal
+  /// nodes alike.
   uint32_t MaxEntries() const;
-  uint32_t MinEntries() const;
+
+  /// Reads a node page's level and entry count into `level` and
+  /// `count`. Corruption naming the page if the level is not
+  /// `expected_level` (pass -1 when no level is implied) or the count
+  /// exceeds MaxEntries().
+  Status CheckHeader(PageId id, const uint8_t* data, int expected_level,
+                     uint16_t* level, uint16_t* count) const;
 
   /// Returns the cached decoded root, reading it once on a miss.
   Result<std::shared_ptr<const Node>> CachedRoot() const;
 
   Result<Node> ReadNode(PageId id) const;
-  Status WriteNode(PageId id, const Node& node);
+  /// Writes `node` to a fresh page and returns its id.
   Result<PageId> AllocNode(const Node& node);
 
-  /// Root-to-target path of page ids; `slots[i]` is the entry index of
-  /// path[i+1] inside path[i].
-  struct Path {
-    std::vector<PageId> pages;
-    std::vector<uint32_t> slots;
-  };
-  Result<Path> ChoosePath(const Box& box, uint16_t target_level) const;
-
-  /// Recomputes exact parent MBRs along the path, bottom-up.
-  Status AdjustPath(const Path& path);
-
-  /// Overflow at path.back(); splits or force-reinserts.
-  Status HandleOverflow(Path path, std::vector<bool>* reinserted);
-
-  Status InsertEntry(const Entry& entry, uint16_t target_level,
-                     std::vector<bool>* reinserted);
-
   static Box NodeBox(const Node& node);
-  static void SplitNode(const Node& node, uint32_t min_entries, Node* left,
-                        Node* right);
 
   DbEnv* env_;
   PageId root_;

@@ -40,6 +40,13 @@ std::string DbPath(const std::string& dir, const DatasetSpec& spec,
   return dir + "/" + spec.name + "." + method + ".db";
 }
 
+/// Deletes cache files that no build writes or reads any more: the
+/// repacked DM copy `<name>.dm.rp.db` that data directories from
+/// before the repacker's removal still hold.
+void RemoveRetiredFiles(const std::string& dir, const DatasetSpec& spec) {
+  std::remove(DbPath(dir, spec, "dm.rp").c_str());
+}
+
 /// Tiny key=value catalog file for reopening builds.
 class MetaFile {
  public:
@@ -144,6 +151,7 @@ void DropDatasetCache(const std::string& dir, const DatasetSpec& spec) {
   std::remove(DbPath(dir, spec, "dm").c_str());
   std::remove(DbPath(dir, spec, "pm").c_str());
   std::remove(DbPath(dir, spec, "hdov").c_str());
+  RemoveRetiredFiles(dir, spec);
 }
 
 Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
@@ -152,6 +160,7 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
                                         int build_threads) {
   BuiltDataset ds;
   ds.spec = spec;
+  RemoveRetiredFiles(dir, spec);
 
   // Try the cache.
   auto meta_or = MetaFile::Load(MetaPath(dir, spec));

@@ -117,6 +117,37 @@ TEST(DatasetTest, ConnectivityStatsPersistAcrossReload) {
   ASSERT_TRUE(second_or.ok());
   EXPECT_DOUBLE_EQ(second_or.value().conn_stats.avg_similar_lod, avg);
 }
+// A data directory cached before the repacker's removal still holds a
+// `<name>.dm.rp.db` that nothing reads. Loading the dataset (from the
+// cache or by a rebuild) and dropping its cache both delete it.
+TEST(DatasetTest, RetiredRepackedStoreFileIsRemoved) {
+  const std::string dir = TempDir();
+  DatasetSpec spec = TinySpec();
+  spec.name = "tiny_retired";
+  const std::string stale = dir + "/" + spec.name + ".dm.rp.db";
+  const auto plant = [&] {
+    std::ofstream(stale) << "stale repacked copy";
+    struct stat st;
+    ASSERT_EQ(::stat(stale.c_str(), &st), 0);
+  };
+  const auto gone = [&] {
+    struct stat st;
+    return ::stat(stale.c_str(), &st) != 0;
+  };
+  DropDatasetCache(dir, spec);
+
+  plant();  // rebuild
+  ASSERT_TRUE(BuildOrLoadDataset(dir, spec).ok());
+  EXPECT_TRUE(gone()) << "after a rebuild";
+
+  plant();  // load from the cache
+  ASSERT_TRUE(BuildOrLoadDataset(dir, spec).ok());
+  EXPECT_TRUE(gone()) << "after a cache load";
+
+  plant();
+  DropDatasetCache(dir, spec);
+  EXPECT_TRUE(gone()) << "after a drop";
+}
 
 // The dataset-cache manifest parses `dm.codec` with the same checks
 // as a store's meta file: the retired per-record codec (1) is
