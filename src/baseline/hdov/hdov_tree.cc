@@ -163,25 +163,7 @@ Result<HdovTree> HdovTree::Build(DbEnv* env, const TriangleMesh& base,
 
   // Per-depth approximation LOD: chosen so a node at depth d holds
   // roughly total/4^depth_max * 4^d... i.e. constant points per node.
-  // |cut(e)| = leaves - #collapses with e_low <= e, so invert by
-  // binary search over the sorted collapse LODs.
-  std::vector<double> collapse_lods;
-  collapse_lods.reserve(static_cast<size_t>(tree.num_nodes()));
-  for (const PmNode& n : tree.nodes()) {
-    if (!n.is_leaf()) collapse_lods.push_back(n.e_low);
-  }
-  std::sort(collapse_lods.begin(), collapse_lods.end());
   const int64_t leaves = tree.num_leaves();
-  auto lod_for_cut_size = [&](int64_t target) {
-    target = std::clamp<int64_t>(target, 1, leaves);
-    // Need #collapses applied = leaves - target.
-    const int64_t k = leaves - target;
-    if (k <= 0) return 0.0;
-    if (k >= static_cast<int64_t>(collapse_lods.size())) {
-      return collapse_lods.back();
-    }
-    return collapse_lods[static_cast<size_t>(k - 1)];
-  };
   std::vector<double> depth_lod(static_cast<size_t>(depth_max) + 1, 0.0);
   const int64_t r = std::max(2, options.generalization);
   for (int d = 0; d < depth_max; ++d) {
@@ -191,7 +173,7 @@ Result<HdovTree> HdovTree::Build(DbEnv* env, const TriangleMesh& base,
     int64_t divisor = 1;
     for (int i = 0; i < depth_max - d; ++i) divisor *= r;
     depth_lod[static_cast<size_t>(d)] =
-        lod_for_cut_size(std::max<int64_t>(1, leaves / divisor));
+        tree.LodForCutSize(std::max<int64_t>(1, leaves / divisor));
   }
   depth_lod[static_cast<size_t>(depth_max)] = 0.0;  // leaves: full res
 

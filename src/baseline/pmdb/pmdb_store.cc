@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "common/hilbert.h"
 
 namespace dm {
 

@@ -52,9 +52,9 @@ struct PmDbMeta {
   Rect bounds;
 };
 
-/// The paper's baseline storage: PM node records in a Hilbert-ordered
-/// heap file, a 3D LOD-quadtree on (x, y, e_low) to find internal
-/// nodes, and a B+-tree on node id for the per-node fetches that
+/// The paper's baseline storage: PM node records in a heap file laid
+/// out in the LOD-quadtree's leaf order (LodQuadtree::ClusterOrder), a
+/// 3D LOD-quadtree on (x, y, e_low) to find internal nodes, and a B+-tree on node id for the per-node fetches that
 /// selective refinement needs when a required record was not covered
 /// by the range query (children below the cut, ancestors outside the
 /// ROI).

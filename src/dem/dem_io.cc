@@ -1,57 +1,12 @@
 #include "dem/dem_io.h"
 
-#include <cstdio>
-#include <cstring>
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 namespace dm {
-
-namespace {
-constexpr char kMagic[] = "DMDEM1\n";
-}  // namespace
-
-Status WriteDem(const DemGrid& grid, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  bool ok = std::fwrite(kMagic, 1, 7, f) == 7;
-  const int32_t w = grid.width();
-  const int32_t h = grid.height();
-  ok = ok && std::fwrite(&w, sizeof(w), 1, f) == 1;
-  ok = ok && std::fwrite(&h, sizeof(h), 1, f) == 1;
-  ok = ok && std::fwrite(grid.data().data(), sizeof(double),
-                         grid.data().size(), f) == grid.data().size();
-  std::fclose(f);
-  if (!ok) return Status::IOError("short write to " + path);
-  return Status::OK();
-}
-
-Result<DemGrid> ReadDem(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  char magic[7];
-  if (std::fread(magic, 1, 7, f) != 7 || std::memcmp(magic, kMagic, 7) != 0) {
-    std::fclose(f);
-    return Status::Corruption("bad DEM magic in " + path);
-  }
-  int32_t w = 0;
-  int32_t h = 0;
-  if (std::fread(&w, sizeof(w), 1, f) != 1 ||
-      std::fread(&h, sizeof(h), 1, f) != 1 || w <= 0 || h <= 0) {
-    std::fclose(f);
-    return Status::Corruption("bad DEM header in " + path);
-  }
-  DemGrid grid(w, h);
-  const size_t n = grid.data().size();
-  if (std::fread(grid.mutable_data().data(), sizeof(double), n, f) != n) {
-    std::fclose(f);
-    return Status::Corruption("truncated DEM data in " + path);
-  }
-  std::fclose(f);
-  return grid;
-}
 
 Result<DemGrid> ReadEsriAsciiGrid(const std::string& path) {
   std::ifstream in(path);

@@ -8,14 +8,6 @@
 
 namespace dm {
 
-/// Writes a DEM to disk in a simple binary format:
-///   magic "DMDEM1\n", int32 width, int32 height, float64 samples
-///   (row major).
-Status WriteDem(const DemGrid& grid, const std::string& path);
-
-/// Reads a DEM written by WriteDem.
-Result<DemGrid> ReadDem(const std::string& path);
-
 /// Parses the ASCII Esri grid format (the distribution format of USGS
 /// DEMs such as Crater Lake): header lines `ncols`, `nrows`,
 /// `xllcorner`, `yllcorner`, `cellsize`, `NODATA_value` followed by

@@ -16,12 +16,99 @@ double MillisSince(std::chrono::steady_clock::time_point t0) {
              std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+/// A node's vertical segment in (x, y, e); the root's +inf top is
+/// capped at the dataset maximum (no query ever exceeds it).
+Box SegmentBox(const Point3& pos, double e_low, double e_high,
+               double max_lod) {
+  const double top = std::isinf(e_high) ? max_lod : e_high;
+  return Box::Of(pos.x, pos.y, e_low, pos.x, pos.y, std::max(top, e_low));
+}
 }  // namespace
 
 Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
                                const PmTree& tree, const SimplifyResult& sr,
                                const DmStoreOptions& options) {
-  WorkerPool pool(EffectiveThreads(options.threads));
+  DmBuildTimings local_timings;
+  DmStoreOptions write_options = options;
+  if (write_options.timings == nullptr) write_options.timings = &local_timings;
+  DmBuildTimings* timings = write_options.timings;
+  auto clock = std::chrono::steady_clock::now();
+
+  std::vector<DmNode> recs;
+  {
+    WorkerPool pool(EffectiveThreads(options.threads));
+    std::vector<std::vector<VertexId>> own_connections;
+    if (options.connections == nullptr) {
+      own_connections = BuildConnectionLists(base, tree, sr, pool.threads());
+    }
+    const std::vector<std::vector<VertexId>>& connections =
+        options.connections != nullptr ? *options.connections
+                                       : own_connections;
+    timings->conn_millis = MillisSince(clock);
+    clock = std::chrono::steady_clock::now();
+
+    // Records are laid out in the STR packing order of their index
+    // entries (clustered storage): records co-retrieved by a range
+    // query land on the same heap pages, and the packed R*-tree over
+    // the same order has near-disjoint leaves — this preserves "(x, y)
+    // clustering ... as much as possible" while also clustering the LOD
+    // dimension the paper's queries slice on. StrOrder cuts its (x, y)
+    // cells at whole leaves and orders each cell by e_high, so every
+    // leaf, and the heap run appended beside it, covers one cell and a
+    // narrow band of segment tops; a plane query at LOD e skips the
+    // cell's leaves whose segments all end below e.
+    const int64_t total = tree.num_nodes();
+    std::vector<Box> segments(static_cast<size_t>(total));
+    ParallelFor(pool, total, 1024, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        const PmNode& n = tree.node(i);
+        segments[static_cast<size_t>(i)] =
+            SegmentBox(n.pos, n.e_low, n.e_high, tree.max_lod());
+      }
+    });
+    const std::vector<size_t> order = RStarTree::StrOrder(
+        segments, RStarTree::LeafCapacityFor(env->page_size()), pool);
+
+    // Materialize the records in STR order (disjoint slots, so the
+    // loop parallelizes over index ranges).
+    recs.resize(order.size());
+    ParallelFor(pool, static_cast<int64_t>(order.size()), 256,
+                [&](int64_t begin, int64_t end) {
+                  for (int64_t i = begin; i < end; ++i) {
+                    const size_t idx = order[static_cast<size_t>(i)];
+                    const PmNode& n = tree.node(static_cast<VertexId>(idx));
+                    DmNode& rec = recs[static_cast<size_t>(i)];
+                    rec.id = n.id;
+                    rec.pos = n.pos;
+                    rec.e_low = n.e_low;
+                    rec.e_high = n.e_high;
+                    rec.parent = n.parent;
+                    rec.child1 = n.child1;
+                    rec.child2 = n.child2;
+                    rec.wing1 = n.wing1;
+                    rec.wing2 = n.wing2;
+                    rec.connections = connections[idx];
+                  }
+                });
+    timings->str_millis = MillisSince(clock);
+  }
+
+  clock = std::chrono::steady_clock::now();
+  DmMeta dataset;
+  dataset.max_lod = tree.max_lod();
+  dataset.mean_lod = tree.mean_lod();
+  dataset.bounds = tree.bounds();
+  dataset.reach = BuildReachTable(tree);
+  const double reach_millis = MillisSince(clock);
+  DM_ASSIGN_OR_RETURN(DmStore store, Write(env, recs, dataset, write_options));
+  timings->catalog_millis += reach_millis;
+  return store;
+}
+
+Result<DmStore> DmStore::Write(DbEnv* env, const std::vector<DmNode>& records,
+                               const DmMeta& dataset,
+                               const DmStoreOptions& options) {
   DmBuildTimings local_timings;
   DmBuildTimings* timings =
       options.timings != nullptr ? options.timings : &local_timings;
@@ -31,118 +118,61 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
     clock = std::chrono::steady_clock::now();
   };
 
-  std::vector<std::vector<VertexId>> own_connections;
-  if (options.connections == nullptr) {
-    own_connections = BuildConnectionLists(base, tree, sr, pool.threads());
-  }
-  const std::vector<std::vector<VertexId>>& connections =
-      options.connections != nullptr ? *options.connections : own_connections;
-  take_stage(&timings->conn_millis);
-
-  const int64_t total = tree.num_nodes();
-  const Rect bounds = tree.bounds();
-  const double max_lod = tree.max_lod();
-
-  // Vertical segments in (x, y, e); the root's +inf top is capped at
-  // the dataset maximum (no query ever exceeds it).
-  std::vector<Box> segments(static_cast<size_t>(total));
-  ParallelFor(pool, total, 1024, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const PmNode& n = tree.node(i);
-      const double top = std::isinf(n.e_high) ? max_lod : n.e_high;
-      segments[static_cast<size_t>(i)] =
-          Box::Of(n.pos.x, n.pos.y, n.e_low, n.pos.x, n.pos.y,
-                  std::max(top, n.e_low));
-    }
-  });
-
-  // Records are laid out in the STR packing order of their index
-  // entries (clustered storage): records co-retrieved by a range query
-  // land on the same heap pages, and the packed R*-tree over the same
-  // order has near-disjoint leaves — this preserves "(x, y)
-  // clustering ... as much as possible" while also clustering the LOD
-  // dimension the paper's queries slice on. StrOrder cuts its (x, y)
-  // cells at whole leaves and orders each cell by e_high, so every
-  // leaf, and the heap run appended beside it, covers one cell and a
-  // narrow band of segment tops; a plane query at LOD e skips the
-  // cell's leaves whose segments all end below e.
-  const std::vector<size_t> order = RStarTree::StrOrder(
-      segments, RStarTree::LeafCapacityFor(env->page_size()), pool);
-  take_stage(&timings->str_millis);
-
-  const bool group = options.codec == DmCodec::kGroup;
-
-  // Materialize records in STR order (disjoint slots, so the loop
-  // parallelizes over index ranges). The flat codec encodes here too;
-  // the group codec needs whole DmNodes for its shared-base pass.
-  std::vector<std::vector<uint8_t>> encoded;
-  std::vector<DmNode> recs;
-  if (group) {
-    recs.resize(order.size());
-  } else {
-    encoded.resize(order.size());
-  }
-  ParallelFor(pool, static_cast<int64_t>(order.size()), 256,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  const size_t idx = order[static_cast<size_t>(i)];
-                  const PmNode& n = tree.node(static_cast<VertexId>(idx));
-                  DmNode rec;
-                  rec.id = n.id;
-                  rec.pos = n.pos;
-                  rec.e_low = n.e_low;
-                  rec.e_high = n.e_high;
-                  rec.parent = n.parent;
-                  rec.child1 = n.child1;
-                  rec.child2 = n.child2;
-                  rec.wing1 = n.wing1;
-                  rec.wing2 = n.wing2;
-                  rec.connections = connections[idx];
-                  if (group) {
-                    recs[static_cast<size_t>(i)] = std::move(rec);
-                  } else {
-                    rec.EncodeTo(&encoded[static_cast<size_t>(i)]);
-                  }
-                }
-              });
-  // Group packing is a serial greedy pass over the deterministic STR
+  // Flat records encode independently (disjoint slots, parallel).
+  // Group packing is a serial greedy pass over the records in heap
   // order — bases and dictionaries freeze per group as records arrive,
   // so the blobs (and with them every page) are thread-count invariant.
-  std::vector<std::vector<uint8_t>> blobs;
+  const bool group = options.codec == DmCodec::kGroup;
+  std::vector<std::vector<uint8_t>> encoded;
   std::vector<uint32_t> blob_counts;
   if (group) {
     DM_RETURN_NOT_OK(EncodeNodeGroups(
-        [&](size_t i) -> const DmNode& { return recs[i]; }, recs.size(),
-        env->page_size() - HeapFile::kPageHeaderSize, &blobs, &blob_counts));
+        [&](size_t i) -> const DmNode& { return records[i]; }, records.size(),
+        env->page_size() - HeapFile::kPageHeaderSize, &encoded,
+        &blob_counts));
+  } else {
+    encoded.resize(records.size());
+    WorkerPool pool(EffectiveThreads(options.threads));
+    ParallelFor(pool, static_cast<int64_t>(records.size()), 256,
+                [&](int64_t begin, int64_t end) {
+                  for (int64_t i = begin; i < end; ++i) {
+                    records[static_cast<size_t>(i)].EncodeTo(
+                        &encoded[static_cast<size_t>(i)]);
+                  }
+                });
   }
   take_stage(&timings->encode_millis);
 
-  // ... then append sequentially in STR order, so page allocation and
-  // record ids are independent of the thread count.
+  // Append sequentially in heap order, so page allocation and record
+  // ids are independent of the thread count.
   DM_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Create(env));
   std::vector<RecordId> rids;
-  rids.reserve(order.size());
+  rids.reserve(records.size());
   if (group) {
-    for (size_t g = 0; g < blobs.size(); ++g) {
+    for (size_t g = 0; g < encoded.size(); ++g) {
       DM_ASSIGN_OR_RETURN(
           RecordId first,
-          heap.AppendBlock(blobs[g].data(),
-                           static_cast<uint32_t>(blobs[g].size()),
+          heap.AppendBlock(encoded[g].data(),
+                           static_cast<uint32_t>(encoded[g].size()),
                            blob_counts[g]));
       for (uint32_t s = 0; s < blob_counts[g]; ++s) {
         rids.push_back(RecordId{first.page, static_cast<uint16_t>(s)});
       }
     }
-    DM_CHECK(rids.size() == order.size())
+    DM_CHECK(rids.size() == records.size())
         << "group packing lost records: " << rids.size() << " of "
-        << order.size();
+        << records.size();
   } else {
     DM_RETURN_NOT_OK(heap.AppendMany(encoded, &rids));
   }
   std::vector<std::pair<Box, uint64_t>> entries;
-  entries.reserve(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    entries.emplace_back(segments[order[i]], rids[i].Pack());
+  entries.reserve(records.size());
+  int64_t leaves = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const DmNode& n = records[i];
+    entries.emplace_back(SegmentBox(n.pos, n.e_low, n.e_high, dataset.max_lod),
+                         rids[i].Pack());
+    if (n.is_leaf()) ++leaves;
   }
   take_stage(&timings->append_millis);
 
@@ -150,16 +180,13 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   take_stage(&timings->bulkload_millis);
   DmStore store(env, std::move(heap), std::move(rtree));
 
+  store.meta_ = dataset;
   store.meta_.heap_first = store.heap_.first_page();
   store.meta_.rtree_root = store.rtree_.root();
   store.meta_.rtree_size = store.rtree_.size();
-  store.meta_.num_nodes = total;
-  store.meta_.num_leaves = tree.num_leaves();
-  store.meta_.max_lod = max_lod;
-  store.meta_.mean_lod = tree.mean_lod();
-  store.meta_.bounds = bounds;
+  store.meta_.num_nodes = static_cast<int64_t>(records.size());
+  store.meta_.num_leaves = leaves;
   store.meta_.codec = options.codec;
-  store.meta_.reach = BuildReachTable(tree);
   DM_RETURN_NOT_OK(store.LoadCatalog());
   take_stage(&timings->catalog_millis);
   // A rebuild yields a new store and thus a brand-new cache; any cache
@@ -194,39 +221,33 @@ void DmStore::EnableNodeCache(size_t bytes) {
 }
 
 Status DmStore::LoadCatalog() {
+  // One walk over the index collects every node's extent and, from the
+  // leaf entries, the segment-interval sample for the record-level cost
+  // term (thinned deterministically to stay small) and the record
+  // slots of every heap page for the decoded-node cache's table.
   CostCatalog::Stats stats;
-  DM_RETURN_NOT_OK(rtree_.CollectNodeExtents(&stats.nodes));
-  stats.e_map = EAxisMap::FromNodeExtents(stats.nodes);
-  stats.data_space = Box::FromRect(meta_.bounds.empty()
-                                       ? Rect::Of(0, 0, 1, 1)
-                                       : meta_.bounds,
-                                   0.0, std::max(meta_.max_lod, 1e-12));
-  if (meta_.bounds.empty() && !stats.nodes.empty()) {
-    // Build path: meta_ not yet filled when called from Build; the
-    // caller sets bounds before LoadCatalog, so this is only a guard.
-    stats.data_space = stats.nodes.front().box;
-  }
-
-  // Segment-interval sample for the record-level cost term: one pass
-  // over the index entries, thinning deterministically to stay small.
-  // The same pass sizes every heap page's record slots for the
-  // decoded-node cache's table.
   std::vector<std::pair<double, double>>& sample = stats.segment_sample;
   std::vector<uint32_t> page_records;
-  {
-    constexpr size_t kMaxSample = 8192;
-    size_t stride = 1;
-    size_t counter = 0;
-    DM_RETURN_NOT_OK(rtree_.RangeQueryEntries(
-        stats.data_space, [&](const Box& b, uint64_t packed) {
-          const RecordId rid = RecordId::Unpack(packed);
+  constexpr size_t kMaxSample = 8192;
+  size_t stride = 1;
+  size_t counter = 0;
+  DM_RETURN_NOT_OK(rtree_.VisitNodes(
+      [&](PageId, uint16_t level,
+          const std::vector<std::pair<Box, uint64_t>>& entries) {
+        RTreeNodeExtent ext;
+        ext.level = level;
+        ext.count = static_cast<uint16_t>(entries.size());
+        for (const auto& [box, payload] : entries) {
+          ext.box.ExpandToInclude(box);
+          if (level > 0) continue;
+          const RecordId rid = RecordId::Unpack(payload);
           if (rid.page >= page_records.size()) {
             page_records.resize(size_t{rid.page} + 1, 0);
           }
           page_records[rid.page] =
               std::max<uint32_t>(page_records[rid.page], rid.slot + 1u);
           if (counter++ % stride == 0) {
-            sample.emplace_back(b.lo[2], b.hi[2]);
+            sample.emplace_back(box.lo[2], box.hi[2]);
             if (sample.size() >= kMaxSample) {
               // Thin: keep every other element, double the stride.
               std::vector<std::pair<double, double>> thinned;
@@ -238,8 +259,18 @@ Status DmStore::LoadCatalog() {
               stride *= 2;
             }
           }
-          return true;
-        }));
+        }
+        stats.nodes.push_back(ext);
+        return true;
+      }));
+  stats.e_map = EAxisMap::FromNodeExtents(stats.nodes);
+  stats.data_space = Box::FromRect(meta_.bounds.empty()
+                                       ? Rect::Of(0, 0, 1, 1)
+                                       : meta_.bounds,
+                                   0.0, std::max(meta_.max_lod, 1e-12));
+  if (meta_.bounds.empty() && !stats.nodes.empty()) {
+    // A meta without bounds: the root extent stands in for them.
+    stats.data_space = stats.nodes.front().box;
   }
   stats.total_records = heap_.num_records();
   stats.records_per_page =

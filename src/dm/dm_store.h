@@ -55,7 +55,7 @@ struct DmMeta {
 /// progress reporting and the ingest bench.
 struct DmBuildTimings {
   double conn_millis = 0.0;      // connection lists (skipped if precomputed)
-  double str_millis = 0.0;       // STR packing order
+  double str_millis = 0.0;       // STR packing order + record layout
   double encode_millis = 0.0;    // record encoding
   double append_millis = 0.0;    // heap writes
   double bulkload_millis = 0.0;  // R*-tree pack
@@ -76,9 +76,11 @@ struct DmStoreOptions {
   int threads = 1;
   /// Connection lists computed by the caller (must match
   /// BuildConnectionLists for the same tree); skips the rebuild so
-  /// callers that also need the lists for stats don't pay twice.
+  /// callers that also need the lists for stats don't pay twice. Read
+  /// by Build only.
   const std::vector<std::vector<VertexId>>* connections = nullptr;
-  /// When non-null, receives the per-stage wall-clock breakdown.
+  /// When non-null, receives the per-stage wall-clock breakdown (Write
+  /// fills the stages from encoding on).
   DmBuildTimings* timings = nullptr;
 };
 
@@ -98,10 +100,22 @@ struct DmStoreOptions {
 class DmStore {
  public:
   /// Builds the database from a PM construction run: computes the
-  /// similar-LOD connection lists, writes all node records, and bulk
-  /// inserts the segments into the R*-tree.
+  /// similar-LOD connection lists, materializes every node record in
+  /// the STR packing order of its segment, and hands them to Write.
   static Result<DmStore> Build(DbEnv* env, const TriangleMesh& base,
                                const PmTree& tree, const SimplifyResult& sr,
+                               const DmStoreOptions& options = {});
+
+  /// Writes `records`, already in heap order, as a store in `env`:
+  /// encodes them with `options.codec`, appends them to a new heap,
+  /// bulk-loads the R*-tree over their segments in the same order, and
+  /// loads the catalog. `dataset` supplies the dataset-wide meta fields
+  /// (max_lod, mean_lod, bounds, reach, id_space); the heap and index
+  /// ids, the record counts and the codec are filled here. Build passes
+  /// the records of a complete store in StrOrder; ShardSet::Build the
+  /// records of one region in the source store's heap order.
+  static Result<DmStore> Write(DbEnv* env, const std::vector<DmNode>& records,
+                               const DmMeta& dataset,
                                const DmStoreOptions& options = {});
 
   /// Reopens a previously built database.

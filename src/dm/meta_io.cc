@@ -1,14 +1,12 @@
 #include "dm/meta_io.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 namespace dm {
 
 Status SaveDmMeta(const std::string& path, const DmMeta& meta,
-                  const std::vector<std::pair<double, double>>& quantiles,
-                  const std::vector<std::pair<std::string, double>>& stages) {
+                  const std::vector<std::pair<double, double>>& quantiles) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot write " + path);
   out.precision(17);
@@ -30,9 +28,6 @@ Status SaveDmMeta(const std::string& path, const DmMeta& meta,
   }
   for (const auto& [f, e] : quantiles) {
     out << "quantile=" << f << "," << e << "\n";
-  }
-  for (const auto& [name, millis] : stages) {
-    out << "stage=" << name << "," << millis << "\n";
   }
   return Status::OK();
 }
@@ -82,14 +77,6 @@ Result<LoadedDmMeta> LoadDmMeta(const std::string& path) {
       char c;
       ss >> f >> c >> e;
       lm.quantiles.emplace_back(f, e);
-    }
-    if (key == "stage") {
-      const auto comma = value.find(',');
-      if (comma != std::string::npos) {
-        lm.stages.emplace_back(
-            value.substr(0, comma),
-            std::strtod(value.c_str() + comma + 1, nullptr));
-      }
     }
   }
   DM_RETURN_NOT_OK(ValidateReachTable(lm.meta.reach));

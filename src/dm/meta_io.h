@@ -11,24 +11,23 @@
 namespace dm {
 
 /// A parsed `<base>.meta` sidecar file: the DmMeta needed to reopen the
-/// database, plus optional build-time extras.
+/// database, plus the LOD quantiles recorded at build time.
 struct LoadedDmMeta {
   DmMeta meta;
   /// LOD quantiles recorded at build time ((fraction, e) pairs).
   std::vector<std::pair<double, double>> quantiles;
-  /// Per-stage build timings (name, wall millis) as recorded by the
-  /// `dmctl build` that wrote the meta file; empty for older files.
-  std::vector<std::pair<std::string, double>> stages;
 };
 
-/// Writes the key=value sidecar `dmctl` and the shard builder share, so
-/// every replica file a ShardSet lays down is also a valid `dmctl
-/// verify` / `dmctl scrub` target. Unknown keys are ignored on read,
-/// which is the format's forward-compatibility rule.
+/// Writes the key=value sidecar that `dmctl`, `ShardSet::Build` and the
+/// bench dataset cache share, so every store any of them lays down is
+/// also a valid `dmctl verify` / `dmctl scrub` target. The file
+/// describes the store only, so two builds of one store write equal
+/// files. Unknown keys are ignored on read (older files' `stage=`
+/// timing lines among them), which is the format's
+/// forward-compatibility rule.
 Status SaveDmMeta(
     const std::string& path, const DmMeta& meta,
-    const std::vector<std::pair<double, double>>& quantiles = {},
-    const std::vector<std::pair<std::string, double>>& stages = {});
+    const std::vector<std::pair<double, double>>& quantiles = {});
 
 /// Parses a sidecar written by SaveDmMeta. A `codec=` value goes
 /// through ParseDmCodec, so the retired per-record codec (1) is

@@ -25,7 +25,11 @@ Result<std::shared_ptr<const RStarTree::Node>> RStarTree::CachedRoot() const {
   }
   // Read outside the lock; a racing miss reads the same frozen page.
   DM_ASSIGN_OR_RETURN(Node node, ReadNode(root_));
-  auto decoded = std::make_shared<const Node>(std::move(node));
+  return CacheRoot(std::move(node));
+}
+
+std::shared_ptr<const RStarTree::Node> RStarTree::CacheRoot(Node root) const {
+  auto decoded = std::make_shared<const Node>(std::move(root));
   MutexLock lock(root_cache_->mu);
   if (!root_cache_->node) root_cache_->node = decoded;
   return root_cache_->node;
@@ -519,26 +523,6 @@ Status RStarTree::RangeQueryEntries(
   return Status::OK();
 }
 
-Status RStarTree::CollectNodeExtents(std::vector<RTreeNodeExtent>* out) const {
-  std::vector<PageId> stack{root_};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    DM_ASSIGN_OR_RETURN(Node node, ReadNode(id));
-    RTreeNodeExtent ext;
-    ext.box = NodeBox(node);
-    ext.level = node.level;
-    ext.count = static_cast<uint16_t>(node.entries.size());
-    out->push_back(ext);
-    if (node.level > 0) {
-      for (const Entry& e : node.entries) {
-        stack.push_back(static_cast<PageId>(e.payload));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Status RStarTree::VisitNodes(
     const std::function<bool(PageId, uint16_t,
                              const std::vector<std::pair<Box, uint64_t>>&)>&
@@ -549,6 +533,11 @@ Status RStarTree::VisitNodes(
     const PageId id = stack.back();
     stack.pop_back();
     DM_ASSIGN_OR_RETURN(Node node, ReadNode(id));
+    // The walk reads the root page itself, so an audit sees the page as
+    // it is now; like CachedRoot, it also fills a still-empty root
+    // cache, so the walk at store open leaves the root warm for the
+    // first query.
+    if (id == root_) CacheRoot(node);
     entries.clear();
     entries.reserve(node.entries.size());
     for (const Entry& e : node.entries) {

@@ -36,9 +36,9 @@ struct RTreeNodeExtent {
 /// changes afterwards; there is no dynamic insertion.
 ///
 /// Concurrency: the tree is immutable, so the const traversals
-/// (RangeQuery, RangeQueryEntries, CollectNodeExtents, VisitNodes,
-/// Height) are safe from many threads; node pages are materialized
-/// through the thread-safe buffer pool. The only shared mutable state
+/// (RangeQuery, RangeQueryEntries, VisitNodes, Height) are safe from
+/// many threads; node pages are materialized through the thread-safe
+/// buffer pool. The only shared mutable state
 /// is the decoded-root cache, filled once under its mutex.
 class RStarTree {
  public:
@@ -67,7 +67,11 @@ class RStarTree {
   /// Entries per BulkLoad node, leaf or internal, on `page_size` pages.
   static uint32_t LeafCapacityFor(uint32_t page_size);
 
-  /// Builds a packed tree from entries already arranged in StrOrder.
+  /// Builds a packed tree whose leaves hold `ordered` in the given
+  /// order, `LeafCapacityFor` entries each. A complete DM store passes
+  /// its entries in StrOrder; a spatial shard passes its region's
+  /// entries in the source store's heap order (StrOrder restricted to
+  /// the region), so its leaves follow the source's layout.
   /// InvalidArgument if any box is empty: it would drop out of every
   /// node MBR above it, out of reach of every query.
   static Result<RStarTree> BulkLoad(
@@ -91,20 +95,18 @@ class RStarTree {
   Status RangeQuery(const Box& query, std::vector<uint64_t>* out) const;
 
   /// Streaming depth-first variant exposing entry boxes, one pinned
-  /// page at a time; callback may return false to stop. Serves
-  /// whole-index scans (DmStore's catalog) and is the reference order
-  /// RangeQuery reproduces.
+  /// page at a time; callback may return false to stop. Answers
+  /// RangeQuery on a leaf root and is the reference order RangeQuery
+  /// reproduces.
   Status RangeQueryEntries(
       const Box& query,
       const std::function<bool(const Box&, uint64_t)>& callback) const;
 
-  /// Enumerates every node's MBR/level/count (root included).
-  Status CollectNodeExtents(std::vector<RTreeNodeExtent>* out) const;
-
-  /// Depth-first structural traversal for audits: the callback sees
-  /// each node's page id, level, and entries (payloads are child page
-  /// ids when level > 0, opaque leaf payloads at level 0). Returning
-  /// false stops the walk early.
+  /// Depth-first structural traversal for audits and DmStore's catalog:
+  /// the callback sees each node's page id, level, and entries
+  /// (payloads are child page ids when level > 0, opaque leaf payloads
+  /// at level 0), root first, children popped LIFO as in
+  /// RangeQueryEntries. Returning false stops the walk early.
   Status VisitNodes(
       const std::function<bool(PageId, uint16_t,
                                const std::vector<std::pair<Box, uint64_t>>&)>&
@@ -143,6 +145,9 @@ class RStarTree {
 
   /// Returns the cached decoded root, reading it once on a miss.
   Result<std::shared_ptr<const Node>> CachedRoot() const;
+  /// Installs `root` as the cached root unless one is cached already;
+  /// returns the cached one.
+  std::shared_ptr<const Node> CacheRoot(Node root) const;
 
   Result<Node> ReadNode(PageId id) const;
   /// Writes `node` to a fresh page and returns its id.

@@ -6,12 +6,8 @@
 #include <fstream>
 #include <utility>
 
-#include "common/check.h"
 #include "dm/dm_node.h"
 #include "dm/meta_io.h"
-#include "index/rtree/rstar_tree.h"
-#include "storage/heap_file.h"
-#include "storage/page.h"
 
 namespace dm {
 namespace {
@@ -73,21 +69,13 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
   int gy = 1;
   GridShape(options.shards, &gx, &gy);
 
-  // 1. Scan the source heap in storage order and assign each record to
-  // its region. Flat records carry their raw bytes verbatim (links
-  // are VertexIds, placement-independent); group blobs share
-  // frame-of-reference bases with page-mates, so carry decoded nodes
-  // and re-encode fresh groups per shard.
-  const bool group = meta.codec == DmCodec::kGroup;
-  struct Extract {
-    std::vector<DmNode> nodes;              // group codec
-    std::vector<std::vector<uint8_t>> raw;  // flat codec
-    std::vector<Point3> pos;
-    std::vector<double> e_low;
-    std::vector<double> e_high;
-    int64_t leaves = 0;
-  };
-  std::vector<Extract> parts(static_cast<size_t>(options.shards));
+  // 1. Scan the source heap in storage order and assign each decoded
+  // record to its region. Links are VertexIds, so a record means the
+  // same in any store; DmStore::Write re-encodes each region (exactly,
+  // for flat records, whose encoding of a decoded record is the
+  // original bytes; in fresh groups for the group codec, whose bases
+  // are shared with page-mates).
+  std::vector<std::vector<DmNode>> parts(static_cast<size_t>(options.shards));
   Status decode_status;
   Status scan_status = src.heap().Scan(
       [&](RecordId rid, const uint8_t* data, uint32_t size) {
@@ -96,18 +84,9 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
           decode_status = node_or.status();
           return false;
         }
-        const DmNode& n = node_or.value();
-        Extract& part = parts[static_cast<size_t>(
-            ShardOf(n.pos, meta.bounds, gx, gy))];
-        part.pos.push_back(n.pos);
-        part.e_low.push_back(n.e_low);
-        part.e_high.push_back(n.e_high);
-        if (n.is_leaf()) ++part.leaves;
-        if (group) {
-          part.nodes.push_back(std::move(node_or).value());
-        } else {
-          part.raw.emplace_back(data, data + size);
-        }
+        parts[static_cast<size_t>(ShardOf(node_or.value().pos, meta.bounds,
+                                          gx, gy))]
+            .push_back(std::move(node_or).value());
         return true;
       });
   DM_RETURN_NOT_OK(scan_status);
@@ -121,72 +100,39 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
   build_db.truncate = true;
   DbOptions open_db = options.db;
   open_db.truncate = false;
+  DmMeta dataset = meta;
+  dataset.id_space = meta.num_nodes;  // partial-store marker
+  DmStoreOptions write_options;
+  write_options.codec = meta.codec;
 
   for (int s = 0; s < options.shards; ++s) {
-    Extract& part = parts[static_cast<size_t>(s)];
-    const size_t n = part.pos.size();
-    if (n == 0) {
+    std::vector<DmNode>& part = parts[static_cast<size_t>(s)];
+    if (part.empty()) {
       return Status::InvalidArgument(
           "shard " + std::to_string(s) +
           " is empty; use fewer shards for this dataset");
     }
-    // 2. Write replica 0: the shard heap in source storage order (a
-    // deterministic subsequence), then its R*-tree over the records'
-    // original segments and new RecordIds.
+    // 2. Write replica 0: the region's records in source storage order
+    // (a deterministic subsequence), indexed in the same order.
     const std::string r0 = ReplicaBase(base_path, s, 0);
-    DmMeta shard_meta = meta;
+    DmMeta shard_meta;
     Box mbr;
     {
       DM_ASSIGN_OR_RETURN(std::unique_ptr<DbEnv> env,
                           DbEnv::Open(r0 + ".db", build_db));
-      DM_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Create(env.get()));
-      std::vector<RecordId> rids;
-      rids.reserve(n);
-      if (group) {
-        std::vector<std::vector<uint8_t>> blobs;
-        std::vector<uint32_t> blob_counts;
-        DM_RETURN_NOT_OK(EncodeNodeGroups(
-            [&](size_t i) -> const DmNode& { return part.nodes[i]; }, n,
-            env->page_size() - HeapFile::kPageHeaderSize, &blobs,
-            &blob_counts));
-        for (size_t g = 0; g < blobs.size(); ++g) {
-          DM_ASSIGN_OR_RETURN(
-              RecordId first,
-              heap.AppendBlock(blobs[g].data(),
-                               static_cast<uint32_t>(blobs[g].size()),
-                               blob_counts[g]));
-          for (uint32_t slot = 0; slot < blob_counts[g]; ++slot) {
-            rids.push_back(RecordId{first.page, static_cast<uint16_t>(slot)});
-          }
-        }
-      } else {
-        DM_RETURN_NOT_OK(heap.AppendMany(part.raw, &rids));
-      }
-      std::vector<std::pair<Box, uint64_t>> entries(n);
-      for (size_t i = 0; i < n; ++i) {
-        const double top =
-            std::isinf(part.e_high[i]) ? meta.max_lod : part.e_high[i];
-        entries[i].first = Box::Of(part.pos[i].x, part.pos[i].y,
-                                   part.e_low[i], part.pos[i].x,
-                                   part.pos[i].y,
-                                   std::max(top, part.e_low[i]));
-        entries[i].second = rids[i].Pack();
-        mbr.ExpandToInclude(entries[i].first);
-      }
-      DM_ASSIGN_OR_RETURN(RStarTree rtree,
-                          RStarTree::BulkLoad(env.get(), entries));
-      shard_meta.heap_first = heap.first_page();
-      shard_meta.rtree_root = rtree.root();
-      shard_meta.rtree_size = rtree.size();
-      shard_meta.num_nodes = static_cast<int64_t>(n);
-      shard_meta.num_leaves = part.leaves;
-      shard_meta.id_space = meta.num_nodes;  // partial-store marker
+      DM_ASSIGN_OR_RETURN(const DmStore store,
+                          DmStore::Write(env.get(), part, dataset,
+                                         write_options));
+      shard_meta = store.meta();
+      // The catalog lists the root first; its extent is the exact MBB
+      // of the shard's segments.
+      mbr = store.cost_catalog().stats().nodes.front().box;
       DM_RETURN_NOT_OK(env->FlushAll());
       // env closes here so the file is complete before replication.
     }
     DM_RETURN_NOT_OK(SaveDmMeta(r0 + ".meta", shard_meta));
     // Release the extraction scratch before opening R buffer pools.
-    part = Extract{};
+    std::vector<DmNode>().swap(part);
 
     // 3. Physical replica copies: separate files, so a chaos schedule
     // (or a real operator) can corrupt, scrub, or re-copy one replica

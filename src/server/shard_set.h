@@ -42,13 +42,15 @@ struct ShardSetOptions {
 /// store (DESIGN.md §16).
 ///
 /// Extraction partitions the source's records by the grid cell of
-/// their (x, y) footprint and rebuilds a per-shard R*-tree over the
-/// records' original geometry and vertex ids. A box range query
-/// returns a node iff its own (x, y, e) segment intersects the box —
-/// independent of which store holds it — so the union of per-shard
-/// range queries over the same box is exactly the single-store result,
-/// which is what makes the routed clean path byte-identical to a
-/// single store (the router never re-runs refinement per shard).
+/// their (x, y) footprint and writes each region with the store writer
+/// (DmStore::Write), in the source's heap order: a heap of the region's
+/// records and an R*-tree over their original geometry and vertex ids.
+/// A box range query returns a node iff its own (x, y, e) segment
+/// intersects the box — independent of which store holds it — so the
+/// union of per-shard range queries over the same box is exactly the
+/// single-store result, which is what makes the routed clean path
+/// byte-identical to a single store (the router never re-runs
+/// refinement per shard).
 ///
 /// Each shard store carries `DmMeta::id_space` = the source's
 /// num_nodes, putting invariant checks into partial-store mode:

@@ -1,13 +1,14 @@
 #include "workload/dataset.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "dem/crater.h"
 #include "dem/fractal.h"
+#include "dm/meta_io.h"
 #include "mesh/triangle_mesh.h"
 #include "pm/pm_tree.h"
 #include "simplify/simplifier.h"
@@ -34,6 +35,10 @@ int SideFromEnv(const char* var, int fallback) {
 
 std::string MetaPath(const std::string& dir, const DatasetSpec& spec) {
   return dir + "/" + spec.name + ".meta";
+}
+/// The DM store's own catalog, in the meta_io format every store uses.
+std::string DmMetaPath(const std::string& dir, const DatasetSpec& spec) {
+  return dir + "/" + spec.name + ".dm.meta";
 }
 std::string DbPath(const std::string& dir, const DatasetSpec& spec,
                    const char* method) {
@@ -93,19 +98,6 @@ class MetaFile {
   std::map<std::string, std::string> kv_;
 };
 
-void SaveRect(MetaFile* mf, const std::string& prefix, const Rect& r) {
-  mf->Set(prefix + ".lo_x", r.lo_x);
-  mf->Set(prefix + ".lo_y", r.lo_y);
-  mf->Set(prefix + ".hi_x", r.hi_x);
-  mf->Set(prefix + ".hi_y", r.hi_y);
-}
-Rect LoadRect(const MetaFile& mf, const std::string& prefix) {
-  return Rect::Of(mf.GetDouble(prefix + ".lo_x"),
-                  mf.GetDouble(prefix + ".lo_y"),
-                  mf.GetDouble(prefix + ".hi_x"),
-                  mf.GetDouble(prefix + ".hi_y"));
-}
-
 constexpr double kQuantileFractions[] = {1.0,  0.75, 0.5,   0.25,
                                          0.1,  0.05, 0.02,  0.01,
                                          0.005, 0.002, 0.001};
@@ -148,6 +140,7 @@ DatasetSpec CraterDatasetSpec() {
 
 void DropDatasetCache(const std::string& dir, const DatasetSpec& spec) {
   std::remove(MetaPath(dir, spec).c_str());
+  std::remove(DmMetaPath(dir, spec).c_str());
   std::remove(DbPath(dir, spec, "dm").c_str());
   std::remove(DbPath(dir, spec, "pm").c_str());
   std::remove(DbPath(dir, spec, "hdov").c_str());
@@ -162,9 +155,12 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   ds.spec = spec;
   RemoveRetiredFiles(dir, spec);
 
-  // Try the cache.
+  // Try the cache. A cache without the DM store's own catalog file
+  // predates it and is rebuilt; a catalog that fails to parse fails
+  // the load.
   auto meta_or = MetaFile::Load(MetaPath(dir, spec));
-  if (meta_or.ok()) {
+  auto dm_meta_or = LoadDmMeta(DmMetaPath(dir, spec));
+  if (meta_or.ok() && dm_meta_or.status().code() != StatusCode::kNotFound) {
     MetaFile mf = std::move(meta_or).value();
     const bool match =
         mf.Has("format.version") &&
@@ -172,11 +168,11 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
         mf.Has("spec.side") && mf.GetInt("spec.side") == spec.side &&
         mf.GetInt("spec.seed") == static_cast<int64_t>(spec.seed) &&
         mf.GetInt("spec.page_size") ==
-            static_cast<int64_t>(options.page_size) &&
-        // Caches written before the parent-reach table rebuild, so the
-        // bounded-fetch arm never silently measures the plain cube.
-        mf.Has("dm.reach.count");
+            static_cast<int64_t>(options.page_size);
     if (match) {
+      DM_RETURN_NOT_OK(dm_meta_or.status());
+      const LoadedDmMeta& lm = dm_meta_or.value();
+      const DmMeta& dmm = lm.meta;
       DbOptions open = options;
       open.truncate = false;
       DM_ASSIGN_OR_RETURN(ds.dm_env,
@@ -185,25 +181,6 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
                           DbEnv::Open(DbPath(dir, spec, "pm"), open));
       DM_ASSIGN_OR_RETURN(ds.hdov_env,
                           DbEnv::Open(DbPath(dir, spec, "hdov"), open));
-
-      DmMeta dmm;
-      dmm.heap_first = static_cast<PageId>(mf.GetInt("dm.heap_first"));
-      dmm.rtree_root = static_cast<PageId>(mf.GetInt("dm.rtree_root"));
-      dmm.rtree_size = mf.GetInt("dm.rtree_size");
-      dmm.num_nodes = mf.GetInt("num_nodes");
-      dmm.num_leaves = mf.GetInt("num_leaves");
-      dmm.max_lod = mf.GetDouble("max_lod");
-      dmm.mean_lod = mf.GetDouble("mean_lod");
-      dmm.bounds = LoadRect(mf, "bounds");
-      if (mf.Has("dm.codec")) {
-        DM_ASSIGN_OR_RETURN(dmm.codec, ParseDmCodec(mf.GetInt("dm.codec")));
-      }
-      const int64_t nr = mf.GetInt("dm.reach.count");
-      for (int64_t i = 0; i < nr; ++i) {
-        const std::string p = "dm.reach." + std::to_string(i);
-        dmm.reach.push_back({mf.GetDouble(p + ".h"), mf.GetDouble(p + ".d")});
-      }
-      DM_RETURN_NOT_OK(ValidateReachTable(dmm.reach));
       DM_ASSIGN_OR_RETURN(ds.dm, DmStore::Open(ds.dm_env.get(), dmm));
 
       PmDbMeta pmm;
@@ -238,12 +215,7 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
       ds.conn_stats.max_similar_lod = mf.GetInt("conn.max_similar");
       ds.conn_stats.avg_total_connections = mf.GetDouble("conn.avg_total");
       ds.conn_stats.sampled_nodes = mf.GetInt("conn.sampled");
-      const int64_t nq = mf.Has("lodq.count") ? mf.GetInt("lodq.count") : 0;
-      for (int64_t i = 0; i < nq; ++i) {
-        const std::string p = "lodq." + std::to_string(i);
-        ds.lod_quantiles.emplace_back(mf.GetDouble(p + ".f"),
-                                      mf.GetDouble(p + ".e"));
-      }
+      ds.lod_quantiles = lm.quantiles;
 
       // Cold caches for the first query.
       DM_RETURN_NOT_OK(ds.dm_env->FlushAll());
@@ -301,28 +273,8 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   ds.bounds = tree.bounds();
   ds.num_leaves = tree.num_leaves();
   ds.num_nodes = tree.num_nodes();
-  {
-    // LOD quantile catalog: |cut(e)| = leaves - #collapses with
-    // e_low <= e, inverted over the sorted collapse LODs.
-    std::vector<double> collapse_lods;
-    collapse_lods.reserve(static_cast<size_t>(tree.num_nodes()));
-    for (const PmNode& n : tree.nodes()) {
-      if (!n.is_leaf()) collapse_lods.push_back(n.e_low);
-    }
-    std::sort(collapse_lods.begin(), collapse_lods.end());
-    for (double f : kQuantileFractions) {
-      const int64_t target = std::clamp<int64_t>(
-          static_cast<int64_t>(f * static_cast<double>(ds.num_leaves)), 1,
-          ds.num_leaves);
-      const int64_t k = ds.num_leaves - target;
-      double e = 0.0;
-      if (k > 0) {
-        const size_t idx = std::min<size_t>(static_cast<size_t>(k),
-                                            collapse_lods.size()) - 1;
-        e = collapse_lods[idx];
-      }
-      ds.lod_quantiles.emplace_back(f, e);
-    }
+  for (double f : kQuantileFractions) {
+    ds.lod_quantiles.emplace_back(f, tree.LodForCutFraction(f));
   }
   ds.conn_stats =
       ComputeConnectivityStats(base, tree, conn, /*sample=*/512, build_threads);
@@ -333,22 +285,6 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   mf.Set("spec.side", static_cast<int64_t>(spec.side));
   mf.Set("spec.seed", static_cast<int64_t>(spec.seed));
   mf.Set("spec.page_size", static_cast<int64_t>(options.page_size));
-  mf.Set("num_nodes", ds.num_nodes);
-  mf.Set("num_leaves", ds.num_leaves);
-  mf.Set("max_lod", ds.max_lod);
-  mf.Set("mean_lod", ds.mean_lod);
-  SaveRect(&mf, "bounds", ds.bounds);
-  mf.Set("dm.heap_first", static_cast<int64_t>(ds.dm->meta().heap_first));
-  mf.Set("dm.rtree_root", static_cast<int64_t>(ds.dm->meta().rtree_root));
-  mf.Set("dm.rtree_size", ds.dm->meta().rtree_size);
-  mf.Set("dm.codec", static_cast<int64_t>(ds.dm->meta().codec));
-  const ReachTable& reach = ds.dm->meta().reach;
-  mf.Set("dm.reach.count", static_cast<int64_t>(reach.size()));
-  for (size_t i = 0; i < reach.size(); ++i) {
-    const std::string p = "dm.reach." + std::to_string(i);
-    mf.Set(p + ".h", reach[i].e_high);
-    mf.Set(p + ".d", reach[i].dist);
-  }
   mf.Set("pm.heap_first", static_cast<int64_t>(ds.pm->meta().heap_first));
   mf.Set("pm.quadtree_root",
          static_cast<int64_t>(ds.pm->meta().quadtree_root));
@@ -365,12 +301,8 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   mf.Set("conn.max_similar", ds.conn_stats.max_similar_lod);
   mf.Set("conn.avg_total", ds.conn_stats.avg_total_connections);
   mf.Set("conn.sampled", ds.conn_stats.sampled_nodes);
-  mf.Set("lodq.count", static_cast<int64_t>(ds.lod_quantiles.size()));
-  for (size_t i = 0; i < ds.lod_quantiles.size(); ++i) {
-    const std::string p = "lodq." + std::to_string(i);
-    mf.Set(p + ".f", ds.lod_quantiles[i].first);
-    mf.Set(p + ".e", ds.lod_quantiles[i].second);
-  }
+  DM_RETURN_NOT_OK(
+      SaveDmMeta(DmMetaPath(dir, spec), ds.dm->meta(), ds.lod_quantiles));
   DM_RETURN_NOT_OK(mf.Save(MetaPath(dir, spec)));
 
   DM_RETURN_NOT_OK(ds.dm_env->FlushAll());

@@ -64,13 +64,15 @@ struct BuiltDataset {
   std::vector<std::pair<double, double>> lod_quantiles;
 
   /// LOD value whose uniform cut keeps about `frac` of the original
-  /// points (log-linear interpolation of the catalog).
+  /// points (linear interpolation between catalog entries).
   double LodForCutFraction(double frac) const;
 };
 
 /// Builds the dataset under `dir` (creating DEM -> mesh -> QEM -> PM
 /// -> the three databases), or reopens it when a matching build is
-/// already cached there. Deterministic: same spec => same files and
+/// already cached there. The DM store's catalog and the LOD quantiles
+/// live in `<name>.dm.meta` (dm/meta_io.h); `<name>.meta` holds the
+/// spec, the baselines' ids and the connectivity stats. Deterministic: same spec => same files and
 /// the same disk-access counts, at any `build_threads` (<= 0 means one
 /// per hardware core) — the parallel build stages are bit-reproducible
 /// by construction. Catalog keys it does not read are ignored.

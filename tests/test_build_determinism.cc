@@ -17,7 +17,9 @@
 #include "dm/connectivity.h"
 #include "dm/dm_store.h"
 #include "dm/invariants.h"
+#include "dm/meta_io.h"
 #include "index/rtree/rstar_tree.h"
+#include "server/shard_set.h"
 #include "test_util.h"
 #include "workload/dataset.h"
 
@@ -33,6 +35,44 @@ std::vector<uint8_t> FileBytes(const std::string& path) {
   EXPECT_TRUE(in.good()) << path;
   return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
                               std::istreambuf_iterator<char>());
+}
+
+/// Writes the store's meta file the way `dmctl build` does (with a LOD
+/// quantile ladder) and returns its bytes.
+std::vector<uint8_t> MetaFileBytes(const std::string& path,
+                                   const DmStore& store, const PmTree& tree) {
+  std::vector<std::pair<double, double>> quantiles;
+  for (double f : {1.0, 0.5, 0.1, 0.01}) {
+    quantiles.emplace_back(f, tree.LodForCutFraction(f));
+  }
+  EXPECT_TRUE(SaveDmMeta(path, store.meta(), quantiles).ok());
+  std::vector<uint8_t> bytes = FileBytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Each heap record's id and raw bytes (the whole blob on a group
+/// page), in heap order.
+struct HeapRecord {
+  VertexId id = kInvalidVertex;
+  std::vector<uint8_t> bytes;
+};
+std::vector<HeapRecord> HeapRecords(const DmStore& store) {
+  std::vector<HeapRecord> out;
+  Status decode_status;
+  const Status scan_status = store.heap().Scan(
+      [&](RecordId rid, const uint8_t* data, uint32_t size) {
+        auto node_or = DecodeDmRecord(store.meta().codec, rid.slot, data, size);
+        if (!node_or.ok()) {
+          decode_status = node_or.status();
+          return false;
+        }
+        out.push_back({node_or.value().id, {data, data + size}});
+        return true;
+      });
+  EXPECT_TRUE(scan_status.ok()) << scan_status.ToString();
+  EXPECT_TRUE(decode_status.ok()) << decode_status.ToString();
+  return out;
 }
 
 TEST(BuildDeterminismTest, SimplifyIsThreadCountInvariant) {
@@ -98,11 +138,13 @@ TEST(BuildDeterminismTest, StrOrderMatchesSerialAtAnyThreadCount) {
 }
 
 TEST(BuildDeterminismTest, StoreFilesAreByteIdenticalAcrossThreadCounts) {
-  // The acceptance gate: identical .db files from threads=1 and
-  // threads=4 builds of the same scene, plus identical (clean) verify
+  // The acceptance gate: identical .db and .meta files from threads=1
+  // and threads=4 builds of the same scene (the meta file describes the
+  // store only, no build timings), plus identical (clean) verify
   // reports from the on-disk state.
   const Scene scene = MakeScene(33, /*seed=*/7);
   std::vector<uint8_t> ref_bytes;
+  std::vector<uint8_t> ref_meta;
   std::string ref_report;
   for (int threads : {1, 4}) {
     const std::string path =
@@ -124,11 +166,16 @@ TEST(BuildDeterminismTest, StoreFilesAreByteIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(env->FlushAll().ok());
     const std::vector<uint8_t> bytes = FileBytes(path);
     ASSERT_FALSE(bytes.empty());
+    const std::vector<uint8_t> meta =
+        MetaFileBytes(path + ".meta", store_or.value(), scene.tree);
+    ASSERT_FALSE(meta.empty());
     if (threads == 1) {
       ref_bytes = bytes;
+      ref_meta = meta;
       ref_report = report_or.value().ToString();
     } else {
       EXPECT_EQ(bytes, ref_bytes) << "store bytes differ at threads=4";
+      EXPECT_EQ(meta, ref_meta) << "meta file differs at threads=4";
       EXPECT_EQ(report_or.value().ToString(), ref_report);
     }
     env.reset();
@@ -142,6 +189,7 @@ TEST(BuildDeterminismTest, GroupCodecBuildIsThreadCountInvariant) {
   // the finished file must still be byte-identical at any thread count.
   const Scene scene = MakeScene(33, /*seed=*/7);
   std::vector<uint8_t> ref_bytes;
+  std::vector<uint8_t> ref_meta;
   for (int threads : {1, 4}) {
     const std::string path =
         TempDbPath("determinism_v6_t" + std::to_string(threads));
@@ -163,20 +211,118 @@ TEST(BuildDeterminismTest, GroupCodecBuildIsThreadCountInvariant) {
     ASSERT_TRUE(env->FlushAll().ok());
     const std::vector<uint8_t> bytes = FileBytes(path);
     ASSERT_FALSE(bytes.empty());
+    const std::vector<uint8_t> meta =
+        MetaFileBytes(path + ".meta", store_or.value(), scene.tree);
     if (threads == 1) {
       ref_bytes = bytes;
+      ref_meta = meta;
     } else {
       EXPECT_EQ(bytes, ref_bytes) << "v6 store bytes differ at threads=4";
+      EXPECT_EQ(meta, ref_meta) << "v6 meta file differs at threads=4";
     }
     env.reset();
     std::remove(path.c_str());
   }
 }
 
+// ShardSet::Build writes every region with the store writer, in the
+// source store's heap order. Two builds from one source (flat or
+// group) write byte-identical replica .db and .meta files; every
+// shard's heap holds its region's records in source heap order; and a
+// flat shard's records are the source's bytes.
+TEST(BuildDeterminismTest, ShardFilesAreByteIdenticalAcrossBuilds) {
+  const Scene scene = MakeScene(33, /*seed=*/7);
+  for (DmCodec codec : {DmCodec::kFlat, DmCodec::kGroup}) {
+    SCOPED_TRACE(DmCodecName(codec));
+    const std::string tag = DmCodecName(codec);
+    const std::string src_path = TempDbPath("shard_src_" + tag);
+    std::remove(src_path.c_str());
+    auto env_or = DbEnv::Open(src_path, {});
+    ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
+    auto env = std::move(env_or).value();
+    DmStoreOptions options;
+    options.codec = codec;
+    auto src_or =
+        DmStore::Build(env.get(), scene.base, scene.tree, scene.sr, options);
+    ASSERT_TRUE(src_or.ok()) << src_or.status().ToString();
+    const std::vector<HeapRecord> source = HeapRecords(src_or.value());
+
+    ShardSetOptions opt;
+    opt.shards = 4;
+    opt.replicas = 2;
+    std::vector<std::vector<std::string>> paths(2);  // per build
+    for (int build = 0; build < 2; ++build) {
+      auto set_or = ShardSet::Build(
+          src_or.value(),
+          TempDbPath("shards_" + tag + "_b" + std::to_string(build)), opt);
+      ASSERT_TRUE(set_or.ok()) << set_or.status().ToString();
+      const ShardSet& set = *set_or.value();
+      for (int s = 0; s < set.num_shards(); ++s) {
+        for (const auto& rep : set.shard(s).replicas) {
+          paths[static_cast<size_t>(build)].push_back(rep->path);
+        }
+      }
+      if (build > 0) continue;
+      // Shard of every id, and each shard's records in heap order.
+      std::vector<int> shard_of(source.size(), -1);
+      std::vector<std::vector<HeapRecord>> shard_records;
+      for (int s = 0; s < set.num_shards(); ++s) {
+        shard_records.push_back(HeapRecords(*set.shard(s).replicas[0]->store));
+        for (const HeapRecord& r : shard_records.back()) {
+          ASSERT_LT(static_cast<size_t>(r.id), shard_of.size());
+          EXPECT_EQ(shard_of[static_cast<size_t>(r.id)], -1)
+              << "node " << r.id << " in two shards";
+          shard_of[static_cast<size_t>(r.id)] = s;
+        }
+      }
+      for (int s = 0; s < set.num_shards(); ++s) {
+        std::vector<VertexId> want;
+        for (const HeapRecord& r : source) {
+          if (shard_of[static_cast<size_t>(r.id)] == s) want.push_back(r.id);
+        }
+        std::vector<VertexId> got;
+        for (const HeapRecord& r : shard_records[static_cast<size_t>(s)]) {
+          got.push_back(r.id);
+        }
+        EXPECT_EQ(got, want) << "shard " << s << " is not in source order";
+      }
+      EXPECT_EQ(std::count(shard_of.begin(), shard_of.end(), -1), 0);
+      if (codec == DmCodec::kFlat) {
+        std::vector<const std::vector<uint8_t>*> by_id(source.size());
+        for (const HeapRecord& r : source) {
+          by_id[static_cast<size_t>(r.id)] = &r.bytes;
+        }
+        for (const auto& records : shard_records) {
+          for (const HeapRecord& r : records) {
+            EXPECT_EQ(r.bytes, *by_id[static_cast<size_t>(r.id)])
+                << "node " << r.id;
+          }
+        }
+      }
+    }
+    ASSERT_EQ(paths[0].size(), 8u);
+    ASSERT_EQ(paths[1].size(), 8u);
+    for (size_t i = 0; i < paths[0].size(); ++i) {
+      for (const char* ext : {".db", ".meta"}) {
+        const std::vector<uint8_t> a = FileBytes(paths[0][i] + ext);
+        EXPECT_FALSE(a.empty()) << paths[0][i] << ext;
+        EXPECT_EQ(a, FileBytes(paths[1][i] + ext)) << paths[1][i] << ext;
+      }
+    }
+    for (const auto& build_paths : paths) {
+      for (const std::string& p : build_paths) {
+        std::remove((p + ".db").c_str());
+        std::remove((p + ".meta").c_str());
+      }
+    }
+    std::remove(src_path.c_str());
+  }
+}
+
 TEST(BuildDeterminismTest, DatasetBuildIsThreadCountInvariant) {
   // Full BuildOrLoadDataset (all three method databases + cache
   // manifest) built at 1 and 4 threads into separate directories must
-  // produce byte-identical database files.
+  // produce byte-identical database files and DM catalogs.
   DatasetSpec spec;
   spec.name = "det";
   spec.side = 33;
@@ -203,6 +349,7 @@ TEST(BuildDeterminismTest, DatasetBuildIsThreadCountInvariant) {
     const std::string f4 = dir4 + "/det." + method + ".db";
     EXPECT_EQ(FileBytes(f1), FileBytes(f4)) << method;
   }
+  EXPECT_EQ(FileBytes(dir1 + "/det.dm.meta"), FileBytes(dir4 + "/det.dm.meta"));
   for (const auto& dir : {dir1, dir4}) {
     std::string cmd = "rm -rf '" + dir + "'";
     ASSERT_EQ(std::system(cmd.c_str()), 0);

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/geometry.h"
-#include "common/hilbert.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -116,45 +113,6 @@ TEST(RngTest, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sum2 / n, 1.0, 0.05);
-}
-
-TEST(HilbertTest, IsABijectionOnSmallGrids) {
-  const uint32_t order = 4;  // 16x16
-  std::set<uint64_t> seen;
-  for (uint32_t y = 0; y < 16; ++y) {
-    for (uint32_t x = 0; x < 16; ++x) {
-      const uint64_t d = HilbertIndex(order, x, y);
-      EXPECT_LT(d, 256u);
-      EXPECT_TRUE(seen.insert(d).second) << "duplicate at " << x << "," << y;
-      uint32_t rx;
-      uint32_t ry;
-      HilbertPoint(order, d, &rx, &ry);
-      EXPECT_EQ(rx, x);
-      EXPECT_EQ(ry, y);
-    }
-  }
-}
-
-TEST(HilbertTest, ConsecutiveIndicesAreAdjacentCells) {
-  const uint32_t order = 5;
-  uint32_t px;
-  uint32_t py;
-  HilbertPoint(order, 0, &px, &py);
-  for (uint64_t d = 1; d < 1024; ++d) {
-    uint32_t x;
-    uint32_t y;
-    HilbertPoint(order, d, &x, &y);
-    const uint32_t dist = (x > px ? x - px : px - x) +
-                          (y > py ? y - py : py - y);
-    EXPECT_EQ(dist, 1u) << "jump at d=" << d;
-    px = x;
-    py = y;
-  }
-}
-
-TEST(HilbertTest, UnitKeyClamps) {
-  EXPECT_EQ(HilbertKeyUnit(-1.0, -5.0), HilbertKeyUnit(0.0, 0.0));
-  EXPECT_EQ(HilbertKeyUnit(2.0, 7.0), HilbertKeyUnit(0.999999999, 0.999999999));
 }
 
 TEST(GeometryTest, VectorOps) {

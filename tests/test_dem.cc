@@ -81,26 +81,6 @@ TEST(CraterTest, RimIsHigherThanBowlAndPlain) {
   EXPECT_GT(rim_z, plain_z + 100.0);
 }
 
-TEST(DemIoTest, BinaryRoundTrip) {
-  const DemGrid g = GenerateFractalDem({.side = 33, .seed = 5});
-  const std::string path = dm::testing::TempDbPath("dem_io");
-  ASSERT_TRUE(WriteDem(g, path).ok());
-  auto r = ReadDem(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().data(), g.data());
-  std::remove(path.c_str());
-}
-
-TEST(DemIoTest, ReadRejectsGarbage) {
-  const std::string path = dm::testing::TempDbPath("dem_bad");
-  {
-    std::ofstream out(path);
-    out << "not a dem file at all";
-  }
-  EXPECT_FALSE(ReadDem(path).ok());
-  std::remove(path.c_str());
-}
-
 TEST(DemIoTest, ParsesEsriAsciiGrid) {
   const std::string path = dm::testing::TempDbPath("esri");
   {

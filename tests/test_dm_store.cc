@@ -99,6 +99,31 @@ TEST_F(DmStoreTest, ReopensFromMeta) {
   EXPECT_FALSE(rids.empty());
 }
 
+// Opening a store walks the heap chain once and the index once: one
+// page fetch per heap page and one per R*-tree node, the catalog's
+// extents, segment sample and page record counts all coming from the
+// same index walk.
+TEST_F(DmStoreTest, OpenFetchesEachHeapPageAndIndexNodeOnce) {
+  ASSERT_TRUE(env_->FlushAll().ok());
+  env_->ResetStats();
+  auto reopened_or = DmStore::Open(env_, store_->meta());
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  const int64_t fetches = env_->stats().logical_fetches;
+  const DmStore& reopened = reopened_or.value();
+  int64_t index_nodes = 0;
+  ASSERT_TRUE(reopened.rtree()
+                  .VisitNodes([&](PageId, uint16_t, const auto&) {
+                    ++index_nodes;
+                    return true;
+                  })
+                  .ok());
+  ASSERT_GT(index_nodes, 1) << "test store too small for an internal root";
+  EXPECT_EQ(static_cast<int64_t>(
+                reopened.cost_catalog().stats().nodes.size()),
+            index_nodes);
+  EXPECT_EQ(fetches, reopened.heap().num_pages() + index_nodes);
+}
+
 TEST_F(DmStoreTest, CatalogIsLoaded) {
   const CostCatalog::Stats& stats = store_->cost_catalog().stats();
   EXPECT_FALSE(stats.nodes.empty());
@@ -389,9 +414,10 @@ TEST_F(ReachMetaFileTest, RetiredAndUnknownCodecsAreRejected) {
 }
 
 // Older writers put a `repacked=0|1` line after `codec=` for a layout
-// flag that no longer exists. It is an unknown key now: the file loads
-// with every field equal to the same file without the line, and the
-// store opens as an ordinary one (its R*-tree names its own rids).
+// flag that no longer exists, and `stage=name,millis` build timings at
+// the end. Both are unknown keys now: the file loads with every field
+// equal to the same file without the lines, and the store opens as an
+// ordinary one (its R*-tree names its own rids).
 TEST_F(ReachMetaFileTest, LegacyRepackedLineIsIgnored) {
   auto plain = LoadDmMeta(meta_path_);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
@@ -401,6 +427,8 @@ TEST_F(ReachMetaFileTest, LegacyRepackedLineIsIgnored) {
     });
     ASSERT_NE(codec, l->end());
     l->insert(codec + 1, "repacked=1");
+    l->push_back("stage=simplify,137.25");
+    l->push_back("stage=rtree-pack,12.5");
   });
   auto legacy = LoadDmMeta(meta_path_);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
@@ -421,7 +449,6 @@ TEST_F(ReachMetaFileTest, LegacyRepackedLineIsIgnored) {
   EXPECT_EQ(b.id_space, a.id_space);
   EXPECT_EQ(b.reach, a.reach);
   EXPECT_EQ(legacy.value().quantiles, plain.value().quantiles);
-  EXPECT_EQ(legacy.value().stages, plain.value().stages);
   EXPECT_TRUE(DmStore::Open(env_, b).ok());
 }
 

@@ -99,7 +99,17 @@ TEST_F(RStarTreeTest, NodeExtentsNestProperly) {
   for (int i = 0; i < 1500; ++i) boxes.push_back(RandomBox(&rng, 50.0, 2.0));
   const RStarTree tree = Load(boxes);
   std::vector<RTreeNodeExtent> extents;
-  ASSERT_TRUE(tree.CollectNodeExtents(&extents).ok());
+  ASSERT_TRUE(tree.VisitNodes([&](PageId, uint16_t level,
+                                  const std::vector<std::pair<Box, uint64_t>>&
+                                      entries) {
+                    RTreeNodeExtent ext;
+                    ext.level = level;
+                    ext.count = static_cast<uint16_t>(entries.size());
+                    for (const auto& e : entries) ext.box.ExpandToInclude(e.first);
+                    extents.push_back(ext);
+                    return true;
+                  })
+                  .ok());
   ASSERT_FALSE(extents.empty());
   // The root extent is first and contains every other node box.
   const Box root_box = extents.front().box;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -149,28 +150,52 @@ TEST(DatasetTest, RetiredRepackedStoreFileIsRemoved) {
   EXPECT_TRUE(gone()) << "after a drop";
 }
 
-// The dataset-cache manifest parses `dm.codec` with the same checks
-// as a store's meta file: the retired per-record codec (1) is
-// NotSupported and any other unknown value is Corruption, instead of
-// opening a store on which every decode fails.
+// A cache written before the DM catalog had its own file (no
+// `<name>.dm.meta`) is rebuilt, and the rebuild writes the file.
+TEST(DatasetTest, CacheWithoutDmMetaIsRebuilt) {
+  const std::string dir = TempDir();
+  DatasetSpec spec = TinySpec();
+  spec.name = "tiny_no_dm_meta";
+  DropDatasetCache(dir, spec);
+  const std::string dm_meta = dir + "/" + spec.name + ".dm.meta";
+  struct stat st;
+  ASSERT_TRUE(BuildOrLoadDataset(dir, spec).ok());
+  ASSERT_EQ(::stat(dm_meta.c_str(), &st), 0);
+  std::remove(dm_meta.c_str());
+  auto rebuilt = BuildOrLoadDataset(dir, spec);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(::stat(dm_meta.c_str(), &st), 0);
+  EXPECT_FALSE(rebuilt.value().lod_quantiles.empty());
+  DropDatasetCache(dir, spec);
+  EXPECT_NE(::stat(dm_meta.c_str(), &st), 0) << "dropped with the cache";
+}
+
+// The dataset cache keeps the DM store's catalog in `<name>.dm.meta`,
+// parsed by LoadDmMeta like any store's meta file: the retired
+// per-record codec (1) is NotSupported and any other unknown value is
+// Corruption, instead of opening a store on which every decode fails.
 TEST(DatasetTest, ManifestRejectsRetiredAndUnknownCodecs) {
   const std::string dir = TempDir();
   DatasetSpec spec = TinySpec();
   spec.name = "tiny_codec";
   DropDatasetCache(dir, spec);
   ASSERT_TRUE(BuildOrLoadDataset(dir, spec).ok());
-  const std::string manifest = dir + "/" + spec.name + ".meta";
+  const std::string manifest = dir + "/" + spec.name + ".dm.meta";
   std::vector<std::string> lines;
   {
     std::ifstream in(manifest);
     for (std::string l; std::getline(in, l);) lines.push_back(l);
   }
+  ASSERT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& l) {
+                            return l.rfind("codec=", 0) == 0;
+                          }),
+            1);
   const auto with_codec = [&](int64_t codec) {
     std::ofstream out(manifest);
     for (const std::string& l : lines) {
-      out << (l.rfind("dm.codec=", 0) == 0
-                  ? "dm.codec=" + std::to_string(codec)
-                  : l)
+      out << (l.rfind("codec=", 0) == 0 ? "codec=" + std::to_string(codec)
+                                        : l)
           << "\n";
     }
   };

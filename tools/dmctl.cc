@@ -204,21 +204,6 @@ int Usage() {
   return 2;
 }
 
-// ---- tiny meta file ------------------------------------------------
-// Format shared with the shard builder; see dm/meta_io.h.
-
-Status SaveMeta(const std::string& path, const DmMeta& meta,
-                const std::vector<std::pair<double, double>>& quantiles,
-                const std::vector<std::pair<std::string, double>>& stages) {
-  return SaveDmMeta(path, meta, quantiles, stages);
-}
-
-using LoadedMeta = LoadedDmMeta;
-
-Result<LoadedMeta> LoadMeta(const std::string& path) {
-  return LoadDmMeta(path);
-}
-
 Result<Rect> ParseRoi(const std::string& spec) {
   Rect roi;
   char c;
@@ -270,17 +255,18 @@ Status RunBuild(const Args& args) {
       EffectiveThreads(static_cast<int>(args.GetInt("threads", 1)));
 
   // Per-stage wall-clock bookkeeping: every finished stage prints one
-  // progress line immediately (long builds aren't silent) and lands in
-  // the meta file so `dmctl info` can show the breakdown later.
-  std::vector<std::pair<std::string, double>> stages;
-  auto clock = std::chrono::steady_clock::now();
-  auto stage_done = [&](const char* name) {
-    const double millis = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - clock)
-                              .count();
-    stages.emplace_back(name, millis);
+  // progress line immediately, so long builds aren't silent.
+  double total_millis = 0.0;
+  auto print_stage = [&](const char* name, double millis) {
+    total_millis += millis;
     std::printf("[build] %-17s %9.1f ms\n", name, millis);
     std::fflush(stdout);
+  };
+  auto clock = std::chrono::steady_clock::now();
+  auto stage_done = [&](const char* name) {
+    print_stage(name, std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - clock)
+                          .count());
     clock = std::chrono::steady_clock::now();
   };
 
@@ -318,56 +304,38 @@ Status RunBuild(const Args& args) {
   options.timings = &timings;
   DM_ASSIGN_OR_RETURN(const DmStore store,
                       DmStore::Build(env.get(), mesh, tree, sr, options));
-  clock = std::chrono::steady_clock::now();  // Build timed internally
-  stages.emplace_back("connection-lists", timings.conn_millis);
-  stages.emplace_back("str-order", timings.str_millis);
-  stages.emplace_back("encode", timings.encode_millis);
-  stages.emplace_back("heap-append", timings.append_millis);
-  stages.emplace_back("rtree-pack", timings.bulkload_millis);
-  stages.emplace_back("catalog", timings.catalog_millis);
-  for (size_t i = stages.size() - 6; i < stages.size(); ++i) {
-    std::printf("[build] %-17s %9.1f ms\n", stages[i].first.c_str(),
-                stages[i].second);
-  }
-  std::fflush(stdout);
+  // Build times its own stages.
+  print_stage("connection-lists", timings.conn_millis);
+  print_stage("str-order", timings.str_millis);
+  print_stage("encode", timings.encode_millis);
+  print_stage("heap-append", timings.append_millis);
+  print_stage("rtree-pack", timings.bulkload_millis);
+  print_stage("catalog", timings.catalog_millis);
 
   // LOD quantiles for --keep.
-  std::vector<double> lods;
-  for (const PmNode& n : tree.nodes()) {
-    if (!n.is_leaf()) lods.push_back(n.e_low);
-  }
-  std::sort(lods.begin(), lods.end());
   std::vector<std::pair<double, double>> quantiles;
   for (double f : {1.0, 0.75, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.005}) {
-    const int64_t target = std::max<int64_t>(
-        1, static_cast<int64_t>(f * static_cast<double>(tree.num_leaves())));
-    const int64_t k = tree.num_leaves() - target;
-    const double e =
-        k <= 0 ? 0.0
-               : lods[std::min<size_t>(static_cast<size_t>(k),
-                                       lods.size()) - 1];
-    quantiles.emplace_back(f, e);
+    quantiles.emplace_back(f, tree.LodForCutFraction(f));
   }
-  DM_RETURN_NOT_OK(SaveMeta(base + ".meta", store.meta(), quantiles, stages));
-  double total = 0.0;
-  for (const auto& [name, millis] : stages) total += millis;
+  DM_RETURN_NOT_OK(SaveDmMeta(base + ".meta", store.meta(), quantiles));
   std::printf("built %s.db (%lld nodes, max LOD %.4g, %s codec) in %.1f ms\n",
               base.c_str(), static_cast<long long>(store.meta().num_nodes),
-              store.meta().max_lod, DmCodecName(store.meta().codec), total);
+              store.meta().max_lod, DmCodecName(store.meta().codec),
+              total_millis);
   return Status::OK();
 }
 
 struct OpenDb {
   std::unique_ptr<DbEnv> env;
   std::unique_ptr<DmStore> store;
-  LoadedMeta lm;
+  LoadedDmMeta lm;
 };
 
 Result<OpenDb> Open(const Args& args) {
   const std::string base = args.Get("db");
   if (base.empty()) return Status::InvalidArgument("--db required");
   OpenDb db;
-  DM_ASSIGN_OR_RETURN(db.lm, LoadMeta(base + ".meta"));
+  DM_ASSIGN_OR_RETURN(db.lm, LoadDmMeta(base + ".meta"));
   DbOptions options;
   options.truncate = false;
   // Paper-exact single shard unless --shards overrides.
@@ -409,14 +377,6 @@ Status RunInfo(const Args& args) {
   std::printf("LOD ladder (fraction of points kept -> e):\n");
   for (const auto& [f, e] : db.lm.quantiles) {
     std::printf("  %6.1f%% -> %.6g\n", f * 100, e);
-  }
-  if (!db.lm.stages.empty()) {
-    double total = 0.0;
-    for (const auto& [name, millis] : db.lm.stages) total += millis;
-    std::printf("build stages (total %.1f ms):\n", total);
-    for (const auto& [name, millis] : db.lm.stages) {
-      std::printf("  %-17s %9.1f ms\n", name.c_str(), millis);
-    }
   }
   return Status::OK();
 }
@@ -498,14 +458,14 @@ int RunScrub(const Args& args) {
   // store open reads index pages through the checksum layer, so on a
   // damaged file it would fail before the sweep could take inventory.
   const std::string base = args.Get("db");
-  LoadedMeta lm;
+  LoadedDmMeta lm;
   std::unique_ptr<DbEnv> env;
   {
     Status open_st = Status::OK();
     if (base.empty()) {
       open_st = Status::InvalidArgument("--db required");
     } else {
-      auto lm_or = LoadMeta(base + ".meta");
+      auto lm_or = LoadDmMeta(base + ".meta");
       if (!lm_or.ok()) {
         open_st = lm_or.status();
       } else {
@@ -679,7 +639,7 @@ int RunScrub(const Args& args) {
   return 0;
 }
 
-Result<double> LodFromArgs(const Args& args, const LoadedMeta& lm) {
+Result<double> LodFromArgs(const Args& args, const LoadedDmMeta& lm) {
   if (args.Has("lod")) return args.GetDouble("lod", 0.0);
   const double keep = args.GetDouble("keep", 0.1);
   if (!(keep >= 0.0 && keep <= 1.0)) {  // also rejects NaN
