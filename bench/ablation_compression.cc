@@ -1,6 +1,6 @@
 // Ablation of record encoding (the compressed-MTM direction of the
 // paper's reference [2], Danovaro et al.): the same Direct Mesh built
-// two ways — the paper's flat fixed-width records and the v6
+// two ways — the paper's flat fixed-width records and the
 // page-level group codec (frame-of-reference coordinates + shared
 // e-value dictionary, DESIGN.md §15) — compared on storage footprint,
 // query disk accesses, and decode CPU.

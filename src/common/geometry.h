@@ -131,6 +131,10 @@ struct Box {
   static Box FromPoint(double x, double y, double e) {
     return Of(x, y, e, x, y, e);
   }
+  /// Vertical segment at (x, y) over the LOD interval [e_lo, e_hi].
+  static Box Segment(double x, double y, double e_lo, double e_hi) {
+    return Of(x, y, e_lo, x, y, e_hi);
+  }
 
   bool empty() const {
     for (int d = 0; d < 3; ++d) {

@@ -88,7 +88,7 @@ Result<DmNode> DmNode::Decode(const uint8_t* data, uint32_t size) {
 
 namespace {
 
-// ---- v6 group codec (DESIGN.md §15) ----------------------------------
+// ---- group codec (DESIGN.md §15) -------------------------------------
 
 constexpr uint32_t kGroupHeaderSize = 40;
 // rflags bits 0/1/2: x/y/z stored as frame-of-reference integer

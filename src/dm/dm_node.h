@@ -63,7 +63,7 @@ struct DmNode {
 /// never reused.
 enum class DmCodec : uint8_t {
   kFlat = 0,   ///< fixed-width records, the paper's layout (EncodeTo)
-  kGroup = 2,  ///< v6 page-level frame-of-reference groups
+  kGroup = 2,  ///< page-level frame-of-reference groups (DESIGN.md §15)
 };
 
 /// Human-readable codec name for tooling ("flat" / "group").
@@ -74,7 +74,7 @@ const char* DmCodecName(DmCodec codec);
 /// other value outside {0, 2} is Corruption.
 Result<DmCodec> ParseDmCodec(int64_t value);
 
-/// Builds one v6 group blob: many nodes encoded against shared
+/// Builds one group blob: many nodes encoded against shared
 /// frame-of-reference bases (DESIGN.md §15). The blob layout is
 ///
 ///   header (40 B): n u16 | dir_off u16 | dict_off u16 | dict_count u16
@@ -120,7 +120,7 @@ class DmNodeGroupEncoder {
   std::unordered_map<uint64_t, uint32_t> dict_index_;
 };
 
-/// Read-side access to a v6 group blob. Stateless: each call re-parses
+/// Read-side access to a group blob. Stateless: each call re-parses
 /// the 40-byte header (cheap) and touches only the requested record's
 /// body, so a point fetch of one record decodes one record, not the
 /// page.

@@ -21,9 +21,11 @@ bool FiniteRect(const Rect& r) {
 /// reaches a node c only as a start node (c.e_high above the top
 /// plane) or by splitting its parent p, which needs
 /// p.e_low = c.e_high > req(p.pos). With req L-Lipschitz in (x, y) and
-/// |c - p| <= D(c.e_high), every reachable node satisfies
-/// c.e_high + L * D(c.e_high) > req(c.pos). A box is pruned when even
-/// its highest e_high misses the lowest req over its footprint.
+/// |c - p| <= d_c <= D(c.e_high), every reachable node satisfies
+/// c.e_high + L * d_c > req(c.pos). A leaf entry carries its own d_c;
+/// an internal entry (reach +inf) falls back to the table's D. A box
+/// is pruned when even its highest e_high misses the lowest req over
+/// its footprint.
 class SurfaceBound final : public RangeFilter {
  public:
   SurfaceBound(const ReachTable& reach, double max_lod, const ViewQuery& q)
@@ -39,12 +41,13 @@ class SurfaceBound final : public RangeFilter {
   /// False when the slope overflowed; the caller then fetches the cube.
   bool usable() const { return std::isfinite(lipschitz_); }
 
-  bool MayMatch(const Box& box) const override {
+  bool MayMatch(const Box& box, double entry_reach) const override {
     const double h = box.hi[2];
     // Segments store the root's +inf top capped at max_lod, so a box
     // reaching it may hold a node alive at any LOD.
     if (h >= max_lod_) return true;
-    const double reach = h + lipschitz_ * ReachAt(*reach_, h);
+    const double reach =
+        h + lipschitz_ * std::min(entry_reach, ReachAt(*reach_, h));
     const double req = MinRequired(box);
     // Relative slack: rounding may keep a node, never drop one.
     const double slack =

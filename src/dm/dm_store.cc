@@ -36,6 +36,7 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   auto clock = std::chrono::steady_clock::now();
 
   std::vector<DmNode> recs;
+  std::vector<float> parent_reach;
   {
     WorkerPool pool(EffectiveThreads(options.threads));
     std::vector<std::vector<VertexId>> own_connections;
@@ -70,9 +71,10 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
     const std::vector<size_t> order = RStarTree::StrOrder(
         segments, RStarTree::LeafCapacityFor(env->page_size()), pool);
 
-    // Materialize the records in STR order (disjoint slots, so the
-    // loop parallelizes over index ranges).
+    // Materialize the records and their parent reach in STR order
+    // (disjoint slots, so the loop parallelizes over index ranges).
     recs.resize(order.size());
+    parent_reach.resize(order.size());
     ParallelFor(pool, static_cast<int64_t>(order.size()), 256,
                 [&](int64_t begin, int64_t end) {
                   for (int64_t i = begin; i < end; ++i) {
@@ -89,6 +91,10 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
                     rec.wing1 = n.wing1;
                     rec.wing2 = n.wing2;
                     rec.connections = connections[idx];
+                    parent_reach[static_cast<size_t>(i)] =
+                        n.is_root() ? 0.0f
+                                    : RoundUpToFloat(XyDistance(
+                                          n.pos, tree.node(n.parent).pos));
                   }
                 });
     timings->str_millis = MillisSince(clock);
@@ -101,14 +107,19 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
   dataset.bounds = tree.bounds();
   dataset.reach = BuildReachTable(tree);
   const double reach_millis = MillisSince(clock);
-  DM_ASSIGN_OR_RETURN(DmStore store, Write(env, recs, dataset, write_options));
+  DM_ASSIGN_OR_RETURN(DmStore store,
+                      Write(env, recs, parent_reach, dataset, write_options));
   timings->catalog_millis += reach_millis;
   return store;
 }
 
 Result<DmStore> DmStore::Write(DbEnv* env, const std::vector<DmNode>& records,
+                               const std::vector<float>& parent_reach,
                                const DmMeta& dataset,
                                const DmStoreOptions& options) {
+  DM_CHECK(parent_reach.size() == records.size())
+      << parent_reach.size() << " parent reaches for " << records.size()
+      << " records";
   DmBuildTimings local_timings;
   DmBuildTimings* timings =
       options.timings != nullptr ? options.timings : &local_timings;
@@ -165,13 +176,14 @@ Result<DmStore> DmStore::Write(DbEnv* env, const std::vector<DmNode>& records,
   } else {
     DM_RETURN_NOT_OK(heap.AppendMany(encoded, &rids));
   }
-  std::vector<std::pair<Box, uint64_t>> entries;
+  std::vector<RTreeEntry> entries;
   entries.reserve(records.size());
   int64_t leaves = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     const DmNode& n = records[i];
-    entries.emplace_back(SegmentBox(n.pos, n.e_low, n.e_high, dataset.max_lod),
-                         rids[i].Pack());
+    entries.push_back(
+        RTreeEntry{SegmentBox(n.pos, n.e_low, n.e_high, dataset.max_lod),
+                   rids[i].Pack(), parent_reach[i]});
     if (n.is_leaf()) ++leaves;
   }
   take_stage(&timings->append_millis);
@@ -232,12 +244,11 @@ Status DmStore::LoadCatalog() {
   size_t stride = 1;
   size_t counter = 0;
   DM_RETURN_NOT_OK(rtree_.VisitNodes(
-      [&](PageId, uint16_t level,
-          const std::vector<std::pair<Box, uint64_t>>& entries) {
+      [&](PageId, uint16_t level, const std::vector<RTreeEntry>& entries) {
         RTreeNodeExtent ext;
         ext.level = level;
         ext.count = static_cast<uint16_t>(entries.size());
-        for (const auto& [box, payload] : entries) {
+        for (const auto& [box, payload, reach] : entries) {
           ext.box.ExpandToInclude(box);
           if (level > 0) continue;
           const RecordId rid = RecordId::Unpack(payload);

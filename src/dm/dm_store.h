@@ -32,7 +32,7 @@ struct DmMeta {
   double max_lod = 0.0;
   double mean_lod = 0.0;
   Rect bounds;
-  /// Record codec of the heap file (flat records or v6 group blocks);
+  /// Record codec of the heap file (flat records or group blocks);
   /// every reader dispatches through DecodeDmRecord.
   DmCodec codec = DmCodec::kFlat;
   /// Size of the global vertex-id space this store's records are drawn
@@ -64,7 +64,7 @@ struct DmBuildTimings {
 
 /// Build-time options of a DM database.
 struct DmStoreOptions {
-  /// Record codec. kGroup (format v6) packs many frame-of-reference
+  /// Record codec. kGroup (DESIGN.md §15) packs many frame-of-reference
   /// coded records per page and is what the compression ablation
   /// measures against; kFlat is the fixed-width seed layout.
   DmCodec codec = DmCodec::kFlat;
@@ -109,12 +109,18 @@ class DmStore {
   /// Writes `records`, already in heap order, as a store in `env`:
   /// encodes them with `options.codec`, appends them to a new heap,
   /// bulk-loads the R*-tree over their segments in the same order, and
-  /// loads the catalog. `dataset` supplies the dataset-wide meta fields
-  /// (max_lod, mean_lod, bounds, reach, id_space); the heap and index
-  /// ids, the record counts and the codec are filled here. Build passes
-  /// the records of a complete store in StrOrder; ShardSet::Build the
-  /// records of one region in the source store's heap order.
+  /// loads the catalog. `parent_reach[i]` is record i's xy distance to
+  /// its parent, rounded up to float (RoundUpToFloat; 0 at the root),
+  /// stored in its leaf entry for the surface bound (DESIGN.md §18).
+  /// `dataset` supplies the dataset-wide meta fields (max_lod,
+  /// mean_lod, bounds, reach, id_space); the heap and index ids, the
+  /// record counts and the codec are filled here. Build passes the
+  /// records of a complete store in StrOrder; ShardSet::Build the
+  /// records of one region in the source store's heap order, with the
+  /// reach its source's leaf entries hold (a shard may lack the
+  /// parent).
   static Result<DmStore> Write(DbEnv* env, const std::vector<DmNode>& records,
+                               const std::vector<float>& parent_reach,
                                const DmMeta& dataset,
                                const DmStoreOptions& options = {});
 

@@ -321,13 +321,12 @@ int64_t CheckRTree(const DmStore& store, const LoadedNodes& ln,
   const double max_lod = store.meta().max_lod;
 
   const Status walk = store.rtree().VisitNodes(
-      [&](PageId id, uint16_t level,
-          const std::vector<std::pair<Box, uint64_t>>& entries) {
+      [&](PageId id, uint16_t level, const std::vector<RTreeEntry>& entries) {
         ++visited;
         NodeInfo info;
         info.level = level;
         info.seen = true;
-        for (const auto& [box, payload] : entries) {
+        for (const auto& [box, payload, reach] : entries) {
           info.box.ExpandToInclude(box);
           if (level > 0) {
             refs.push_back(
@@ -355,6 +354,27 @@ int64_t CheckRTree(const DmStore& store, const LoadedNodes& ln,
                     "leaf entry for " + NodeTag(n.id) + " on page " +
                         std::to_string(id) + " is " + box.ToString() +
                         ", expected the LOD segment " + expect.ToString());
+          }
+          // The entry's parent reach must be the parent distance
+          // rounded up to float (0 at the root): an understated one
+          // drops nodes from bounded fetches. A shard may lack the
+          // parent; its copied reach is checked in the source.
+          const bool root = n.parent == kInvalidVertex;
+          if (!root && (n.parent < 0 ||
+                        n.parent >= static_cast<VertexId>(ln.nodes.size()) ||
+                        !ln.present[static_cast<size_t>(n.parent)])) {
+            continue;
+          }
+          const float want =
+              root ? 0.0f
+                   : RoundUpToFloat(XyDistance(
+                         n.pos, ln.nodes[static_cast<size_t>(n.parent)].pos));
+          if (reach != want) {
+            rep.Add(kInvariantParentReach,
+                    "leaf entry for " + NodeTag(n.id) + " on page " +
+                        std::to_string(id) + " stores parent reach " +
+                        std::to_string(reach) + ", expected " +
+                        std::to_string(want));
           }
         }
         infos[id] = info;

@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
 namespace dm {
+
+float RoundUpToFloat(double dist) {
+  const float f = static_cast<float>(dist);
+  return static_cast<double>(f) < dist
+             ? std::nextafter(f, std::numeric_limits<float>::infinity())
+             : f;
+}
 
 ReachTable BuildReachTable(const PmTree& tree) {
   // (e_high, distance to parent) per parent link.

@@ -35,6 +35,10 @@ inline double XyDistance(const Point3& a, const Point3& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+/// `dist` rounded up to float: the parent reach an R*-tree leaf entry
+/// stores (format v7), never below the distance it bounds.
+float RoundUpToFloat(double dist);
+
 /// Computes D from the PM tree: one pass over the parent links plus
 /// one sort by e_high.
 ReachTable BuildReachTable(const PmTree& tree);

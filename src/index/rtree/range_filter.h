@@ -5,14 +5,17 @@
 
 namespace dm {
 
-/// A conservative "may this box hold a match" predicate layered on top
-/// of a range query's box test. It may keep boxes that hold no match,
-/// but must never reject one that does: RStarTree prunes any internal
-/// entry or leaf entry it rejects, so a wrong "no" drops results.
+/// A conservative "may this entry hold a match" predicate layered on
+/// top of a range query's box test. It may keep entries that hold no
+/// match, but must never reject one that does: RStarTree prunes any
+/// internal entry or leaf entry it rejects, so a wrong "no" drops
+/// results. `reach` is the entry's own parent reach (RTreeEntry): a
+/// finite bound for a leaf entry, +inf for an internal entry (no
+/// per-entry bound; fall back to a dataset-wide one).
 class RangeFilter {
  public:
   virtual ~RangeFilter() = default;
-  virtual bool MayMatch(const Box& box) const = 0;
+  virtual bool MayMatch(const Box& box, double reach) const = 0;
 };
 
 /// RAII guard arming a RangeFilter on the current thread for every
@@ -34,11 +37,13 @@ class ScopedRangeFilter {
   ScopedRangeFilter(const ScopedRangeFilter&) = delete;
   ScopedRangeFilter& operator=(const ScopedRangeFilter&) = delete;
 
-  /// Does `box` pass every filter armed on this thread? (True when
-  /// none is.)
-  static bool Admits(const Box& box) {
+  /// Does the entry (`box`, `reach`) pass every filter armed on this
+  /// thread? (True when none is.)
+  static bool Admits(const Box& box, double reach) {
     for (const ScopedRangeFilter* s = tls(); s != nullptr; s = s->outer_) {
-      if (s->filter_ != nullptr && !s->filter_->MayMatch(box)) return false;
+      if (s->filter_ != nullptr && !s->filter_->MayMatch(box, reach)) {
+        return false;
+      }
     }
     return true;
   }

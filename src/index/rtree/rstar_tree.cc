@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "common/check.h"
@@ -37,25 +38,86 @@ std::shared_ptr<const RStarTree::Node> RStarTree::CacheRoot(Node root) const {
 
 namespace {
 
-// Node page layout: [level u16][count u16][pad u32] then count entries
-// of (6 x f64 box, u64 payload) = 56 bytes each.
+// Node page layout (format v7): [level u16][count u16][pad u32], then
+// count entries. A leaf entry is its segment stored once, (x, y,
+// e_low, e_high) as f64, the payload u64 and the parent reach f32:
+// 44 bytes. An internal entry is the child MBB (6 x f64) and the child
+// page id as u64: 56 bytes.
 constexpr uint32_t kLevelOff = 0;
 constexpr uint32_t kCountOff = 2;
 constexpr uint32_t kEntriesOff = 8;
-constexpr uint32_t kEntrySize = 56;
+constexpr uint32_t kLeafEntrySize = 44;
+constexpr uint32_t kInternalEntrySize = 56;
+
+uint32_t EntrySize(uint16_t level) {
+  return level == 0 ? kLeafEntrySize : kInternalEntrySize;
+}
+
+/// A leaf reach the surface bound may trust: finite and non-negative
+/// (NaN fails both comparisons).
+bool ValidReach(float reach) {
+  return reach >= 0 && reach < std::numeric_limits<float>::infinity();
+}
+
+bool IsSegment(const Box& box) {
+  return box.lo[0] == box.hi[0] && box.lo[1] == box.hi[1] &&
+         box.lo[2] <= box.hi[2];
+}
+
+void EncodeEntry(uint16_t level, const RTreeEntry& e, uint8_t* p) {
+  if (level == 0) {
+    const double seg[4] = {e.box.lo[0], e.box.lo[1], e.box.lo[2],
+                           e.box.hi[2]};
+    std::memcpy(p, seg, 32);
+    std::memcpy(p + 32, &e.payload, 8);
+    std::memcpy(p + 40, &e.reach, 4);
+  } else {
+    std::memcpy(p, e.box.lo.data(), 24);
+    std::memcpy(p + 24, e.box.hi.data(), 24);
+    std::memcpy(p + 48, &e.payload, 8);
+  }
+}
+
+/// Decodes entry `i` of node page `id` at `level` (the header already
+/// checked). Corruption naming the page if a leaf entry's reach is
+/// NaN, negative or infinite: an understated reach silently drops
+/// nodes from bounded fetches, like a damaged reach table.
+Status DecodeEntry(PageId id, uint16_t level, const uint8_t* data, uint16_t i,
+                   RTreeEntry* e) {
+  const uint8_t* p = data + kEntriesOff + size_t{i} * EntrySize(level);
+  if (level == 0) {
+    double seg[4];
+    std::memcpy(seg, p, 32);
+    e->box = Box::Segment(seg[0], seg[1], seg[2], seg[3]);
+    std::memcpy(&e->payload, p + 32, 8);
+    std::memcpy(&e->reach, p + 40, 4);
+    DM_ENSURE(ValidReach(e->reach),
+              Status::Corruption("R*-tree node " + std::to_string(id) +
+                                 " entry " + std::to_string(i) +
+                                 " has parent reach " +
+                                 std::to_string(e->reach)));
+  } else {
+    std::memcpy(e->box.lo.data(), p, 24);
+    std::memcpy(e->box.hi.data(), p + 24, 24);
+    std::memcpy(&e->payload, p + 48, 8);
+    e->reach = std::numeric_limits<float>::infinity();
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
-uint32_t RStarTree::MaxEntries() const {
-  return LeafCapacityFor(env_->page_size());
+uint32_t RStarTree::MaxEntries(uint16_t level) const {
+  return level == 0 ? LeafCapacityFor(env_->page_size())
+                    : InternalCapacityFor(env_->page_size());
 }
 
 uint32_t RStarTree::LeafCapacityFor(uint32_t page_size) {
-  // The last whole entry slot of a page stays unused (dynamic insertion
-  // once parked an overflowing node's M + 1st entry there). Reclaiming
-  // it changes every store's bytes and every disk-access count, so it
-  // belongs to the next leaf-entry format (v7).
-  return (page_size - kEntriesOff) / kEntrySize - 1;
+  return (page_size - kEntriesOff) / kLeafEntrySize;
+}
+
+uint32_t RStarTree::InternalCapacityFor(uint32_t page_size) {
+  return (page_size - kEntriesOff) / kInternalEntrySize;
 }
 
 Status RStarTree::CheckHeader(PageId id, const uint8_t* data,
@@ -66,11 +128,11 @@ Status RStarTree::CheckHeader(PageId id, const uint8_t* data,
   DM_ENSURE(expected_level < 0 || *level == expected_level,
             Status::Corruption("R*-tree node " + std::to_string(id) +
                                " level disagrees with its parent"));
-  DM_ENSURE(*count <= MaxEntries(),
+  DM_ENSURE(*count <= MaxEntries(*level),
             Status::Corruption("R*-tree node " + std::to_string(id) +
                                " entry count " + std::to_string(*count) +
                                " exceeds node capacity " +
-                               std::to_string(MaxEntries())));
+                               std::to_string(MaxEntries(*level))));
   return Status::OK();
 }
 
@@ -174,14 +236,22 @@ std::vector<size_t> RStarTree::StrOrder(const std::vector<Box>& boxes,
   return order;
 }
 
-Result<RStarTree> RStarTree::BulkLoad(
-    DbEnv* env, const std::vector<std::pair<Box, uint64_t>>& ordered) {
-  // An empty box would drop out of every NodeBox above it, so no query
-  // could ever reach its entry.
-  for (const auto& [box, payload] : ordered) {
-    if (box.empty()) {
-      return Status::InvalidArgument("cannot index an empty box (payload " +
-                                     std::to_string(payload) + ")");
+Result<RStarTree> RStarTree::BulkLoad(DbEnv* env,
+                                     const std::vector<RTreeEntry>& ordered) {
+  // Leaf pages store each entry as a segment: anything else would be
+  // written as a different box. An empty box would drop out of every
+  // NodeBox above it, so no query could ever reach its entry, and a
+  // reach the decoders reject would make the store unreadable.
+  for (const RTreeEntry& e : ordered) {
+    if (!IsSegment(e.box)) {
+      return Status::InvalidArgument(
+          "cannot index " + e.box.ToString() + " (payload " +
+          std::to_string(e.payload) + "): not a vertical segment");
+    }
+    if (!ValidReach(e.reach)) {
+      return Status::InvalidArgument(
+          "cannot index parent reach " + std::to_string(e.reach) +
+          " (payload " + std::to_string(e.payload) + ")");
     }
   }
   RStarTree tree(env, kInvalidPage);
@@ -191,47 +261,29 @@ Result<RStarTree> RStarTree::BulkLoad(
     DM_ASSIGN_OR_RETURN(tree.root_, tree.AllocNode(root));
     return tree;
   }
-  const uint32_t cap = tree.MaxEntries();
 
-  // Level 0: pack consecutive runs into leaves.
-  std::vector<Entry> level;  // (node box, node page) of the last level
-  {
-    Node leaf;
-    leaf.level = 0;
-    for (const auto& [box, payload] : ordered) {
-      leaf.entries.push_back(Entry{box, payload});
-      if (leaf.entries.size() == cap) {
-        DM_ASSIGN_OR_RETURN(const PageId id, tree.AllocNode(leaf));
-        level.push_back(Entry{NodeBox(leaf), id});
-        leaf.entries.clear();
-      }
-    }
-    if (!leaf.entries.empty()) {
-      DM_ASSIGN_OR_RETURN(const PageId id, tree.AllocNode(leaf));
-      level.push_back(Entry{NodeBox(leaf), id});
-    }
-  }
-
-  // Upper levels: pack consecutive children until one node remains.
-  uint16_t lvl = 1;
-  while (level.size() > 1) {
-    std::vector<Entry> next;
+  // Packs `entries` into nodes at level `lvl`, each full but the last,
+  // and returns one (node box, node page) entry per node written.
+  const auto pack = [&tree](uint16_t lvl,
+                            const std::vector<RTreeEntry>& entries)
+      -> Result<std::vector<RTreeEntry>> {
+    const size_t cap = tree.MaxEntries(lvl);
+    std::vector<RTreeEntry> parents;
     Node node;
     node.level = lvl;
-    for (const Entry& child : level) {
-      node.entries.push_back(child);
-      if (node.entries.size() == cap) {
-        DM_ASSIGN_OR_RETURN(const PageId id, tree.AllocNode(node));
-        next.push_back(Entry{NodeBox(node), id});
-        node.entries.clear();
-      }
-    }
-    if (!node.entries.empty()) {
+    for (size_t i = 0; i < entries.size(); i += cap) {
+      const size_t end = std::min(entries.size(), i + cap);
+      node.entries.assign(entries.begin() + static_cast<ptrdiff_t>(i),
+                          entries.begin() + static_cast<ptrdiff_t>(end));
       DM_ASSIGN_OR_RETURN(const PageId id, tree.AllocNode(node));
-      next.push_back(Entry{NodeBox(node), id});
+      parents.push_back(RTreeEntry{NodeBox(node), id});
     }
-    level = std::move(next);
-    ++lvl;
+    return parents;
+  };
+  // Leaves first, then each level's parents, until one node remains.
+  DM_ASSIGN_OR_RETURN(std::vector<RTreeEntry> level, pack(0, ordered));
+  for (uint16_t lvl = 1; level.size() > 1; ++lvl) {
+    DM_ASSIGN_OR_RETURN(level, pack(lvl, level));
   }
   tree.root_ = static_cast<PageId>(level.front().payload);
   tree.size_ = static_cast<int64_t>(ordered.size());
@@ -250,14 +302,12 @@ Result<RStarTree::Node> RStarTree::ReadNode(PageId id) const {
   uint16_t count;
   // No level is implied here (the root, audits); the count bound is the
   // same as the traversals': BulkLoad never writes more than
-  // MaxEntries() entries to a node.
+  // MaxEntries(level) entries to a node.
   DM_RETURN_NOT_OK(CheckHeader(id, page.data(), -1, &node.level, &count));
   node.entries.resize(count);
-  const uint8_t* p = page.data() + kEntriesOff;
-  for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
-    std::memcpy(node.entries[i].box.lo.data(), p, 24);
-    std::memcpy(node.entries[i].box.hi.data(), p + 24, 24);
-    std::memcpy(&node.entries[i].payload, p + 48, 8);
+  for (uint16_t i = 0; i < count; ++i) {
+    DM_RETURN_NOT_OK(
+        DecodeEntry(id, node.level, page.data(), i, &node.entries[i]));
   }
   return node;
 }
@@ -267,11 +317,10 @@ Result<PageId> RStarTree::AllocNode(const Node& node) {
   const uint16_t count = static_cast<uint16_t>(node.entries.size());
   std::memcpy(page.data() + kLevelOff, &node.level, 2);
   std::memcpy(page.data() + kCountOff, &count, 2);
-  uint8_t* p = page.data() + kEntriesOff;
-  for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
-    std::memcpy(p, node.entries[i].box.lo.data(), 24);
-    std::memcpy(p + 24, node.entries[i].box.hi.data(), 24);
-    std::memcpy(p + 48, &node.entries[i].payload, 8);
+  const uint32_t size = EntrySize(node.level);
+  for (uint16_t i = 0; i < count; ++i) {
+    EncodeEntry(node.level, node.entries[i],
+                page.data() + kEntriesOff + size_t{i} * size);
   }
   page.MarkDirty();
   return page.id();
@@ -279,7 +328,7 @@ Result<PageId> RStarTree::AllocNode(const Node& node) {
 
 Box RStarTree::NodeBox(const Node& node) {
   Box box;
-  for (const Entry& e : node.entries) box.ExpandToInclude(e.box);
+  for (const RTreeEntry& e : node.entries) box.ExpandToInclude(e.box);
   return box;
 }
 
@@ -313,7 +362,8 @@ Status RStarTree::RangeQuery(const Box& query,
     });
   }
   for (auto it = root->entries.rbegin(); it != root->entries.rend(); ++it) {
-    if (it->box.Intersects(query) && ScopedRangeFilter::Admits(it->box)) {
+    if (it->box.Intersects(query) &&
+        ScopedRangeFilter::Admits(it->box, it->reach)) {
       frontier.push_back(static_cast<PageId>(it->payload));
     }
   }
@@ -366,15 +416,13 @@ Status RStarTree::RangeQuery(const Box& query,
                                  id) -
                 sorted_nodes.begin());
             std::vector<PageId>& slot = kids[pos];
-            const uint8_t* p = data + kEntriesOff;
-            for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
-              Box box;
-              uint64_t payload;
-              std::memcpy(box.lo.data(), p, 24);
-              std::memcpy(box.hi.data(), p + 24, 24);
-              std::memcpy(&payload, p + 48, 8);
-              if (box.Intersects(query) && ScopedRangeFilter::Admits(box)) {
-                slot.push_back(static_cast<PageId>(payload));
+            RTreeEntry e;
+            for (uint16_t i = 0; i < count; ++i) {
+              wave_st = DecodeEntry(id, node_level, data, i, &e);
+              if (!wave_st.ok()) return;
+              if (e.box.Intersects(query) &&
+                  ScopedRangeFilter::Admits(e.box, e.reach)) {
+                slot.push_back(static_cast<PageId>(e.payload));
               }
             }
           }
@@ -440,15 +488,13 @@ Status RStarTree::RangeQuery(const Box& query,
                                id) -
               sorted_leaves.begin());
           std::vector<uint64_t>& slot = matches[pos];
-          const uint8_t* p = data + kEntriesOff;
-          for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
-            Box box;
-            uint64_t payload;
-            std::memcpy(box.lo.data(), p, 24);
-            std::memcpy(box.hi.data(), p + 24, 24);
-            std::memcpy(&payload, p + 48, 8);
-            if (box.Intersects(query) && ScopedRangeFilter::Admits(box)) {
-              slot.push_back(payload);
+          RTreeEntry e;
+          for (uint16_t i = 0; i < count; ++i) {
+            scan_st = DecodeEntry(id, level, data, i, &e);
+            if (!scan_st.ok()) return;
+            if (e.box.Intersects(query) &&
+                ScopedRangeFilter::Admits(e.box, e.reach)) {
+              slot.push_back(e.payload);
             }
           }
         }
@@ -484,8 +530,9 @@ Status RStarTree::RangeQueryEntries(
   // the original push-the-root traversal.
   {
     DM_ASSIGN_OR_RETURN(std::shared_ptr<const Node> root, CachedRoot());
-    for (const Entry& e : root->entries) {
-      if (!e.box.Intersects(query) || !ScopedRangeFilter::Admits(e.box)) {
+    for (const RTreeEntry& e : root->entries) {
+      if (!e.box.Intersects(query) ||
+          !ScopedRangeFilter::Admits(e.box, e.reach)) {
         continue;
       }
       if (root->level == 0) {
@@ -504,18 +551,17 @@ Status RStarTree::RangeQueryEntries(
     uint16_t count;
     DM_RETURN_NOT_OK(
         CheckHeader(id, page.data(), expected_level, &level, &count));
-    const uint8_t* p = page.data() + kEntriesOff;
-    for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
-      Box box;
-      uint64_t payload;
-      std::memcpy(box.lo.data(), p, 24);
-      std::memcpy(box.hi.data(), p + 24, 24);
-      std::memcpy(&payload, p + 48, 8);
-      if (!box.Intersects(query) || !ScopedRangeFilter::Admits(box)) continue;
+    RTreeEntry e;
+    for (uint16_t i = 0; i < count; ++i) {
+      DM_RETURN_NOT_OK(DecodeEntry(id, level, page.data(), i, &e));
+      if (!e.box.Intersects(query) ||
+          !ScopedRangeFilter::Admits(e.box, e.reach)) {
+        continue;
+      }
       if (level == 0) {
-        if (!callback(box, payload)) return Status::OK();
+        if (!callback(e.box, e.payload)) return Status::OK();
       } else {
-        stack.emplace_back(static_cast<PageId>(payload),
+        stack.emplace_back(static_cast<PageId>(e.payload),
                            static_cast<uint16_t>(level - 1));
       }
     }
@@ -525,10 +571,9 @@ Status RStarTree::RangeQueryEntries(
 
 Status RStarTree::VisitNodes(
     const std::function<bool(PageId, uint16_t,
-                             const std::vector<std::pair<Box, uint64_t>>&)>&
-        callback) const {
+                             const std::vector<RTreeEntry>&)>& callback)
+    const {
   std::vector<PageId> stack{root_};
-  std::vector<std::pair<Box, uint64_t>> entries;
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
@@ -538,14 +583,9 @@ Status RStarTree::VisitNodes(
     // cache, so the walk at store open leaves the root warm for the
     // first query.
     if (id == root_) CacheRoot(node);
-    entries.clear();
-    entries.reserve(node.entries.size());
-    for (const Entry& e : node.entries) {
-      entries.emplace_back(e.box, e.payload);
-    }
-    if (!callback(id, node.level, entries)) return Status::OK();
+    if (!callback(id, node.level, node.entries)) return Status::OK();
     if (node.level > 0) {
-      for (const Entry& e : node.entries) {
+      for (const RTreeEntry& e : node.entries) {
         stack.push_back(static_cast<PageId>(e.payload));
       }
     }

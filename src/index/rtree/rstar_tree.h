@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -25,11 +26,24 @@ struct RTreeNodeExtent {
   uint16_t count = 0;
 };
 
-/// Disk-based, read-only R*-tree over 3D (x, y, LOD) boxes: the
-/// paper's index of DM nodes as vertical segments. One node per page;
-/// entries are (Box, payload) where payload is a child page id in
-/// internal nodes and an opaque 64-bit value (typically a packed
-/// RecordId) in leaves.
+/// One R*-tree entry, as BulkLoad takes it and VisitNodes reports it.
+/// In a leaf, `box` is a vertical segment (x, y, [e_low, e_high]),
+/// `payload` an opaque 64-bit value (typically a packed RecordId) and
+/// `reach` the entry's own parent reach: a finite, non-negative bound
+/// on the xy distance from the indexed node to its parent (DESIGN.md
+/// §18). In an internal node, `box` is the child's MBB, `payload` its
+/// page id and `reach` +inf (no per-entry bound).
+struct RTreeEntry {
+  Box box;
+  uint64_t payload = 0;
+  float reach = std::numeric_limits<float>::infinity();
+};
+
+/// Disk-based, read-only R*-tree over 3D (x, y, LOD) vertical
+/// segments: the paper's index of DM nodes. One node per page. A leaf
+/// entry stores its segment once, (x, y, e_low, e_high), with its
+/// payload and reach (44 B); an internal entry stores the child's MBB
+/// and page id (56 B) — DESIGN.md §14.
 ///
 /// A tree is written once, by BulkLoad over entries in StrOrder (the
 /// packed R-tree that Kamel-Faloutsos's cost model assumes), and never
@@ -64,18 +78,22 @@ class RStarTree {
   static std::vector<size_t> StrOrder(const std::vector<Box>& boxes,
                                       uint32_t leaf_capacity,
                                       WorkerPool& pool);
-  /// Entries per BulkLoad node, leaf or internal, on `page_size` pages.
+  /// Entries per leaf on `page_size` pages (92 on 4 KiB pages).
   static uint32_t LeafCapacityFor(uint32_t page_size);
+  /// Entries per internal node on `page_size` pages (72 on 4 KiB).
+  static uint32_t InternalCapacityFor(uint32_t page_size);
 
   /// Builds a packed tree whose leaves hold `ordered` in the given
   /// order, `LeafCapacityFor` entries each. A complete DM store passes
   /// its entries in StrOrder; a spatial shard passes its region's
   /// entries in the source store's heap order (StrOrder restricted to
   /// the region), so its leaves follow the source's layout.
-  /// InvalidArgument if any box is empty: it would drop out of every
-  /// node MBR above it, out of reach of every query.
-  static Result<RStarTree> BulkLoad(
-      DbEnv* env, const std::vector<std::pair<Box, uint64_t>>& ordered);
+  /// InvalidArgument if any box is not a vertical segment (x and y
+  /// degenerate, e_low <= e_high; an empty box would drop out of every
+  /// node MBR above it, out of reach of every query) or any reach is
+  /// negative, NaN or infinite.
+  static Result<RStarTree> BulkLoad(DbEnv* env,
+                                    const std::vector<RTreeEntry>& ordered);
 
   PageId root() const { return root_; }
   int64_t size() const { return size_; }
@@ -91,7 +109,8 @@ class RStarTree {
   ///
   /// Both traversals also honour the thread's ScopedRangeFilter: an
   /// internal entry or leaf entry that intersects `query` but fails
-  /// the armed filter is pruned inside the same traversal.
+  /// the armed filter (given the entry's reach) is pruned inside the
+  /// same traversal.
   Status RangeQuery(const Box& query, std::vector<uint64_t>* out) const;
 
   /// Streaming depth-first variant exposing entry boxes, one pinned
@@ -104,22 +123,18 @@ class RStarTree {
 
   /// Depth-first structural traversal for audits and DmStore's catalog:
   /// the callback sees each node's page id, level, and entries
-  /// (payloads are child page ids when level > 0, opaque leaf payloads
-  /// at level 0), root first, children popped LIFO as in
+  /// (RTreeEntry: payloads are child page ids when level > 0, opaque
+  /// leaf payloads at level 0), root first, children popped LIFO as in
   /// RangeQueryEntries. Returning false stops the walk early.
   Status VisitNodes(
       const std::function<bool(PageId, uint16_t,
-                               const std::vector<std::pair<Box, uint64_t>>&)>&
-          callback) const;
+                               const std::vector<RTreeEntry>&)>& callback)
+      const;
 
  private:
-  struct Entry {
-    Box box;
-    uint64_t payload = 0;
-  };
   struct Node {
     uint16_t level = 0;
-    std::vector<Entry> entries;
+    std::vector<RTreeEntry> entries;
   };
 
   /// Decoded root node, cached on first use. Every traversal touches
@@ -132,14 +147,14 @@ class RStarTree {
 
   RStarTree(DbEnv* env, PageId root);
 
-  /// Entries per node: LeafCapacityFor(page size), leaves and internal
-  /// nodes alike.
-  uint32_t MaxEntries() const;
+  /// Entries per node at `level`: LeafCapacityFor(page size) at level
+  /// 0, InternalCapacityFor(page size) above.
+  uint32_t MaxEntries(uint16_t level) const;
 
   /// Reads a node page's level and entry count into `level` and
   /// `count`. Corruption naming the page if the level is not
   /// `expected_level` (pass -1 when no level is implied) or the count
-  /// exceeds MaxEntries().
+  /// exceeds MaxEntries(level).
   Status CheckHeader(PageId id, const uint8_t* data, int expected_level,
                      uint16_t* level, uint16_t* count) const;
 

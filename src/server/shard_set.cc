@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <unordered_map>
 #include <utility>
 
 #include "dm/dm_node.h"
@@ -69,13 +70,27 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
   int gy = 1;
   GridShape(options.shards, &gx, &gy);
 
-  // 1. Scan the source heap in storage order and assign each decoded
+  // 1. Every record's parent reach, from its source leaf entry: a
+  // shard may not hold the parent, and the copied value lets it prune
+  // as tightly as the source.
+  std::unordered_map<uint64_t, float> reach_of;
+  reach_of.reserve(static_cast<size_t>(meta.num_nodes));
+  DM_RETURN_NOT_OK(src.rtree().VisitNodes(
+      [&](PageId, uint16_t level, const std::vector<RTreeEntry>& entries) {
+        if (level == 0) {
+          for (const RTreeEntry& e : entries) reach_of[e.payload] = e.reach;
+        }
+        return true;
+      }));
+
+  // 2. Scan the source heap in storage order and assign each decoded
   // record to its region. Links are VertexIds, so a record means the
   // same in any store; DmStore::Write re-encodes each region (exactly,
   // for flat records, whose encoding of a decoded record is the
   // original bytes; in fresh groups for the group codec, whose bases
   // are shared with page-mates).
   std::vector<std::vector<DmNode>> parts(static_cast<size_t>(options.shards));
+  std::vector<std::vector<float>> part_reach(parts.size());
   Status decode_status;
   Status scan_status = src.heap().Scan(
       [&](RecordId rid, const uint8_t* data, uint32_t size) {
@@ -84,9 +99,17 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
           decode_status = node_or.status();
           return false;
         }
-        parts[static_cast<size_t>(ShardOf(node_or.value().pos, meta.bounds,
-                                          gx, gy))]
-            .push_back(std::move(node_or).value());
+        const auto reach = reach_of.find(rid.Pack());
+        if (reach == reach_of.end()) {
+          decode_status = Status::Corruption(
+              "heap record " + std::to_string(rid.Pack()) +
+              " has no R*-tree leaf entry");
+          return false;
+        }
+        const auto s = static_cast<size_t>(
+            ShardOf(node_or.value().pos, meta.bounds, gx, gy));
+        parts[s].push_back(std::move(node_or).value());
+        part_reach[s].push_back(reach->second);
         return true;
       });
   DM_RETURN_NOT_OK(scan_status);
@@ -112,7 +135,7 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
           "shard " + std::to_string(s) +
           " is empty; use fewer shards for this dataset");
     }
-    // 2. Write replica 0: the region's records in source storage order
+    // 3. Write replica 0: the region's records in source storage order
     // (a deterministic subsequence), indexed in the same order.
     const std::string r0 = ReplicaBase(base_path, s, 0);
     DmMeta shard_meta;
@@ -121,8 +144,9 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
       DM_ASSIGN_OR_RETURN(std::unique_ptr<DbEnv> env,
                           DbEnv::Open(r0 + ".db", build_db));
       DM_ASSIGN_OR_RETURN(const DmStore store,
-                          DmStore::Write(env.get(), part, dataset,
-                                         write_options));
+                          DmStore::Write(env.get(), part,
+                                         part_reach[static_cast<size_t>(s)],
+                                         dataset, write_options));
       shard_meta = store.meta();
       // The catalog lists the root first; its extent is the exact MBB
       // of the shard's segments.
@@ -133,8 +157,9 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
     DM_RETURN_NOT_OK(SaveDmMeta(r0 + ".meta", shard_meta));
     // Release the extraction scratch before opening R buffer pools.
     std::vector<DmNode>().swap(part);
+    std::vector<float>().swap(part_reach[static_cast<size_t>(s)]);
 
-    // 3. Physical replica copies: separate files, so a chaos schedule
+    // 4. Physical replica copies: separate files, so a chaos schedule
     // (or a real operator) can corrupt, scrub, or re-copy one replica
     // while its siblings serve.
     auto sh = std::make_unique<Shard>();
@@ -145,7 +170,7 @@ Result<std::unique_ptr<ShardSet>> ShardSet::Build(
       DM_RETURN_NOT_OK(CopyFile(r0 + ".db", rb + ".db"));
       DM_RETURN_NOT_OK(SaveDmMeta(rb + ".meta", shard_meta));
     }
-    // 4. Open every replica with its own env + store + source.
+    // 5. Open every replica with its own env + store + source.
     for (int r = 0; r < options.replicas; ++r) {
       auto rep = std::make_unique<Replica>();
       rep->path = ReplicaBase(base_path, s, r);

@@ -26,7 +26,7 @@ struct RecordFetchFailure {
 /// [offset u16][length u16]. Records never span pages; the largest
 /// storable record is page_size - 12.
 ///
-/// Block pages (format v6): bit 15 of the slot-count word marks a page
+/// Block pages (group codec): bit 15 of the slot-count word marks a page
 /// holding one group-encoded blob instead of a slot directory; the low
 /// 15 bits carry the number of logical records inside the blob. The
 /// blob occupies [kPageHeaderSize, free_off) and there is no slot
@@ -117,6 +117,9 @@ class HeapFile {
   /// lost record lands in `failures` with the Status that killed it,
   /// and the call still returns OK. Callback errors (the caller's own
   /// decode logic) stay fatal either way.
+  ///
+  /// The run scratch is thread-local, so the callback must not call
+  /// GetMany on the same thread.
   Status GetMany(
       const std::vector<RecordId>& rids,
       const std::function<Status(RecordId, const uint8_t*, uint32_t)>&

@@ -14,7 +14,7 @@ inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 /// everything reads the runtime value from DbEnv.
 inline constexpr uint32_t kDefaultPageSize = 4096;
 
-/// Integrity trailer at the end of every page (format v6):
+/// Integrity trailer at the end of every page:
 ///   [crc32c u32][format u8][reserved u8 x3]
 /// The CRC covers the page's logical bytes (physical size minus the
 /// trailer), is stamped by the buffer pool on flush, and verified on
@@ -28,11 +28,13 @@ inline constexpr uint32_t kDefaultPageSize = 4096;
 /// with per-record slotted heap pages; v6 added group-coded heap
 /// block pages (DESIGN.md §15) — the slot directory gained a block
 /// flag and heap records may be frame-of-reference coded per page, so
-/// a v5 reader must not interpret v6 pages (and vice versa). DbEnv
+/// a v5 reader must not interpret v6 pages (and vice versa); v7 stores
+/// each R*-tree leaf entry as its segment plus the node's own parent
+/// reach (44 B, DESIGN.md §14), where v6 stored a 56 B box. DbEnv
 /// refuses to open a store whose trailer byte is a known-but-different
 /// version (Status::VersionMismatch, see page_crc.h).
 inline constexpr uint32_t kPageTrailerSize = 8;
-inline constexpr uint8_t kPageFormatVersion = 6;
+inline constexpr uint8_t kPageFormatVersion = 7;
 /// Oldest format byte that ever appeared in a trailer (v1–v4 predate
 /// the trailer itself, so no stamped page can carry them).
 inline constexpr uint8_t kMinPageFormatVersion = 5;

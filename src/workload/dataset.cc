@@ -23,8 +23,10 @@ namespace {
 // strict-greedy v3 builds. v5: every page carries an 8-byte CRC32C
 // trailer, shrinking the logical page size and moving every record.
 // v6: DM heap records stored as frame-of-reference group blocks
-// (DmCodec::kGroup), re-encoding every DM page.
-constexpr int64_t kFormatVersion = 6;
+// (DmCodec::kGroup), re-encoding every DM page. v7: R*-tree leaf
+// entries hold the segment and its parent reach, 92 to a page, which
+// re-packs every DM store.
+constexpr int64_t kFormatVersion = 7;
 
 int SideFromEnv(const char* var, int fallback) {
   const char* v = std::getenv(var);
@@ -257,7 +259,7 @@ Result<BuiltDataset> BuildOrLoadDataset(const std::string& dir,
   // stats below; build them once.
   const auto conn = BuildConnectionLists(base, tree, sr, build_threads);
   DmStoreOptions dm_options;
-  // Benches and figures measure the v6 group layout by default; the
+  // Benches and figures measure the group layout by default; the
   // compression ablation builds its own flat variant.
   dm_options.codec = DmCodec::kGroup;
   dm_options.threads = build_threads;

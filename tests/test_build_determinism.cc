@@ -184,7 +184,7 @@ TEST(BuildDeterminismTest, StoreFilesAreByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(BuildDeterminismTest, GroupCodecBuildIsThreadCountInvariant) {
-  // The v6 group codec packs records into shared-header page blobs; the
+  // The group codec packs records into shared-header page blobs; the
   // packing is a serial pass over the parallel-materialized records, so
   // the finished file must still be byte-identical at any thread count.
   const Scene scene = MakeScene(33, /*seed=*/7);
@@ -192,7 +192,7 @@ TEST(BuildDeterminismTest, GroupCodecBuildIsThreadCountInvariant) {
   std::vector<uint8_t> ref_meta;
   for (int threads : {1, 4}) {
     const std::string path =
-        TempDbPath("determinism_v6_t" + std::to_string(threads));
+        TempDbPath("determinism_group_t" + std::to_string(threads));
     std::remove(path.c_str());
     auto env_or = DbEnv::Open(path, {});
     ASSERT_TRUE(env_or.ok()) << env_or.status().ToString();
@@ -217,8 +217,8 @@ TEST(BuildDeterminismTest, GroupCodecBuildIsThreadCountInvariant) {
       ref_bytes = bytes;
       ref_meta = meta;
     } else {
-      EXPECT_EQ(bytes, ref_bytes) << "v6 store bytes differ at threads=4";
-      EXPECT_EQ(meta, ref_meta) << "v6 meta file differs at threads=4";
+      EXPECT_EQ(bytes, ref_bytes) << "group store bytes differ at threads=4";
+      EXPECT_EQ(meta, ref_meta) << "group meta file differs at threads=4";
     }
     env.reset();
     std::remove(path.c_str());

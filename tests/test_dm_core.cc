@@ -217,7 +217,7 @@ TEST(VarintTest, RejectsOverlongTenByteEncodings) {
   EXPECT_EQ(out, uint64_t{1} << 63);
 }
 
-// ---- v6 group codec --------------------------------------------------
+// ---- group codec -----------------------------------------------------
 
 namespace {
 

@@ -172,7 +172,7 @@ TEST_F(DmStoreTest, ClusteredLayoutKeepsCoRetrievedRecordsTogether) {
 }
 
 TEST_F(DmStoreTest, GroupStoreAnswersIdenticallyWithHigherDensity) {
-  // The v6 group codec must return the exact same query geometry as
+  // The group codec must return the exact same query geometry as
   // the flat store while fitting at least twice as many records per
   // page (the ISSUE's density floor, checked again in CI on the
   // standard fractal dataset).

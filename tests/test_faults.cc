@@ -521,12 +521,13 @@ TEST(Degradation, PreExpiredDeadlineFailsBeforeAnyRead) {
       << "spent device ops on a pre-expired query";
 }
 
-// ---- degraded accounting under the v6 group codec ------------------
+// ---- degraded accounting under the group codec ---------------------
 
 TEST(Degradation, GroupCodecLostPageFailsTheWholeGroup) {
-  // v6 packs many frame-of-reference records per page: losing one page
-  // must charge records_failed for every record in the lost group, not
-  // just one, and the degraded mesh loses at most that many vertices.
+  // The group codec packs many frame-of-reference records per page:
+  // losing a page must charge records_failed for every record in the
+  // lost group, not just one, and the degraded mesh loses at most that
+  // many vertices.
   DmStoreOptions group;
   group.codec = DmCodec::kGroup;
   FaultDb db = BuildFaultDb("degrade_group", 49, {}, group);
@@ -542,7 +543,9 @@ TEST(Degradation, GroupCodecLostPageFailsTheWholeGroup) {
   const uint64_t query_ops = db.device->stats().ops.load() - ops0;
   ASSERT_GT(query_ops, 1u);
 
-  // Fail exactly the final heap read (index pages stay healthy).
+  // Fail exactly the final heap read (index pages stay healthy). It is
+  // one coalesced run, of one page or a few adjacent ones, so its
+  // tolerant per-page re-fetch loses each of them.
   FaultPlan plan;
   plan.seed = 7;
   plan.read_error_rate = 1.0;
@@ -558,9 +561,9 @@ TEST(Degradation, GroupCodecLostPageFailsTheWholeGroup) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const QueryHealth& h = r.value().health;
   EXPECT_TRUE(h.degraded);
-  EXPECT_EQ(h.pages_failed, 1);
-  // A v6 page is a group: the one lost page takes several records.
-  EXPECT_GT(h.records_failed, 1);
+  EXPECT_GE(h.pages_failed, 1);
+  // A group page is lost whole: each lost page takes several records.
+  EXPECT_GT(h.records_failed, h.pages_failed);
   ExpectValidMesh(r.value());
   // Accounting sanity: the mesh can lose at most the lost records.
   EXPECT_GE(r.value().vertices.size() + static_cast<size_t>(h.records_failed),

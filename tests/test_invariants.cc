@@ -126,7 +126,7 @@ TEST(InvariantsTest, FreshStorePassesStructuralAudit) {
 }
 
 TEST(InvariantsTest, FreshGroupStorePassesStructuralAudit) {
-  // The v6 group codec store must satisfy every structural invariant
+  // The group codec store must satisfy every structural invariant
   // AND the exactness audit against the source tree (decode through the
   // group dispatch path, not just the flat one).
   TestStore ts = MakeStore("inv_good_group", DmCodec::kGroup);
@@ -265,6 +265,49 @@ TEST(InvariantsTest, DetectsUnderstatedReachTable) {
   EXPECT_TRUE(Violates(report_or.value(), kInvariantParentReach))
       << report_or.value().ToString();
   // Only that invariant: the store itself is intact.
+  for (const InvariantViolation& v : report_or.value().violations) {
+    EXPECT_EQ(v.invariant, kInvariantParentReach) << v.detail;
+  }
+}
+
+// Each R*-tree leaf entry stores its node's own parent reach, the
+// tighter per-entry bound; one lowered below the f32 round-up of the
+// true parent distance would drop that node from bounded fetches. The
+// value stays finite and non-negative, so only the audit can see it.
+TEST(InvariantsTest, DetectsLoweredLeafEntryReach) {
+  TestStore ts = MakeStore("inv_leaf_reach");
+  PageId victim = kInvalidPage;
+  uint16_t slot = 0;
+  float reach = 0;
+  ASSERT_TRUE(ts.store->rtree()
+                  .VisitNodes([&](PageId id, uint16_t level,
+                                  const std::vector<RTreeEntry>& entries) {
+                    if (level != 0) return true;
+                    for (size_t i = 0; i < entries.size(); ++i) {
+                      if (entries[i].reach > 0) {
+                        victim = id;
+                        slot = static_cast<uint16_t>(i);
+                        reach = entries[i].reach;
+                        return false;
+                      }
+                    }
+                    return true;
+                  })
+                  .ok());
+  ASSERT_NE(victim, kInvalidPage);
+  {
+    // Leaf entry i: header 8 B, 44 B per entry, reach f32 at +40.
+    auto page = std::move(ts.env->pool().Fetch(victim)).ValueOrDie();
+    const float lowered = reach / 2;
+    std::memcpy(page.data() + 8 + size_t{slot} * 44 + 40, &lowered,
+                sizeof(lowered));
+    page.MarkDirty();
+  }
+  ASSERT_TRUE(ts.env->FlushAll().ok());
+  auto report_or = VerifyDmStore(*ts.store);
+  ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
+  EXPECT_TRUE(Violates(report_or.value(), kInvariantParentReach))
+      << report_or.value().ToString();
   for (const InvariantViolation& v : report_or.value().violations) {
     EXPECT_EQ(v.invariant, kInvariantParentReach) << v.detail;
   }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -28,6 +29,26 @@ Box RandomBox(Rng* rng, double space, double max_side) {
                  e + rng->Uniform(0, max_side));
 }
 
+// A vertical segment like a DM node's: a point in (x, y) and an LOD
+// interval of length up to `max_len`.
+Box RandomSegment(Rng* rng, double space, double max_len) {
+  const double x = rng->Uniform(0, space);
+  const double y = rng->Uniform(0, space);
+  const double e = rng->Uniform(0, space);
+  return Box::Segment(x, y, e, e + rng->Uniform(0, max_len));
+}
+
+// Entries for `boxes` in `order`; each payload is its box's index and
+// each reach a small index-derived value.
+std::vector<RTreeEntry> EntriesInOrder(const std::vector<Box>& boxes,
+                                       const std::vector<size_t>& order) {
+  std::vector<RTreeEntry> entries;
+  for (size_t i : order) {
+    entries.push_back({boxes[i], i, static_cast<float>(i % 7)});
+  }
+  return entries;
+}
+
 class RStarTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -35,30 +56,49 @@ class RStarTreeTest : public ::testing::Test {
                                                        .pool_pages = 256});
   }
 
-  // Bulk-loads `boxes` in StrOrder; each entry's payload is its index.
+  // Bulk-loads segments `boxes` in StrOrder; each entry's payload is
+  // its index.
   RStarTree Load(const std::vector<Box>& boxes) {
     const auto order =
         RStarTree::StrOrder(boxes, RStarTree::LeafCapacityFor(512));
-    std::vector<std::pair<Box, uint64_t>> ordered;
-    for (size_t i : order) ordered.emplace_back(boxes[i], i);
-    return std::move(RStarTree::BulkLoad(env_.get(), ordered)).ValueOrDie();
+    return std::move(
+               RStarTree::BulkLoad(env_.get(), EntriesInOrder(boxes, order)))
+        .ValueOrDie();
   }
 
   std::unique_ptr<DbEnv> env_;
 };
 
-TEST_F(RStarTreeTest, RejectsEmptyBox) {
-  // An empty box drops out of every node MBR, so its entry could never
-  // be found; BulkLoad refuses it wherever it sits in the input.
-  std::vector<std::pair<Box, uint64_t>> ordered;
+TEST_F(RStarTreeTest, RejectsNonSegmentsAndBadReach) {
+  // A leaf stores each entry as a segment, so any other box would be
+  // written as a different one (and an empty box drops out of every
+  // node MBR, so its entry could never be found); a reach the decoders
+  // reject would make the tree unreadable. BulkLoad refuses either
+  // wherever it sits in the input.
+  std::vector<RTreeEntry> good;
   for (uint64_t i = 0; i < 20; ++i) {
     const double v = static_cast<double>(i);
-    ordered.emplace_back(Box::Of(v, v, v, v + 1, v + 1, v + 1), i);
+    good.push_back({Box::Segment(v, v, v, v + 1), i, 0.5f});
   }
-  ordered[13].first = Box{};
-  const auto tree = RStarTree::BulkLoad(env_.get(), ordered);
-  EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
-      << tree.status().ToString();
+  ASSERT_TRUE(RStarTree::BulkLoad(env_.get(), good).ok());
+  const std::vector<Box> bad_boxes = {Box{}, Box::Of(1, 1, 1, 2, 2, 2),
+                                      Box::Of(1, 1, 1, 1, 2, 2),
+                                      Box::Segment(1, 1, 2, 1)};
+  for (const Box& bad : bad_boxes) {
+    std::vector<RTreeEntry> ordered = good;
+    ordered[13].box = bad;
+    const auto tree = RStarTree::BulkLoad(env_.get(), ordered);
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
+        << bad.ToString() << ": " << tree.status().ToString();
+  }
+  for (float bad : {std::nanf(""), -1.0f,
+                    std::numeric_limits<float>::infinity()}) {
+    std::vector<RTreeEntry> ordered = good;
+    ordered[13].reach = bad;
+    const auto tree = RStarTree::BulkLoad(env_.get(), ordered);
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument)
+        << bad << ": " << tree.status().ToString();
+  }
 }
 
 TEST_F(RStarTreeTest, DegenerateSegmentsActLike2dPlusInterval) {
@@ -96,16 +136,19 @@ TEST_F(RStarTreeTest, DegenerateSegmentsActLike2dPlusInterval) {
 TEST_F(RStarTreeTest, NodeExtentsNestProperly) {
   Rng rng(11);
   std::vector<Box> boxes;
-  for (int i = 0; i < 1500; ++i) boxes.push_back(RandomBox(&rng, 50.0, 2.0));
+  for (int i = 0; i < 1500; ++i) {
+    boxes.push_back(RandomSegment(&rng, 50.0, 2.0));
+  }
   const RStarTree tree = Load(boxes);
   std::vector<RTreeNodeExtent> extents;
   ASSERT_TRUE(tree.VisitNodes([&](PageId, uint16_t level,
-                                  const std::vector<std::pair<Box, uint64_t>>&
-                                      entries) {
+                                  const std::vector<RTreeEntry>& entries) {
                     RTreeNodeExtent ext;
                     ext.level = level;
                     ext.count = static_cast<uint16_t>(entries.size());
-                    for (const auto& e : entries) ext.box.ExpandToInclude(e.first);
+                    for (const auto& e : entries) {
+                      ext.box.ExpandToInclude(e.box);
+                    }
                     extents.push_back(ext);
                     return true;
                   })
@@ -121,10 +164,15 @@ TEST_F(RStarTreeTest, NodeExtentsNestProperly) {
   EXPECT_EQ(leaf_entries, 1500);
   // Packed: every node is full except at most one per level (the last
   // one BulkLoad writes there). Capacity derives from the logical page
-  // size (physical minus the integrity trailer).
-  const uint32_t cap = RStarTree::LeafCapacityFor(env_->page_size());
+  // size (physical minus the integrity trailer) and the level: leaf
+  // entries are smaller than internal ones.
+  const uint32_t leaf_cap = RStarTree::LeafCapacityFor(env_->page_size());
+  const uint32_t internal_cap =
+      RStarTree::InternalCapacityFor(env_->page_size());
+  EXPECT_GT(leaf_cap, internal_cap);
   std::map<uint16_t, int> partial;  // level -> nodes below capacity
   for (const auto& ext : extents) {
+    const uint32_t cap = ext.level == 0 ? leaf_cap : internal_cap;
     EXPECT_LE(ext.count, cap);
     if (ext.count < cap) ++partial[ext.level];
   }
@@ -136,7 +184,9 @@ TEST_F(RStarTreeTest, NodeExtentsNestProperly) {
 TEST_F(RStarTreeTest, ColdQueryIoIsLogarithmicForPointLookup) {
   Rng rng(3);
   std::vector<Box> boxes;
-  for (int i = 0; i < 3000; ++i) boxes.push_back(RandomBox(&rng, 100.0, 0.5));
+  for (int i = 0; i < 3000; ++i) {
+    boxes.push_back(RandomSegment(&rng, 100.0, 0.5));
+  }
   const RStarTree tree = Load(boxes);
   ASSERT_TRUE(env_->FlushAll().ok());
   env_->ResetStats();
@@ -150,7 +200,7 @@ TEST_F(RStarTreeTest, ColdQueryIoIsLogarithmicForPointLookup) {
 TEST_F(RStarTreeTest, StreamingQueryCanStopEarly) {
   Rng rng(5);
   std::vector<Box> boxes;
-  for (int i = 0; i < 500; ++i) boxes.push_back(RandomBox(&rng, 10.0, 1.0));
+  for (int i = 0; i < 500; ++i) boxes.push_back(RandomSegment(&rng, 10.0, 1.0));
   const RStarTree tree = Load(boxes);
   int seen = 0;
   ASSERT_TRUE(tree.RangeQueryEntries(Box::Of(0, 0, 0, 10, 10, 10),
@@ -162,7 +212,7 @@ TEST_F(RStarTreeTest, StreamingQueryCanStopEarly) {
 }
 
 TEST_F(RStarTreeTest, DuplicateBoxesAllRetained) {
-  const Box b = Box::Of(1, 1, 1, 2, 2, 2);
+  const Box b = Box::Segment(1, 1, 1, 2);
   const RStarTree tree = Load(std::vector<Box>(200, b));
   EXPECT_GT(std::move(tree.Height()).ValueOrDie(), 1);
   std::vector<uint64_t> out;
@@ -213,7 +263,9 @@ TEST_F(RStarTreeTest, StrOrderGroupsNearbyBoxes) {
 TEST_F(RStarTreeTest, BulkLoadMatchesBruteForceQueries) {
   Rng rng(31);
   std::vector<Box> boxes;
-  for (uint64_t i = 0; i < 3000; ++i) boxes.push_back(RandomBox(&rng, 80, 2));
+  for (uint64_t i = 0; i < 3000; ++i) {
+    boxes.push_back(RandomSegment(&rng, 80, 2));
+  }
   const RStarTree tree = Load(boxes);
   EXPECT_EQ(tree.size(), 3000);
   EXPECT_GT(std::move(tree.Height()).ValueOrDie(), 1);
@@ -242,10 +294,10 @@ TEST_F(RStarTreeTest, BulkLoadHandlesEdgeSizes) {
 
   const uint32_t cap = RStarTree::LeafCapacityFor(512);
   for (uint32_t n : {1u, cap, cap + 1}) {
-    std::vector<std::pair<Box, uint64_t>> ordered;
+    std::vector<RTreeEntry> ordered;
     for (uint32_t i = 0; i < n; ++i) {
       const double v = i;
-      ordered.emplace_back(Box::Of(v, v, v, v + 1, v + 1, v + 1), i);
+      ordered.push_back({Box::Segment(v, v, v, v + 1), i, 0.0f});
     }
     auto tree = std::move(RStarTree::BulkLoad(env_.get(), ordered)).ValueOrDie();
     out.clear();
@@ -304,12 +356,13 @@ TEST_F(RStarTreeTest, StrOrderLeavesNeverStraddleCells) {
   // of one (slab, run) cell, and the leaves of a cell must ascend by
   // e_high: no leaf joins the top of one cell's LOD order to the
   // bottom of the next.
-  // A DM store's leaf capacity: 71 entries on 4 KiB pages (the
+  // A DM store's leaf capacity: 92 entries on 4 KiB pages (the
   // logical page, without its integrity trailer, as BulkLoad packs).
   auto env = dm::testing::OpenTempEnv(
       "rtree_str_cells", DbOptions{.page_size = 4096, .pool_pages = 256});
   const uint32_t cap = RStarTree::LeafCapacityFor(env->page_size());
-  ASSERT_EQ(cap, 71u);
+  ASSERT_EQ(cap, 92u);
+  ASSERT_EQ(RStarTree::InternalCapacityFor(env->page_size()), 72u);
   for (size_t n : {size_t{1000}, size_t{10007}}) {
     Rng rng(41 + n);
     std::vector<Box> segs;
@@ -321,9 +374,9 @@ TEST_F(RStarTreeTest, StrOrderLeavesNeverStraddleCells) {
     }
     const std::vector<int> cell = StrCells(segs, cap);
     const auto order = RStarTree::StrOrder(segs, cap);
-    std::vector<std::pair<Box, uint64_t>> ordered;
-    for (size_t i : order) ordered.emplace_back(segs[i], i);
-    auto tree = std::move(RStarTree::BulkLoad(env.get(), ordered)).ValueOrDie();
+    auto tree = std::move(RStarTree::BulkLoad(env.get(),
+                                              EntriesInOrder(segs, order)))
+                    .ValueOrDie();
 
     // Leaf page -> its entries' cell and e_high range; BulkLoad
     // allocates leaves in leaf order, so page order is leaf order.
@@ -334,13 +387,12 @@ TEST_F(RStarTreeTest, StrOrderLeavesNeverStraddleCells) {
     };
     std::map<PageId, Leaf> leaves;
     ASSERT_TRUE(tree.VisitNodes([&](PageId page, uint16_t level,
-                                    const std::vector<std::pair<Box, uint64_t>>&
-                                        entries) {
+                                    const std::vector<RTreeEntry>& entries) {
                       if (level != 0) return true;
-                      Leaf leaf{cell[entries.front().second],
-                                entries.front().first.hi[2],
-                                entries.front().first.hi[2]};
-                      for (const auto& [box, payload] : entries) {
+                      Leaf leaf{cell[entries.front().payload],
+                                entries.front().box.hi[2],
+                                entries.front().box.hi[2]};
+                      for (const auto& [box, payload, reach] : entries) {
                         EXPECT_EQ(cell[payload], leaf.cell)
                             << "n=" << n << " leaf page " << page
                             << " straddles two cells";
@@ -377,9 +429,12 @@ class RStarTreeEngineTest : public ::testing::Test {
         "rtree_engine", DbOptions{.page_size = 512, .pool_pages = 256});
     Rng rng(43);
     for (int i = 0; i < kEntries; ++i) {
-      boxes_.push_back(RandomBox(&rng, 100.0, 4.0));
+      boxes_.push_back(RandomSegment(&rng, 100.0, 4.0));
     }
   }
+
+  // The reach EntriesInOrder gives entry `i`.
+  static double ReachOf(size_t i) { return static_cast<double>(i % 7); }
 
   // Bulk-loads boxes_ into `env` (default: env_), in StrOrder or in
   // identity order; each entry's payload is its index.
@@ -389,10 +444,8 @@ class RStarTreeEngineTest : public ::testing::Test {
     if (str_order) {
       order = RStarTree::StrOrder(boxes_, RStarTree::LeafCapacityFor(512));
     }
-    std::vector<std::pair<Box, uint64_t>> ordered;
-    for (size_t i : order) ordered.emplace_back(boxes_[i], i);
-    return std::move(
-               RStarTree::BulkLoad(env != nullptr ? env : env_.get(), ordered))
+    return std::move(RStarTree::BulkLoad(env != nullptr ? env : env_.get(),
+                                         EntriesInOrder(boxes_, order)))
         .ValueOrDie();
   }
 
@@ -401,12 +454,11 @@ class RStarTreeEngineTest : public ::testing::Test {
   static std::map<PageId, Box> LeafBoxes(const RStarTree& tree) {
     std::map<PageId, Box> leaves;
     EXPECT_TRUE(tree.VisitNodes([&](PageId id, uint16_t level,
-                                    const std::vector<std::pair<Box, uint64_t>>&
-                                        entries) {
+                                    const std::vector<RTreeEntry>& entries) {
                       if (level != 0) return true;
                       Box mbr;
-                      for (const auto& [box, payload] : entries) {
-                        mbr.ExpandToInclude(box);
+                      for (const RTreeEntry& e : entries) {
+                        mbr.ExpandToInclude(e.box);
                       }
                       leaves.emplace(id, mbr);
                       return true;
@@ -466,7 +518,7 @@ class RStarTreeEngineTest : public ::testing::Test {
                     const std::function<void(uint8_t*)>& mutate) {
     PageId victim = kInvalidPage;
     EXPECT_TRUE(tree.VisitNodes([&](PageId id, uint16_t node_level,
-                                    const std::vector<std::pair<Box, uint64_t>>&) {
+                                    const std::vector<RTreeEntry>&) {
                       if (node_level != level) return true;
                       victim = id;
                       return false;
@@ -518,17 +570,19 @@ TEST_F(RStarTreeEngineTest, UnsortedBulkLoadOrderParity) {
 
 // An armed ScopedRangeFilter prunes inside both traversals: they
 // still return the same sequence, that sequence is exactly the
-// brute-force filter over every leaf entry, and pruning never reads
-// more pages. Nested guards tighten and restore the outer filter.
+// brute-force filter over every leaf entry (with its own reach), and
+// pruning never reads more pages. Nested guards tighten and restore
+// the outer filter.
 TEST_F(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
   const RStarTree tree = BulkLoaded();
   ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
-  // Monotone in the box's upper corner, hence conservative: any MBB
-  // containing an admitted entry is admitted too.
+  // Monotone in the box's upper corner and in the reach, hence
+  // conservative: an internal entry (reach +inf) whose MBB contains an
+  // admitted leaf entry is admitted too.
   struct UpperCornerFilter final : RangeFilter {
     double threshold = 0;
-    bool MayMatch(const Box& b) const override {
-      return b.hi[2] + 0.5 * b.hi[0] >= threshold;
+    bool MayMatch(const Box& b, double reach) const override {
+      return b.hi[2] + 0.5 * b.hi[0] + std::min(reach, 6.0) >= threshold;
     }
   };
   UpperCornerFilter loose;
@@ -548,13 +602,13 @@ TEST_F(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
     for (const UpperCornerFilter* f : {&loose, &tight}) {
       std::vector<uint64_t> brute;
       for (size_t i = 0; i < boxes_.size(); ++i) {
-        if (boxes_[i].Intersects(query) && f->MayMatch(boxes_[i])) {
+        if (boxes_[i].Intersects(query) && f->MayMatch(boxes_[i], ReachOf(i))) {
           brute.push_back(i);
         }
       }
       std::vector<uint64_t> want;  // unfiltered DFS order, then filtered
       for (uint64_t p : unfiltered) {
-        if (f->MayMatch(boxes_[p])) want.push_back(p);
+        if (f->MayMatch(boxes_[p], ReachOf(p))) want.push_back(p);
       }
 
       std::vector<uint64_t> got;
@@ -598,21 +652,47 @@ TEST_F(RStarTreeEngineTest, CorruptNodeLevelIsRejected) {
   ExpectBothTraversalsReject(tree, victim);
 }
 
-// BulkLoad never writes more than LeafCapacityFor(page size) entries
-// to a node, so a count one above it is corrupt even where the entries
-// would still fit in the page. Checked on an internal node (the
-// RangeQuery waves) and on a leaf (its leaf batch).
+// BulkLoad never writes more than its level's capacity
+// (InternalCapacityFor or LeafCapacityFor the page size) to a node, so
+// a count one above it is corrupt even where the entries would still
+// fit in the page. Checked on an internal node (the RangeQuery waves)
+// and on a leaf (its leaf batch).
 TEST_F(RStarTreeEngineTest, CorruptEntryCountIsRejected) {
-  const uint16_t over =
-      static_cast<uint16_t>(RStarTree::LeafCapacityFor(env_->page_size()) + 1);
   for (uint16_t level : {uint16_t{1}, uint16_t{0}}) {
     SCOPED_TRACE("level " + std::to_string(level));
+    const uint32_t page = env_->page_size();
+    const uint32_t cap = level == 0 ? RStarTree::LeafCapacityFor(page)
+                                    : RStarTree::InternalCapacityFor(page);
+    const auto over = static_cast<uint16_t>(cap + 1);
     const RStarTree tree = BulkLoaded();
     ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
     const PageId victim = DamageNode(tree, level, [over](uint8_t* data) {
       std::memcpy(data + 2, &over, sizeof(over));  // the count field
     });
     ExpectBothTraversalsReject(tree, victim);
+  }
+}
+
+// A leaf entry's parent reach (the f32 at entry offset 40, after the
+// segment and payload) bounds the surface-bounded fetch; a NaN,
+// negative or infinite one is corrupt, and every decoder (both
+// traversals and the structural walk) rejects it naming the page.
+TEST_F(RStarTreeEngineTest, CorruptLeafReachIsRejected) {
+  for (float bad : {std::nanf(""), -1.0f,
+                    std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE("reach " + std::to_string(bad));
+    const RStarTree tree = BulkLoaded();
+    ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+    const PageId victim = DamageNode(tree, 0, [bad](uint8_t* data) {
+      std::memcpy(data + 8 + 40, &bad, sizeof(bad));  // entry 0's reach
+    });
+    ExpectBothTraversalsReject(tree, victim);
+    const Status walked = tree.VisitNodes(
+        [](PageId, uint16_t, const std::vector<RTreeEntry>&) { return true; });
+    EXPECT_EQ(walked.code(), StatusCode::kCorruption) << walked.ToString();
+    EXPECT_NE(walked.ToString().find("node " + std::to_string(victim) + " "),
+              std::string::npos)
+        << walked.ToString();
   }
 }
 

@@ -599,7 +599,7 @@ TEST_F(HeapFileTest, RandomizedRoundTripProperty) {
   }
 }
 
-// --- block pages (format v6 group blobs) ----------------------------------
+// --- block pages (group blobs) ---------------------------------------------
 
 TEST_F(HeapFileTest, AppendBlockRoundTripAndAddressing) {
   auto hf = std::move(HeapFile::Create(env_.get())).ValueOrDie();
@@ -730,21 +730,32 @@ TEST_F(StoreVersionTest, CurrentVersionOpens) {
 }
 
 TEST_F(StoreVersionTest, OlderStoreIsVersionMismatchNamingBothVersions) {
-  PatchFormatByte(5);  // a v5 store opened by this (v6) build
+  PatchFormatByte(5);  // a v5 store opened by this (v7) build
   const Status st = Reopen();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kVersionMismatch) << st.ToString();
   EXPECT_NE(st.message().find("v5"), std::string::npos) << st.ToString();
-  EXPECT_NE(st.message().find("v6"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("v7"), std::string::npos) << st.ToString();
 }
 
-TEST_F(StoreVersionTest, NewerStoreIsVersionMismatchNotCorruption) {
-  PatchFormatByte(7);  // a hypothetical v7 store opened by this build
+// v6 stored each R*-tree leaf entry as a 56 B box; a v7 build has no
+// reader for it and refuses the store up front.
+TEST_F(StoreVersionTest, V6StoreIsVersionMismatchNamingV6AndV7) {
+  PatchFormatByte(6);
   const Status st = Reopen();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kVersionMismatch) << st.ToString();
-  EXPECT_NE(st.message().find("v7"), std::string::npos) << st.ToString();
   EXPECT_NE(st.message().find("v6"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("v7"), std::string::npos) << st.ToString();
+}
+
+TEST_F(StoreVersionTest, NewerStoreIsVersionMismatchNotCorruption) {
+  PatchFormatByte(8);  // a hypothetical v8 store opened by this build
+  const Status st = Reopen();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kVersionMismatch) << st.ToString();
+  EXPECT_NE(st.message().find("v8"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("v7"), std::string::npos) << st.ToString();
 }
 
 TEST_F(StoreVersionTest, GarbageFormatByteIsCorruption) {

@@ -37,7 +37,7 @@ fig6_uniform / fig8_viewdep:
 
 ablation_compression:
   * gates are absolute floors on the current run (the baseline file
-    only pins the bench kind and records reference numbers): the v6
+    only pins the bench kind and records reference numbers): the
     group codec (`Compression/2/...`) must fit at least
     --min-group-density times more nodes per page than flat
     (`density_x`), cut cold disk accesses by at least
@@ -148,13 +148,13 @@ def main():
                     "schedule's bounded outage may degrade queries, but "
                     "failover must keep the bulk of the stream clean")
     ap.add_argument("--min-group-density", type=float, default=2.0,
-                    help="floor for the v6 group codec's density_x "
+                    help="floor for the group codec's density_x "
                     "(flat heap pages / group heap pages)")
     ap.add_argument("--min-group-da-ratio", type=float, default=1.5,
-                    help="floor for the v6 group codec's cold "
+                    help="floor for the group codec's cold "
                     "disk-access ratios da_uniform_x / da_view_x")
     ap.add_argument("--max-decode-overhead-pct", type=float, default=10.0,
-                    help="cap on the v6 group codec's warm decode time "
+                    help="cap on the group codec's warm decode time "
                     "over the flat codec's, in percent")
     args = ap.parse_args()
 

@@ -236,7 +236,7 @@ Status RunBuild(const Args& args) {
   const std::string base = args.Get("out");
   if (base.empty()) return Status::InvalidArgument("--out required");
   DmStoreOptions options;
-  // v6 group blocks are the default; --codec flat selects the paper's
+  // Group blocks are the default; --codec flat selects the paper's
   // fixed-width records. Checked before any terrain work.
   if (args.Has("compress")) {
     return Status::InvalidArgument(
