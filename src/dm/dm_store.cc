@@ -91,10 +91,9 @@ Result<DmStore> DmStore::Build(DbEnv* env, const TriangleMesh& base,
                     rec.wing1 = n.wing1;
                     rec.wing2 = n.wing2;
                     rec.connections = connections[idx];
-                    parent_reach[static_cast<size_t>(i)] =
-                        n.is_root() ? 0.0f
-                                    : RoundUpToFloat(XyDistance(
-                                          n.pos, tree.node(n.parent).pos));
+                    parent_reach[static_cast<size_t>(i)] = ParentReach(
+                        n.pos, n.is_root() ? nullptr
+                                           : &tree.node(n.parent).pos);
                   }
                 });
     timings->str_millis = MillisSince(clock);

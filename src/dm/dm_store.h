@@ -110,7 +110,7 @@ class DmStore {
   /// encodes them with `options.codec`, appends them to a new heap,
   /// bulk-loads the R*-tree over their segments in the same order, and
   /// loads the catalog. `parent_reach[i]` is record i's xy distance to
-  /// its parent, rounded up to float (RoundUpToFloat; 0 at the root),
+  /// its parent, rounded up to float (ParentReach; 0 at the root),
   /// stored in its leaf entry for the surface bound (DESIGN.md §18).
   /// `dataset` supplies the dataset-wide meta fields (max_lod,
   /// mean_lod, bounds, reach, id_space); the heap and index ids, the

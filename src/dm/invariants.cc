@@ -365,10 +365,9 @@ int64_t CheckRTree(const DmStore& store, const LoadedNodes& ln,
                         !ln.present[static_cast<size_t>(n.parent)])) {
             continue;
           }
-          const float want =
-              root ? 0.0f
-                   : RoundUpToFloat(XyDistance(
-                         n.pos, ln.nodes[static_cast<size_t>(n.parent)].pos));
+          const float want = ParentReach(
+              n.pos,
+              root ? nullptr : &ln.nodes[static_cast<size_t>(n.parent)].pos);
           if (reach != want) {
             rep.Add(kInvariantParentReach,
                     "leaf entry for " + NodeTag(n.id) + " on page " +

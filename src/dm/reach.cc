@@ -7,12 +7,19 @@
 #include <utility>
 
 namespace dm {
+namespace {
 
 float RoundUpToFloat(double dist) {
   const float f = static_cast<float>(dist);
   return static_cast<double>(f) < dist
              ? std::nextafter(f, std::numeric_limits<float>::infinity())
              : f;
+}
+
+}  // namespace
+
+float ParentReach(const Point3& pos, const Point3* parent) {
+  return parent == nullptr ? 0.0f : RoundUpToFloat(XyDistance(pos, *parent));
 }
 
 ReachTable BuildReachTable(const PmTree& tree) {

@@ -35,9 +35,10 @@ inline double XyDistance(const Point3& a, const Point3& b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-/// `dist` rounded up to float: the parent reach an R*-tree leaf entry
-/// stores (format v7), never below the distance it bounds.
-float RoundUpToFloat(double dist);
+/// The parent reach an R*-tree leaf entry stores (format v7): the xy
+/// distance from `pos` to `parent` rounded up to float, so never below
+/// the distance it bounds; 0 when there is no parent (the root).
+float ParentReach(const Point3& pos, const Point3* parent);
 
 /// Computes D from the PM tree: one pass over the parent links plus
 /// one sort by e_high.

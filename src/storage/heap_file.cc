@@ -285,20 +285,13 @@ Status HeapFile::GetMany(
     const std::function<Status(RecordId, const uint8_t*, uint32_t)>& callback,
     std::vector<RecordFetchFailure>* failures) const {
   // Grow runs of consecutive distinct pages, capped by the pool's pin
-  // budget, and hand them all to the pool in one batch. Scratch is
-  // thread-local, as in RStarTree::RangeQuery, so a query's fetch
-  // allocates nothing in the steady state; GetMany is therefore not
-  // reentrant within a thread (callbacks must not call it).
+  // budget, and hand them all to the pool in one batch.
   struct Span {
     size_t begin;
     size_t end;  // rid index range served by this run
   };
-  thread_local std::vector<Span> spans;
-  thread_local std::vector<BufferPool::RunRequest> runs;
-  thread_local std::vector<size_t> failed_runs;
-  spans.clear();
-  runs.clear();
-  failed_runs.clear();
+  std::vector<Span> spans;
+  std::vector<BufferPool::RunRequest> runs;
   const uint32_t max_run = env_->pool().MaxRunPages();
   size_t i = 0;
   while (i < rids.size()) {
@@ -327,6 +320,7 @@ Status HeapFile::GetMany(
   // Failed runs fall back to per-page fetches, but not from inside the
   // run callback (it must not re-enter the pool) — queue them for a
   // pass after the batch drains.
+  std::vector<size_t> failed_runs;
   DM_RETURN_NOT_OK(env_->pool().FetchRuns(
       runs.data(), runs.size(),
       [&](size_t ri, Status run_st, std::vector<PageGuard>* guards) {

@@ -117,9 +117,6 @@ class HeapFile {
   /// lost record lands in `failures` with the Status that killed it,
   /// and the call still returns OK. Callback errors (the caller's own
   /// decode logic) stay fatal either way.
-  ///
-  /// The run scratch is thread-local, so the callback must not call
-  /// GetMany on the same thread.
   Status GetMany(
       const std::vector<RecordId>& rids,
       const std::function<Status(RecordId, const uint8_t*, uint32_t)>&

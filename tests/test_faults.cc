@@ -532,7 +532,8 @@ TEST(Degradation, GroupCodecLostPageFailsTheWholeGroup) {
   group.codec = DmCodec::kGroup;
   FaultDb db = BuildFaultDb("degrade_group", 49, {}, group);
   ASSERT_EQ(db.store->meta().codec, DmCodec::kGroup);
-  const double e = db.store->meta().max_lod * 0.01;
+  // At this LOD the query's final heap read is a single page.
+  const double e = db.store->meta().max_lod * 0.02;
 
   DmQueryProcessor healthy_proc(db.store.get());
   ASSERT_TRUE(db.env->FlushAll().ok());
@@ -543,9 +544,7 @@ TEST(Degradation, GroupCodecLostPageFailsTheWholeGroup) {
   const uint64_t query_ops = db.device->stats().ops.load() - ops0;
   ASSERT_GT(query_ops, 1u);
 
-  // Fail exactly the final heap read (index pages stay healthy). It is
-  // one coalesced run, of one page or a few adjacent ones, so its
-  // tolerant per-page re-fetch loses each of them.
+  // Fail exactly the final heap read (index pages stay healthy).
   FaultPlan plan;
   plan.seed = 7;
   plan.read_error_rate = 1.0;
@@ -561,9 +560,16 @@ TEST(Degradation, GroupCodecLostPageFailsTheWholeGroup) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const QueryHealth& h = r.value().health;
   EXPECT_TRUE(h.degraded);
-  EXPECT_GE(h.pages_failed, 1);
-  // A group page is lost whole: each lost page takes several records.
-  EXPECT_GT(h.records_failed, h.pages_failed);
+  // Every op from the failed one on fails, so the pages and records
+  // the degraded run did not get are exactly the ones it lost.
+  const QueryStats& hs = healthy.value().stats;
+  const QueryStats& ds = r.value().stats;
+  ASSERT_EQ(hs.disk_accesses - ds.disk_accesses, 1)
+      << "the final heap read is no longer one page; pick another LOD";
+  EXPECT_EQ(h.pages_failed, 1);
+  EXPECT_EQ(h.records_failed, hs.nodes_fetched - ds.nodes_fetched);
+  // A group page is lost whole: the one lost page takes several records.
+  EXPECT_GT(h.records_failed, 1);
   ExpectValidMesh(r.value());
   // Accounting sanity: the mesh can lose at most the lost records.
   EXPECT_GE(r.value().vertices.size() + static_cast<size_t>(h.records_failed),
