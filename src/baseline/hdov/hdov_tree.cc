@@ -328,7 +328,7 @@ Result<HdovTree> HdovTree::Build(DbEnv* env, const TriangleMesh& base,
 }
 
 Result<HdovTree> HdovTree::Open(DbEnv* env, const HdovMeta& meta) {
-  HeapFile heap = HeapFile::Open(env, meta.heap_first);
+  DM_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Open(env, meta.heap_first));
   HdovTree hdov(env, std::move(heap));
   hdov.meta_ = meta;
   return hdov;

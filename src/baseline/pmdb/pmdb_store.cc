@@ -138,7 +138,7 @@ Result<PmDbStore> PmDbStore::Build(DbEnv* env, const PmTree& tree) {
 }
 
 Result<PmDbStore> PmDbStore::Open(DbEnv* env, const PmDbMeta& meta) {
-  HeapFile heap = HeapFile::Open(env, meta.heap_first);
+  DM_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Open(env, meta.heap_first));
   LodQuadtree quadtree =
       LodQuadtree::Open(env, meta.quadtree_root, meta.quadtree_size);
   BPlusTree btree = BPlusTree::Open(env, meta.btree_root, meta.btree_size);

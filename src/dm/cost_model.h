@@ -120,9 +120,9 @@ struct CostModelInputs {
   /// Null only for a source with no catalog; the optimizer then never
   /// splits.
   std::shared_ptr<const CostCatalog> catalog;
-  /// Parent-reach table of the store (DmMeta::reach), or nullptr when
-  /// the store has none; view-dependent queries then fetch the whole
-  /// cube. Points into the store, so a query never copies it.
+  /// Parent-reach table of the source (DmMeta::reach, or the merge of
+  /// every shard's); null only beside a null catalog. Points into the
+  /// source, so a query never copies it.
   const ReachTable* reach = nullptr;
 };
 

@@ -78,13 +78,12 @@ class SurfaceBound final : public RangeFilter {
 };
 
 /// The bound for query `q` when `options` ask for one and the source
-/// has a reach table; empty otherwise (the fetch is the plain cube).
+/// has a catalog; empty otherwise (the fetch is the plain cube).
 template <typename Query>
 std::optional<SurfaceBound> MakeBound(const DmQueryOptions& options,
                                       const CostModelInputs& inputs,
                                       const Query& q) {
-  if (!options.bounded_fetch || inputs.reach == nullptr ||
-      inputs.catalog == nullptr) {
+  if (!options.bounded_fetch || inputs.catalog == nullptr) {
     return std::nullopt;
   }
   SurfaceBound bound(*inputs.reach, inputs.catalog->stats().data_space.hi[2],

@@ -160,8 +160,7 @@ struct DmQueryOptions {
   /// skip every index entry refinement cannot reach, using the
   /// source's parent-reach table. Geometry is identical either way;
   /// only nodes fetched and disk reads drop. Off = the paper's plain
-  /// cube fetch, which the paper-reproduction bench arms use. Sources
-  /// without a reach table always fetch the cube.
+  /// cube fetch, which the paper-reproduction bench arms use.
   bool bounded_fetch = true;
 };
 

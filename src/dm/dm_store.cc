@@ -119,6 +119,13 @@ Result<DmStore> DmStore::Write(DbEnv* env, const std::vector<DmNode>& records,
   DM_CHECK(parent_reach.size() == records.size())
       << parent_reach.size() << " parent reaches for " << records.size()
       << " records";
+  const int64_t id_space =
+      std::max(static_cast<int64_t>(records.size()), dataset.id_space);
+  if (ReachTableMissing(dataset.reach, id_space)) {
+    return Status::InvalidArgument(
+        "no parent-reach table for an id space of " +
+        std::to_string(id_space) + " nodes");
+  }
   DmBuildTimings local_timings;
   DmBuildTimings* timings =
       options.timings != nullptr ? options.timings : &local_timings;
@@ -211,13 +218,11 @@ Result<DmStore> DmStore::Write(DbEnv* env, const std::vector<DmNode>& records,
 }
 
 Result<DmStore> DmStore::Open(DbEnv* env, const DmMeta& meta) {
-  HeapFile heap = HeapFile::Open(env, meta.heap_first);
-  RStarTree rtree = RStarTree::Open(env, meta.rtree_root, meta.rtree_size);
+  DM_ASSIGN_OR_RETURN(HeapFile heap, HeapFile::Open(env, meta.heap_first));
+  DM_ASSIGN_OR_RETURN(RStarTree rtree,
+                      RStarTree::Open(env, meta.rtree_root, meta.rtree_size));
   DmStore store(env, std::move(heap), std::move(rtree));
   store.meta_ = meta;
-  // Open() recomputed heap paging; meta_.rtree_root may have rotated
-  // since the caller's snapshot only if they persisted a stale meta —
-  // trust the caller.
   DM_RETURN_NOT_OK(store.LoadCatalog());
   const DbOptions& opts = env->options();
   if (opts.node_cache_bytes > 0) {

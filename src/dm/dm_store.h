@@ -46,8 +46,9 @@ struct DmMeta {
   int64_t id_space = 0;
   /// Parent-reach table D computed at build time (DESIGN.md §18). It
   /// lets view-dependent queries skip index entries refinement cannot
-  /// reach. Empty for stores built before the table existed; those
-  /// queries fetch the whole cube.
+  /// reach. Present in every store whose id space holds more than one
+  /// node (Write and LoadDmMeta refuse one without it); empty only
+  /// when there are no parent links, and then it means D = 0.
   ReachTable reach;
 };
 
@@ -114,7 +115,10 @@ class DmStore {
   /// stored in its leaf entry for the surface bound (DESIGN.md §18).
   /// `dataset` supplies the dataset-wide meta fields (max_lod,
   /// mean_lod, bounds, reach, id_space); the heap and index ids, the
-  /// record counts and the codec are filled here. Build passes the
+  /// record counts and the codec are filled here. InvalidArgument if
+  /// `dataset.reach` is empty while the id space (the larger of the
+  /// record count and `dataset.id_space`) holds more than one node.
+  /// Build passes the
   /// records of a complete store in StrOrder; ShardSet::Build the
   /// records of one region in the source store's heap order, with the
   /// reach its source's leaf entries hold (a shard may lack the
@@ -206,9 +210,7 @@ class DmStore {
   /// Catalog snapshot for the query optimizer: the shared catalog plus
   /// the reach pointer, re-bound on every call so it stays valid even
   /// though DmStore objects are moved around freely.
-  CostModelInputs cost_inputs() const {
-    return {catalog_, meta_.reach.empty() ? nullptr : &meta_.reach};
-  }
+  CostModelInputs cost_inputs() const { return {catalog_, &meta_.reach}; }
 
  private:
   DmStore(DbEnv* env, HeapFile heap, RStarTree rtree)

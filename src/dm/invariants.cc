@@ -186,7 +186,6 @@ void CheckLodIntervals(const LoadedNodes& ln, const DmMeta& meta,
 
 void CheckParentReach(const LoadedNodes& ln, const ReachTable& reach,
                       Reporter& rep) {
-  if (reach.empty()) return;  // built before the table existed
   const int64_t total = static_cast<int64_t>(ln.nodes.size());
   for (VertexId id = 0; id < total; ++id) {
     if (!ln.present[static_cast<size_t>(id)]) continue;

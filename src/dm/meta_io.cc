@@ -1,5 +1,6 @@
 #include "dm/meta_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -80,6 +81,12 @@ Result<LoadedDmMeta> LoadDmMeta(const std::string& path) {
     }
   }
   DM_RETURN_NOT_OK(ValidateReachTable(lm.meta.reach));
+  const int64_t id_space = std::max(lm.meta.num_nodes, lm.meta.id_space);
+  if (ReachTableMissing(lm.meta.reach, id_space)) {
+    return Status::Corruption("meta file: no parent-reach table for an id "
+                              "space of " + std::to_string(id_space) +
+                              " nodes");
+  }
   return lm;
 }
 

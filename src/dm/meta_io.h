@@ -32,10 +32,10 @@ Status SaveDmMeta(
 /// Parses a sidecar written by SaveDmMeta. A `codec=` value goes
 /// through ParseDmCodec, so the retired per-record codec (1) is
 /// NotSupported and any other unknown value is Corruption. The
-/// parent-reach table is one
-/// `reach=h,d` line per breakpoint; a malformed, negative, non-finite
-/// or non-monotone entry is Corruption, and a file without any opens
-/// with an empty table (no bounded fetch).
+/// parent-reach table is one `reach=h,d` line per breakpoint; a
+/// malformed, negative, non-finite or non-monotone entry is
+/// Corruption, and so is a file without any whose id space
+/// (max(num_nodes, id_space)) holds more than one node.
 Result<LoadedDmMeta> LoadDmMeta(const std::string& path);
 
 }  // namespace dm

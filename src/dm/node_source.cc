@@ -40,7 +40,7 @@ Status DmStoreSource::FetchBox(const Box& box, bool allow_degraded,
     }
     return index_st;
   }
-  // Fetch in page order: the R*-tree returns leaf entries in traversal
+  // Fetch in page order: the R*-tree returns leaf entries in leaf-page
   // order, while records are clustered in STR page order; sorting by
   // record id visits each heap page once and lets the store coalesce
   // runs of adjacent pages into scatter-gather disk reads.

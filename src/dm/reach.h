@@ -2,6 +2,7 @@
 #define DIRECTMESH_DM_REACH_H_
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/geometry.h"
@@ -22,9 +23,9 @@ struct ReachStep {
 /// The parent-reach function D as a step table: D(h) is the largest
 /// xy distance between a node and its parent over all nodes with
 /// e_high <= h. Only the breakpoints where the running maximum rises
-/// are stored, so `e_high` and `dist` both strictly increase. An empty
-/// table means "no bound known" (stores built before the table
-/// existed), never "D = 0".
+/// are stored, so `e_high` and `dist` both strictly increase. Every
+/// store carries its table; it is empty only when the store has no
+/// parent links (one node), and then D = 0.
 using ReachTable = std::vector<ReachStep>;
 
 /// The xy distance the table measures (parent links and the
@@ -51,6 +52,13 @@ double ReachAt(const ReachTable& table, double h);
 /// Pointwise maximum of two tables (a bound valid for either store is
 /// valid for their union).
 ReachTable MergeReachTables(const ReachTable& a, const ReachTable& b);
+
+/// True when a store whose id space holds `id_space` nodes lacks the
+/// table it must carry: more than one node means parent links, so only
+/// a one-node store may have an empty table (D = 0).
+inline bool ReachTableMissing(const ReachTable& table, int64_t id_space) {
+  return table.empty() && id_space > 1;
+}
 
 /// Corruption unless every entry is finite and non-negative and both
 /// columns strictly increase. An understated D silently drops nodes

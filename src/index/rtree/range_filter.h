@@ -19,8 +19,7 @@ class RangeFilter {
 };
 
 /// RAII guard arming a RangeFilter on the current thread for every
-/// RStarTree::RangeQuery / RangeQueryEntries in its scope (DESIGN.md
-/// §18). Thread-local rather than a parameter for the same reason as
+/// RStarTree::RangeQuery in its scope (DESIGN.md §18). Thread-local rather than a parameter for the same reason as
 /// ScopedIoDeadline (storage/io_deadline.h): the predicate is chosen
 /// by the query processor several layers above the index, and callers
 /// in between (data sources, routers, decorators) run the traversal

@@ -4,37 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
 
 #include "common/check.h"
-#include "common/thread_annotations.h"
 
 namespace dm {
-
-struct RStarTree::RootCache {
-  Mutex mu;
-  std::shared_ptr<const Node> node DM_GUARDED_BY(mu);
-};
-
-RStarTree::RStarTree(DbEnv* env, PageId root)
-    : env_(env), root_(root), root_cache_(std::make_shared<RootCache>()) {}
-
-Result<std::shared_ptr<const RStarTree::Node>> RStarTree::CachedRoot() const {
-  {
-    MutexLock lock(root_cache_->mu);
-    if (root_cache_->node) return root_cache_->node;
-  }
-  // Read outside the lock; a racing miss reads the same frozen page.
-  DM_ASSIGN_OR_RETURN(Node node, ReadNode(root_));
-  return CacheRoot(std::move(node));
-}
-
-std::shared_ptr<const RStarTree::Node> RStarTree::CacheRoot(Node root) const {
-  auto decoded = std::make_shared<const Node>(std::move(root));
-  MutexLock lock(root_cache_->mu);
-  if (!root_cache_->node) root_cache_->node = decoded;
-  return root_cache_->node;
-}
 
 namespace {
 
@@ -254,16 +227,15 @@ Result<RStarTree> RStarTree::BulkLoad(DbEnv* env,
           " (payload " + std::to_string(e.payload) + ")");
     }
   }
-  RStarTree tree(env, kInvalidPage);
+  RStarTree tree(env);
   if (ordered.empty()) {
-    Node root;
-    root.level = 0;
-    DM_ASSIGN_OR_RETURN(tree.root_, tree.AllocNode(root));
+    DM_ASSIGN_OR_RETURN(tree.root_, tree.AllocNode(tree.root_node_));
     return tree;
   }
 
   // Packs `entries` into nodes at level `lvl`, each full but the last,
-  // and returns one (node box, node page) entry per node written.
+  // and returns one (node box, node page) entry per node written. The
+  // last node written is kept as the root: on the top level it is.
   const auto pack = [&tree](uint16_t lvl,
                             const std::vector<RTreeEntry>& entries)
       -> Result<std::vector<RTreeEntry>> {
@@ -278,6 +250,7 @@ Result<RStarTree> RStarTree::BulkLoad(DbEnv* env,
       DM_ASSIGN_OR_RETURN(const PageId id, tree.AllocNode(node));
       parents.push_back(RTreeEntry{NodeBox(node), id});
     }
+    tree.root_node_ = std::move(node);
     return parents;
   };
   // Leaves first, then each level's parents, until one node remains.
@@ -290,10 +263,12 @@ Result<RStarTree> RStarTree::BulkLoad(DbEnv* env,
   return tree;
 }
 
-RStarTree RStarTree::Open(DbEnv* env, PageId root, int64_t size) {
-  RStarTree t(env, root);
-  t.size_ = size;
-  return t;
+Result<RStarTree> RStarTree::Open(DbEnv* env, PageId root, int64_t size) {
+  RStarTree tree(env);
+  tree.root_ = root;
+  tree.size_ = size;
+  DM_ASSIGN_OR_RETURN(tree.root_node_, tree.ReadNode(root));
+  return tree;
 }
 
 Result<RStarTree::Node> RStarTree::ReadNode(PageId id) const {
@@ -301,7 +276,7 @@ Result<RStarTree::Node> RStarTree::ReadNode(PageId id) const {
   Node node;
   uint16_t count;
   // No level is implied here (the root, audits); the count bound is the
-  // same as the traversals': BulkLoad never writes more than
+  // same as RangeQuery's: BulkLoad never writes more than
   // MaxEntries(level) entries to a node.
   DM_RETURN_NOT_OK(CheckHeader(id, page.data(), -1, &node.level, &count));
   node.entries.resize(count);
@@ -334,237 +309,73 @@ Box RStarTree::NodeBox(const Node& node) {
 
 Status RStarTree::RangeQuery(const Box& query,
                              std::vector<uint64_t>* out) const {
-  // Phase 1: expand the internal levels one wave at a time, fetching
-  // each wave's node pages as one FetchRuns batch (the tree is
-  // balanced, so a wave is always one level), so adjacent node pages
-  // coalesce into one read. Replacing each frontier node in place by
-  // its intersecting children in reverse entry order reproduces the
-  // serial stack traversal's leaf order exactly (the stack pops
-  // children LIFO), so the emitted payload sequence stays
-  // byte-identical to RangeQueryEntries.
+  // One wave per level below the decoded root (the tree is balanced,
+  // so a wave is always one level). Each wave fetches its sorted,
+  // deduplicated pages as one FetchRuns batch, which the pool hands
+  // back run by run in ascending page order.
   thread_local std::vector<PageId> frontier;
   thread_local std::vector<PageId> next_frontier;
-  thread_local std::vector<PageId> leaf_seq;
-  frontier.clear();
-  leaf_seq.clear();
-
-  // The decoded root is cached (every query starts there); a leaf
-  // root degenerates to the serial scan. Seed the frontier with the
-  // root's intersecting children in reverse entry order — the serial
-  // stack's pop order — exactly as the wave loop does below for
-  // deeper levels.
-  DM_ASSIGN_OR_RETURN(std::shared_ptr<const Node> root, CachedRoot());
-  uint16_t level = root->level;
-  if (level == 0) {
-    return RangeQueryEntries(query, [out](const Box&, uint64_t payload) {
-      out->push_back(payload);
-      return true;
-    });
-  }
-  for (auto it = root->entries.rbegin(); it != root->entries.rend(); ++it) {
-    if (it->box.Intersects(query) &&
-        ScopedRangeFilter::Admits(it->box, it->reach)) {
-      frontier.push_back(static_cast<PageId>(it->payload));
+  thread_local std::vector<BufferPool::RunRequest> runs;
+  next_frontier.clear();
+  int level = root_node_.level;
+  // An admitted entry of a node at `level` is a result payload (leaf)
+  // or a child page for the next wave.
+  const auto take = [&](const RTreeEntry& e) {
+    if (!e.box.Intersects(query) ||
+        !ScopedRangeFilter::Admits(e.box, e.reach)) {
+      return;
     }
-  }
-  --level;
+    if (level == 0) {
+      out->push_back(e.payload);
+    } else {
+      next_frontier.push_back(static_cast<PageId>(e.payload));
+    }
+  };
+  for (const RTreeEntry& e : root_node_.entries) take(e);
 
-  // Per-wave scratch: child lists land in slots addressed by sorted
-  // page position (the batch reads in page order), then the next
-  // frontier is assembled in frontier order.
-  thread_local std::vector<PageId> sorted_nodes;
-  thread_local std::vector<std::vector<PageId>> kids;
-  thread_local std::vector<BufferPool::RunRequest> node_runs;
   const uint32_t max_run = env_->pool().MaxRunPages();
-
-  while (level > 0 && !frontier.empty()) {
-    sorted_nodes = frontier;
-    std::sort(sorted_nodes.begin(), sorted_nodes.end());
-    sorted_nodes.erase(std::unique(sorted_nodes.begin(), sorted_nodes.end()),
-                       sorted_nodes.end());
-    for (auto& k : kids) k.clear();  // keep slot capacity across waves
-    if (kids.size() < sorted_nodes.size()) kids.resize(sorted_nodes.size());
-    node_runs.clear();
-    for (size_t i = 0; i < sorted_nodes.size();) {
+  while (level > 0 && !next_frontier.empty()) {
+    --level;
+    frontier.swap(next_frontier);
+    next_frontier.clear();
+    std::sort(frontier.begin(), frontier.end());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    runs.clear();
+    for (size_t i = 0; i < frontier.size();) {
       size_t e = i + 1;
-      while (e < sorted_nodes.size() &&
-             sorted_nodes[e] == sorted_nodes[e - 1] + 1 &&
+      while (e < frontier.size() && frontier[e] == frontier[e - 1] + 1 &&
              static_cast<uint32_t>(e - i) < max_run) {
         ++e;
       }
-      node_runs.push_back({sorted_nodes[i], static_cast<uint32_t>(e - i)});
+      runs.push_back({frontier[i], static_cast<uint32_t>(e - i)});
       i = e;
     }
     Status wave_st;  // sticky first error — index failures are fatal
     DM_RETURN_NOT_OK(env_->pool().FetchRuns(
-        node_runs.data(), node_runs.size(),
+        runs.data(), runs.size(),
         [&](size_t ri, Status st, std::vector<PageGuard>* guards) {
           if (!wave_st.ok()) return;  // skip the remaining runs
           if (!st.ok()) {
             wave_st = std::move(st);
             return;
           }
-          for (uint32_t g = 0; g < node_runs[ri].n; ++g) {
-            const PageId id = node_runs[ri].first + g;
+          for (uint32_t g = 0; g < runs[ri].n; ++g) {
+            const PageId id = runs[ri].first + g;
             const uint8_t* data = (*guards)[g].data();
             uint16_t node_level;
             uint16_t count;
             wave_st = CheckHeader(id, data, level, &node_level, &count);
             if (!wave_st.ok()) return;
-            const size_t pos = static_cast<size_t>(
-                std::lower_bound(sorted_nodes.begin(), sorted_nodes.end(),
-                                 id) -
-                sorted_nodes.begin());
-            std::vector<PageId>& slot = kids[pos];
             RTreeEntry e;
             for (uint16_t i = 0; i < count; ++i) {
               wave_st = DecodeEntry(id, node_level, data, i, &e);
               if (!wave_st.ok()) return;
-              if (e.box.Intersects(query) &&
-                  ScopedRangeFilter::Admits(e.box, e.reach)) {
-                slot.push_back(static_cast<PageId>(e.payload));
-              }
+              take(e);
             }
           }
         }));
     DM_RETURN_NOT_OK(wave_st);
-    next_frontier.clear();
-    for (PageId id : frontier) {
-      const size_t pos = static_cast<size_t>(
-          std::lower_bound(sorted_nodes.begin(), sorted_nodes.end(), id) -
-          sorted_nodes.begin());
-      const std::vector<PageId>& slot = kids[pos];
-      next_frontier.insert(next_frontier.end(), slot.rbegin(), slot.rend());
-    }
-    frontier.swap(next_frontier);
-    --level;
-  }
-  leaf_seq.assign(frontier.begin(), frontier.end());
-  if (leaf_seq.empty()) return Status::OK();
-
-  // Phase 2: fetch every intersecting leaf in one FetchRuns batch,
-  // coalescing runs of consecutive page ids; matches collect into
-  // per-leaf slots in page order and are emitted in the recorded
-  // visit order afterwards.
-  thread_local std::vector<PageId> sorted_leaves;
-  thread_local std::vector<std::vector<uint64_t>> matches;
-  thread_local std::vector<BufferPool::RunRequest> runs;
-  sorted_leaves = leaf_seq;
-  std::sort(sorted_leaves.begin(), sorted_leaves.end());
-  for (auto& m : matches) m.clear();  // keep slot capacity across queries
-  if (matches.size() < sorted_leaves.size()) {
-    matches.resize(sorted_leaves.size());
-  }
-  runs.clear();
-  for (size_t i = 0; i < sorted_leaves.size();) {
-    size_t e = i + 1;
-    while (e < sorted_leaves.size() &&
-           sorted_leaves[e] == sorted_leaves[e - 1] + 1 &&
-           static_cast<uint32_t>(e - i) < max_run) {
-      ++e;
-    }
-    runs.push_back({sorted_leaves[i], static_cast<uint32_t>(e - i)});
-    i = e;
-  }
-
-  Status scan_st;  // sticky first error — index failures are fatal
-  DM_RETURN_NOT_OK(env_->pool().FetchRuns(
-      runs.data(), runs.size(),
-      [&](size_t ri, Status st, std::vector<PageGuard>* guards) {
-        if (!scan_st.ok()) return;  // skip the remaining runs
-        if (!st.ok()) {
-          scan_st = std::move(st);
-          return;
-        }
-        for (uint32_t g = 0; g < runs[ri].n; ++g) {
-          const PageId id = runs[ri].first + g;
-          const uint8_t* data = (*guards)[g].data();
-          uint16_t level;
-          uint16_t count;
-          scan_st = CheckHeader(id, data, 0, &level, &count);
-          if (!scan_st.ok()) return;
-          const size_t pos = static_cast<size_t>(
-              std::lower_bound(sorted_leaves.begin(), sorted_leaves.end(),
-                               id) -
-              sorted_leaves.begin());
-          std::vector<uint64_t>& slot = matches[pos];
-          RTreeEntry e;
-          for (uint16_t i = 0; i < count; ++i) {
-            scan_st = DecodeEntry(id, level, data, i, &e);
-            if (!scan_st.ok()) return;
-            if (e.box.Intersects(query) &&
-                ScopedRangeFilter::Admits(e.box, e.reach)) {
-              slot.push_back(e.payload);
-            }
-          }
-        }
-      }));
-  DM_RETURN_NOT_OK(scan_st);
-  for (PageId id : leaf_seq) {
-    const size_t pos = static_cast<size_t>(
-        std::lower_bound(sorted_leaves.begin(), sorted_leaves.end(), id) -
-        sorted_leaves.begin());
-    out->insert(out->end(), matches[pos].begin(), matches[pos].end());
-  }
-  return Status::OK();
-}
-
-Status RStarTree::RangeQueryEntries(
-    const Box& query,
-    const std::function<bool(const Box&, uint64_t)>& callback) const {
-  // Read-only traversal on the query hot path: entries are decoded
-  // in place from the pinned page instead of materializing a Node
-  // (whose entry vector would heap-allocate per visited page). The
-  // callback runs with the page pinned; it must not re-enter the pool
-  // deeply enough to exhaust frames (existing callers only collect
-  // payloads). The traversal stack is thread-local so the steady state
-  // allocates nothing.
-  // Each stacked page carries the level its parent implies, so a node
-  // whose stored level disagrees is reported instead of having its
-  // child pointers read as leaf payloads (or the reverse).
-  thread_local std::vector<std::pair<PageId, uint16_t>> stack;
-  stack.clear();
-  // Visit the cached decoded root inline (no device read), then walk
-  // the rest of the tree through the pool. Children are pushed in
-  // entry order and popped LIFO, so the visit order is identical to
-  // the original push-the-root traversal.
-  {
-    DM_ASSIGN_OR_RETURN(std::shared_ptr<const Node> root, CachedRoot());
-    for (const RTreeEntry& e : root->entries) {
-      if (!e.box.Intersects(query) ||
-          !ScopedRangeFilter::Admits(e.box, e.reach)) {
-        continue;
-      }
-      if (root->level == 0) {
-        if (!callback(e.box, e.payload)) return Status::OK();
-      } else {
-        stack.emplace_back(static_cast<PageId>(e.payload),
-                           static_cast<uint16_t>(root->level - 1));
-      }
-    }
-  }
-  while (!stack.empty()) {
-    const auto [id, expected_level] = stack.back();
-    stack.pop_back();
-    DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(id));
-    uint16_t level;
-    uint16_t count;
-    DM_RETURN_NOT_OK(
-        CheckHeader(id, page.data(), expected_level, &level, &count));
-    RTreeEntry e;
-    for (uint16_t i = 0; i < count; ++i) {
-      DM_RETURN_NOT_OK(DecodeEntry(id, level, page.data(), i, &e));
-      if (!e.box.Intersects(query) ||
-          !ScopedRangeFilter::Admits(e.box, e.reach)) {
-        continue;
-      }
-      if (level == 0) {
-        if (!callback(e.box, e.payload)) return Status::OK();
-      } else {
-        stack.emplace_back(static_cast<PageId>(e.payload),
-                           static_cast<uint16_t>(level - 1));
-      }
-    }
   }
   return Status::OK();
 }
@@ -578,11 +389,6 @@ Status RStarTree::VisitNodes(
     const PageId id = stack.back();
     stack.pop_back();
     DM_ASSIGN_OR_RETURN(Node node, ReadNode(id));
-    // The walk reads the root page itself, so an audit sees the page as
-    // it is now; like CachedRoot, it also fills a still-empty root
-    // cache, so the walk at store open leaves the root warm for the
-    // first query.
-    if (id == root_) CacheRoot(node);
     if (!callback(id, node.level, node.entries)) return Status::OK();
     if (node.level > 0) {
       for (const RTreeEntry& e : node.entries) {
@@ -591,11 +397,6 @@ Status RStarTree::VisitNodes(
     }
   }
   return Status::OK();
-}
-
-Result<int> RStarTree::Height() const {
-  DM_ASSIGN_OR_RETURN(Node root, ReadNode(root_));
-  return static_cast<int>(root.level) + 1;
 }
 
 }  // namespace dm

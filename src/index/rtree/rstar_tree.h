@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/geometry.h"
@@ -47,17 +46,20 @@ struct RTreeEntry {
 ///
 /// A tree is written once, by BulkLoad over entries in StrOrder (the
 /// packed R-tree that Kamel-Faloutsos's cost model assumes), and never
-/// changes afterwards; there is no dynamic insertion.
+/// changes afterwards; there is no dynamic insertion. BulkLoad keeps
+/// the root node it writes and Open decodes it once, so every query
+/// starts from the decoded root without a page fetch.
 ///
-/// Concurrency: the tree is immutable, so the const traversals
-/// (RangeQuery, RangeQueryEntries, VisitNodes, Height) are safe from
-/// many threads; node pages are materialized through the thread-safe
-/// buffer pool. The only shared mutable state
-/// is the decoded-root cache, filled once under its mutex.
+/// Concurrency: a tree handle, its decoded root included, is immutable
+/// after BulkLoad or Open, so the const members (RangeQuery,
+/// VisitNodes, Height) are safe from many threads; node pages are
+/// materialized through the thread-safe buffer pool.
 class RStarTree {
  public:
-  /// Opens an existing tree.
-  static RStarTree Open(DbEnv* env, PageId root, int64_t size);
+  /// Opens an existing tree and decodes its root page. Fails with the
+  /// root page's fetch status, or Corruption naming it if its header
+  /// or an entry is damaged.
+  static Result<RStarTree> Open(DbEnv* env, PageId root, int64_t size);
 
   /// Computes the Sort-Tile-Recursive packing order (Leutenegger et
   /// al.; the packed R-trees of Kamel-Faloutsos that the paper's cost
@@ -98,34 +100,28 @@ class RStarTree {
   PageId root() const { return root_; }
   int64_t size() const { return size_; }
   /// Number of levels (1 = the root is a leaf).
-  Result<int> Height() const;
+  int Height() const { return root_node_.level + 1; }
 
-  /// Collects payloads of all leaf entries whose box intersects
-  /// `query`. The traversal expands level by level, fetching each
-  /// wave's node pages (and finally every intersecting leaf) as one
-  /// BufferPool::FetchRuns batch, so adjacent node pages coalesce into
-  /// one read. Payloads are emitted in RangeQueryEntries' depth-first
-  /// visit order, so both return the same sequence.
-  ///
-  /// Both traversals also honour the thread's ScopedRangeFilter: an
-  /// internal entry or leaf entry that intersects `query` but fails
-  /// the armed filter (given the entry's reach) is pruned inside the
-  /// same traversal.
+  /// Appends to `out` the payloads of all leaf entries whose box
+  /// intersects `query` and that the thread's ScopedRangeFilter admits
+  /// (given the entry's reach); an internal entry the filter rejects
+  /// prunes its whole subtree. The traversal starts at the decoded
+  /// root and expands one level per wave: each wave's node pages,
+  /// sorted and deduplicated, go to one BufferPool::FetchRuns batch,
+  /// so adjacent pages coalesce into one read. Payloads come in leaf
+  /// page order, then entry order within a leaf; callers that need rid
+  /// order sort them. Corruption naming the page if a node's level
+  /// disagrees with its parent, its count exceeds its capacity, or a
+  /// leaf reach is invalid.
   Status RangeQuery(const Box& query, std::vector<uint64_t>* out) const;
-
-  /// Streaming depth-first variant exposing entry boxes, one pinned
-  /// page at a time; callback may return false to stop. Answers
-  /// RangeQuery on a leaf root and is the reference order RangeQuery
-  /// reproduces.
-  Status RangeQueryEntries(
-      const Box& query,
-      const std::function<bool(const Box&, uint64_t)>& callback) const;
 
   /// Depth-first structural traversal for audits and DmStore's catalog:
   /// the callback sees each node's page id, level, and entries
   /// (RTreeEntry: payloads are child page ids when level > 0, opaque
-  /// leaf payloads at level 0), root first, children popped LIFO as in
-  /// RangeQueryEntries. Returning false stops the walk early.
+  /// leaf payloads at level 0), root first, then the children of each
+  /// node from its last entry to its first. Every node, the root
+  /// included, is read from its page, so an audit sees the pages as
+  /// they are now. Returning false stops the walk early.
   Status VisitNodes(
       const std::function<bool(PageId, uint16_t,
                                const std::vector<RTreeEntry>&)>& callback)
@@ -137,15 +133,7 @@ class RStarTree {
     std::vector<RTreeEntry> entries;
   };
 
-  /// Decoded root node, cached on first use. Every traversal touches
-  /// the root, so a buffer-starved pool would otherwise pay one device
-  /// round trip per query just to re-learn the fan-out. The tree never
-  /// changes after BulkLoad, so the cache is filled once and never goes
-  /// stale. Held behind a shared_ptr so tree handles stay copyable and
-  /// copies share one cache (they view one tree).
-  struct RootCache;
-
-  RStarTree(DbEnv* env, PageId root);
+  explicit RStarTree(DbEnv* env) : env_(env) {}
 
   /// Entries per node at `level`: LeafCapacityFor(page size) at level
   /// 0, InternalCapacityFor(page size) above.
@@ -158,12 +146,6 @@ class RStarTree {
   Status CheckHeader(PageId id, const uint8_t* data, int expected_level,
                      uint16_t* level, uint16_t* count) const;
 
-  /// Returns the cached decoded root, reading it once on a miss.
-  Result<std::shared_ptr<const Node>> CachedRoot() const;
-  /// Installs `root` as the cached root unless one is cached already;
-  /// returns the cached one.
-  std::shared_ptr<const Node> CacheRoot(Node root) const;
-
   Result<Node> ReadNode(PageId id) const;
   /// Writes `node` to a fresh page and returns its id.
   Result<PageId> AllocNode(const Node& node);
@@ -171,9 +153,10 @@ class RStarTree {
   static Box NodeBox(const Node& node);
 
   DbEnv* env_;
-  PageId root_;
+  PageId root_ = kInvalidPage;
   int64_t size_ = 0;
-  std::shared_ptr<RootCache> root_cache_;
+  /// The decoded root node, set once by BulkLoad or Open.
+  Node root_node_;
 };
 
 }  // namespace dm

@@ -160,19 +160,13 @@ ShardRouter::ShardRouter(ShardSet* shards, const ShardRouterOptions& options)
   // so the K disjoint trees contribute exactly their concatenated
   // extents; data space and record totals are global (every shard meta
   // carries the source bounds).
-  bool missing_reach = false;
   CostCatalog::Stats merged;
   for (int s = 0; s < K; ++s) {
     const DmStore& store = *shards_->shard(s).replicas[0]->store;
     const CostCatalog::Stats& shard = store.cost_catalog().stats();
     merged.nodes.insert(merged.nodes.end(), shard.nodes.begin(),
                         shard.nodes.end());
-    const CostModelInputs ci = store.cost_inputs();
-    if (ci.reach != nullptr) {
-      merged_reach_ = MergeReachTables(merged_reach_, *ci.reach);
-    } else {
-      missing_reach = true;
-    }
+    merged_reach_ = MergeReachTables(merged_reach_, store.meta().reach);
     merged.segment_sample.insert(merged.segment_sample.end(),
                                  shard.segment_sample.begin(),
                                  shard.segment_sample.end());
@@ -196,8 +190,6 @@ ShardRouter::ShardRouter(ShardSet* shards, const ShardRouterOptions& options)
   merged.e_map = EAxisMap::FromNodeExtents(merged.nodes);
   merged.total_records = shards_->source_meta().num_nodes;
   merged_catalog_ = std::make_shared<const CostCatalog>(std::move(merged));
-  // A bound is only valid if it covers every shard's links.
-  if (missing_reach) merged_reach_.clear();
 }
 
 Status ShardRouter::FetchBox(const Box& box, bool allow_degraded,
@@ -392,7 +384,7 @@ IoStats ShardRouter::io_stats() const {
 }
 
 CostModelInputs ShardRouter::cost_inputs() const {
-  return {merged_catalog_, merged_reach_.empty() ? nullptr : &merged_reach_};
+  return {merged_catalog_, &merged_reach_};
 }
 
 RouterCounters ShardRouter::counters() const {

@@ -216,8 +216,8 @@ class ShardRouter final : public DmDataSource {
   /// forest of K trees is the sum of its parts), merged segment
   /// sample, global data space.
   std::shared_ptr<const CostCatalog> merged_catalog_;
-  /// Pointwise max of the shards' parent-reach tables; empty (no
-  /// bounded fetch) when any shard lacks one.
+  /// Pointwise max of the shards' parent-reach tables: a bound valid
+  /// for every shard's links.
   ReachTable merged_reach_;
 };
 

@@ -37,33 +37,46 @@ uint16_t LoadU16(const uint8_t* p) {
 void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 void StoreU16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, sizeof(v)); }
 
+/// Writes an empty slotted page with no successor into `page`.
+void InitEmptyPage(PageGuard* page) {
+  StoreU32(page->data() + kNextPageOff, kInvalidPage);
+  StoreU16(page->data() + kSlotCountOff, 0);
+  StoreU16(page->data() + kFreeOffOff, kHeaderSize);
+  page->MarkDirty();
+}
+
 }  // namespace
 
 Result<HeapFile> HeapFile::Create(DbEnv* env) {
   DM_ASSIGN_OR_RETURN(PageGuard page, env->pool().NewPage());
-  StoreU32(page.data() + kNextPageOff, kInvalidPage);
-  StoreU16(page.data() + kSlotCountOff, 0);
-  StoreU16(page.data() + kFreeOffOff, kHeaderSize);
-  page.MarkDirty();
+  InitEmptyPage(&page);
   return HeapFile(env, page.id());
 }
 
-HeapFile HeapFile::Open(DbEnv* env, PageId first_page) {
+Result<HeapFile> HeapFile::Open(DbEnv* env, PageId first_page) {
   HeapFile hf(env, first_page);
   // Walk to the tail to support further appends; also recounts records.
   PageId id = first_page;
   hf.num_pages_ = 0;
-  hf.num_records_ = 0;
   while (id != kInvalidPage) {
-    auto page_or = env->pool().Fetch(id);
-    if (!page_or.ok()) break;  // truncated file: treat walked prefix as all
-    PageGuard page = std::move(page_or).value();
+    DM_ASSIGN_OR_RETURN(PageGuard page, env->pool().Fetch(id));
     hf.num_records_ += PageRecordCount(LoadU16(page.data() + kSlotCountOff));
     ++hf.num_pages_;
     hf.tail_page_ = id;
     id = LoadU32(page.data() + kNextPageOff);
   }
   return hf;
+}
+
+Status HeapFile::ChainFreshPage(PageGuard* tail) {
+  DM_ASSIGN_OR_RETURN(PageGuard fresh, env_->pool().NewPage());
+  InitEmptyPage(&fresh);
+  StoreU32(tail->data() + kNextPageOff, fresh.id());
+  tail->MarkDirty();
+  tail_page_ = fresh.id();
+  ++num_pages_;
+  *tail = std::move(fresh);
+  return Status::OK();
 }
 
 Result<RecordId> HeapFile::Append(const uint8_t* data, uint32_t size) {
@@ -80,16 +93,7 @@ Result<RecordId> HeapFile::Append(const uint8_t* data, uint32_t size) {
   // A block tail has no slot directory to extend: always chain.
   if (IsBlockPage(slot_count) || free_off + size > dir_top) {
     // Tail page full: chain a new page.
-    DM_ASSIGN_OR_RETURN(PageGuard fresh, env_->pool().NewPage());
-    StoreU32(fresh.data() + kNextPageOff, kInvalidPage);
-    StoreU16(fresh.data() + kSlotCountOff, 0);
-    StoreU16(fresh.data() + kFreeOffOff, kHeaderSize);
-    fresh.MarkDirty();
-    StoreU32(page.data() + kNextPageOff, fresh.id());
-    page.MarkDirty();
-    tail_page_ = fresh.id();
-    ++num_pages_;
-    page = std::move(fresh);
+    DM_RETURN_NOT_OK(ChainFreshPage(&page));
     slot_count = 0;
     free_off = kHeaderSize;
   }
@@ -120,16 +124,7 @@ Status HeapFile::AppendMany(const std::vector<std::vector<uint8_t>>& records,
     }
     const uint32_t dir_top = page_size - (slot_count + 1u) * kSlotSize;
     if (IsBlockPage(slot_count) || free_off + size > dir_top) {
-      DM_ASSIGN_OR_RETURN(PageGuard fresh, env_->pool().NewPage());
-      StoreU32(fresh.data() + kNextPageOff, kInvalidPage);
-      StoreU16(fresh.data() + kSlotCountOff, 0);
-      StoreU16(fresh.data() + kFreeOffOff, kHeaderSize);
-      fresh.MarkDirty();
-      StoreU32(page.data() + kNextPageOff, fresh.id());
-      page.MarkDirty();
-      tail_page_ = fresh.id();
-      ++num_pages_;
-      page = std::move(fresh);
+      DM_RETURN_NOT_OK(ChainFreshPage(&page));
       slot_count = 0;
       free_off = kHeaderSize;
     }
@@ -165,16 +160,7 @@ Result<RecordId> HeapFile::AppendBlock(const uint8_t* data, uint32_t size,
   if (tail_slots != 0 || tail_free != kHeaderSize) {
     // Tail already holds data (slotted or block): chain a fresh page so
     // the blob owns its page exclusively.
-    DM_ASSIGN_OR_RETURN(PageGuard fresh, env_->pool().NewPage());
-    StoreU32(fresh.data() + kNextPageOff, kInvalidPage);
-    StoreU16(fresh.data() + kSlotCountOff, 0);
-    StoreU16(fresh.data() + kFreeOffOff, kHeaderSize);
-    fresh.MarkDirty();
-    StoreU32(page.data() + kNextPageOff, fresh.id());
-    page.MarkDirty();
-    tail_page_ = fresh.id();
-    ++num_pages_;
-    page = std::move(fresh);
+    DM_RETURN_NOT_OK(ChainFreshPage(&page));
   }
   std::memcpy(page.data() + kHeaderSize, data, size);
   StoreU16(page.data() + kSlotCountOff,
@@ -370,38 +356,15 @@ Status HeapFile::Scan(
   PageId id = first_page_;
   while (id != kInvalidPage) {
     DM_ASSIGN_OR_RETURN(PageGuard page, env_->pool().Fetch(id));
-    const uint16_t slot_word = LoadU16(page.data() + kSlotCountOff);
-    if (IsBlockPage(slot_word)) {
-      // One callback per logical record, all sharing the blob bytes.
-      const uint16_t count = PageRecordCount(slot_word);
-      const uint16_t free_off = LoadU16(page.data() + kFreeOffOff);
-      DM_ENSURE(free_off > kHeaderSize && free_off <= env_->page_size(),
-                Status::Corruption("block page " + std::to_string(id) +
-                                   ": bad free offset"));
-      const uint8_t* blob = page.data() + kHeaderSize;
-      const auto blob_len = static_cast<uint32_t>(free_off - kHeaderSize);
-      for (uint16_t s = 0; s < count; ++s) {
-        if (!callback(RecordId{id, s}, blob, blob_len)) {
-          return Status::OK();
-        }
-      }
-      id = LoadU32(page.data() + kNextPageOff);
-      continue;
-    }
-    const uint16_t slot_count = slot_word;
-    for (uint16_t s = 0; s < slot_count; ++s) {
-      const uint8_t* slot =
-          page.data() + env_->page_size() - (s + 1u) * kSlotSize;
-      const uint16_t off = LoadU16(slot);
-      const uint16_t len = LoadU16(slot + 2);
-      DM_ENSURE(off >= kHeaderSize &&
-                    static_cast<uint32_t>(off) + len <= env_->page_size(),
-                Status::Corruption("slot " + std::to_string(s) + " on page " +
-                                   std::to_string(id) +
-                                   " points outside the page"));
-      if (!callback(RecordId{id, s}, page.data() + off, len)) {
-        return Status::OK();
-      }
+    // On a block page every record resolves to the shared blob bytes.
+    const uint16_t count =
+        PageRecordCount(LoadU16(page.data() + kSlotCountOff));
+    for (uint16_t s = 0; s < count; ++s) {
+      const uint8_t* data = nullptr;
+      uint16_t len = 0;
+      DM_RETURN_NOT_OK(
+          LocateSlot(page.data(), env_->page_size(), id, s, &data, &len));
+      if (!callback(RecordId{id, s}, data, len)) return Status::OK();
     }
     id = LoadU32(page.data() + kNextPageOff);
   }

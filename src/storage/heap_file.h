@@ -50,8 +50,11 @@ class HeapFile {
   /// Creates a new heap file in `env`, allocating its first page.
   static Result<HeapFile> Create(DbEnv* env);
 
-  /// Opens an existing heap file by its first page id.
-  static HeapFile Open(DbEnv* env, PageId first_page);
+  /// Opens an existing heap file by its first page id, walking the
+  /// page chain to its tail to count pages and records. Fails with the
+  /// status of the first chain page that cannot be fetched (a torn
+  /// chain never opens with a short record count).
+  static Result<HeapFile> Open(DbEnv* env, PageId first_page);
 
   PageId first_page() const { return first_page_; }
   int64_t num_records() const { return num_records_; }
@@ -130,6 +133,10 @@ class HeapFile {
  private:
   HeapFile(DbEnv* env, PageId first_page)
       : env_(env), first_page_(first_page), tail_page_(first_page) {}
+
+  /// Links a fresh, empty page after the tail page `*tail` and makes it
+  /// the new tail: `*tail` then pins the fresh page.
+  Status ChainFreshPage(PageGuard* tail);
 
   /// Tolerant per-page re-fetch of rids[begin, end) after a coalesced
   /// run failed: only the records on bad pages are lost (appended to

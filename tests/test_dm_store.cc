@@ -121,7 +121,65 @@ TEST_F(DmStoreTest, OpenFetchesEachHeapPageAndIndexNodeOnce) {
   EXPECT_EQ(static_cast<int64_t>(
                 reopened.cost_catalog().stats().nodes.size()),
             index_nodes);
-  EXPECT_EQ(fetches, reopened.heap().num_pages() + index_nodes);
+  // The heap chain walk, RStarTree::Open decoding the root, and the
+  // catalog walk over every index node (the root again among them).
+  EXPECT_EQ(fetches, reopened.heap().num_pages() + 1 + index_nodes);
+}
+
+// A heap page the chain walk cannot read fails the open with that
+// page's status, instead of opening the walked prefix as the whole
+// store with a short record count.
+TEST_F(DmStoreTest, OpenRejectsATornHeapChain) {
+  const std::string path = testing::TempDbPath("torn_heap");
+  DmMeta meta;
+  PageId victim = kInvalidPage;
+  uint32_t physical = 0;
+  {
+    auto env = OpenTempEnv("torn_heap");
+    auto built = DmStore::Build(env.get(), scene_->base, scene_->tree,
+                                scene_->sr);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    meta = built.value().meta();
+    // The middle page of the heap chain, in chain (rid) order.
+    std::vector<PageId> chain;
+    ASSERT_TRUE(built.value()
+                    .heap()
+                    .Scan([&](RecordId rid, const uint8_t*, uint32_t) {
+                      if (chain.empty() || chain.back() != rid.page) {
+                        chain.push_back(rid.page);
+                      }
+                      return true;
+                    })
+                    .ok());
+    ASSERT_GE(chain.size(), 3u);
+    victim = chain[chain.size() / 2];
+    physical = env->disk().page_size();
+    ASSERT_TRUE(env->FlushAll().ok());
+  }
+  {
+    // Flip one byte mid-page on disk: the page checksum no longer holds.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    const std::streamoff at = std::streamoff{victim} * physical + 777;
+    f.seekg(at);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0xFF);
+    f.seekp(at);
+    f.write(&byte, 1);
+  }
+  DbOptions reopen;
+  reopen.truncate = false;
+  auto env = DbEnv::Open(path, reopen);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  const auto opened = DmStore::Open(env.value().get(), meta);
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("page " + std::to_string(victim) +
+                                            ":"),
+            std::string::npos)
+      << opened.status().ToString();
+  std::remove(path.c_str());
 }
 
 TEST_F(DmStoreTest, CatalogIsLoaded) {
@@ -452,42 +510,61 @@ TEST_F(ReachMetaFileTest, LegacyRepackedLineIsIgnored) {
   EXPECT_TRUE(DmStore::Open(env_, b).ok());
 }
 
-// A meta file from before the table existed opens with no bound and
-// fetches the whole cube — with the same geometry as a bounded fetch.
-TEST_F(ReachMetaFileTest, MissingTableFetchesTheCube) {
-  Rewrite([](std::vector<std::string>* l) {
-    l->erase(std::remove_if(l->begin(), l->end(),
-                            [](const std::string& s) {
-                              return s.rfind("reach=", 0) == 0;
-                            }),
-             l->end());
-  });
-  auto loaded = LoadDmMeta(meta_path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().meta.reach.empty());
-  auto legacy = DmStore::Open(env_, loaded.value().meta);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy.value().cost_inputs().reach, nullptr);
+// Every store is written with its reach table, so a meta file without
+// one describes no store that can open: LoadDmMeta rejects it as
+// Corruption once the id space (max(num_nodes, id_space)) holds more
+// than one node. With one node there are no parent links, and the
+// empty table (D = 0) is legitimate.
+TEST_F(ReachMetaFileTest, MissingTableIsRejected) {
+  const auto edit = [](const std::string& num_nodes, const char* id_space) {
+    return [num_nodes, id_space](std::vector<std::string>* l) {
+      std::vector<std::string> kept;
+      for (const std::string& s : *l) {
+        if (s.rfind("reach=", 0) == 0) continue;
+        kept.push_back(s.rfind("num_nodes=", 0) == 0 ? num_nodes : s);
+      }
+      if (id_space != nullptr) kept.push_back(id_space);
+      *l = std::move(kept);
+    };
+  };
+  Rewrite(edit("num_nodes=" + std::to_string(store_->meta().num_nodes),
+               nullptr));
+  const auto missing = LoadDmMeta(meta_path_);
+  EXPECT_EQ(missing.status().code(), StatusCode::kCorruption)
+      << missing.status().ToString();
+  EXPECT_NE(missing.status().ToString().find("parent-reach"),
+            std::string::npos)
+      << missing.status().ToString();
+  // A one-record shard of a larger store still has parent links.
+  Rewrite(edit("num_nodes=1", "id_space=2"));
+  EXPECT_EQ(LoadDmMeta(meta_path_).status().code(), StatusCode::kCorruption);
+  Rewrite(edit("num_nodes=1", nullptr));
+  const auto single = LoadDmMeta(meta_path_);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_TRUE(single.value().meta.reach.empty());
+}
 
-  const Rect b = scene_->tree.bounds();
-  ViewQuery q = ViewQuery::FromAngle(
-      Rect::Of(b.lo_x + 0.1 * b.width(), b.lo_y + 0.2 * b.height(),
-               b.lo_x + 0.8 * b.width(), b.lo_y + 0.9 * b.height()),
-      0.01 * scene_->tree.max_lod(), 0.5, scene_->tree.max_lod());
-  DmQueryOptions cube;
-  cube.bounded_fetch = false;
-  auto on_legacy = DmQueryProcessor(&legacy.value()).SingleBase(q);
-  auto cube_fetch = DmQueryProcessor(store_, cube).SingleBase(q);
-  auto bounded = DmQueryProcessor(store_).SingleBase(q);
-  ASSERT_TRUE(on_legacy.ok() && cube_fetch.ok() && bounded.ok());
-  EXPECT_EQ(on_legacy.value().stats.nodes_fetched,
-            cube_fetch.value().stats.nodes_fetched);
-  EXPECT_LT(bounded.value().stats.nodes_fetched,
-            cube_fetch.value().stats.nodes_fetched);
-  EXPECT_EQ(on_legacy.value().vertices, bounded.value().vertices);
-  EXPECT_EQ(on_legacy.value().positions, bounded.value().positions);
-  EXPECT_EQ(on_legacy.value().triangles.size(),
-            bounded.value().triangles.size());
+// DmStore::Write refuses to lay down the store such a meta file would
+// describe, by the same id-space rule.
+TEST_F(DmStoreTest, WriteRequiresAReachTable) {
+  auto env = OpenTempEnv("reach_write");
+  DmMeta dataset = store_->meta();
+  dataset.reach.clear();
+  std::vector<DmNode> records(2);
+  records[0].id = 0;
+  records[1].id = 1;
+  const auto two = DmStore::Write(env.get(), records, {0.0f, 0.0f}, dataset);
+  EXPECT_EQ(two.status().code(), StatusCode::kInvalidArgument)
+      << two.status().ToString();
+  records.pop_back();
+  dataset.id_space = 2;
+  const auto shard = DmStore::Write(env.get(), records, {0.0f}, dataset);
+  EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument)
+      << shard.status().ToString();
+  dataset.id_space = 0;
+  const auto single = DmStore::Write(env.get(), records, {0.0f}, dataset);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_TRUE(single.value().cost_inputs().reach->empty());
 }
 
 }  // namespace

@@ -197,24 +197,24 @@ TEST_F(RStarTreeTest, ColdQueryIoIsLogarithmicForPointLookup) {
   EXPECT_LT(env_->stats().disk_reads, 40);
 }
 
-TEST_F(RStarTreeTest, StreamingQueryCanStopEarly) {
+TEST_F(RStarTreeTest, VisitNodesCanStopEarly) {
   Rng rng(5);
   std::vector<Box> boxes;
   for (int i = 0; i < 500; ++i) boxes.push_back(RandomSegment(&rng, 10.0, 1.0));
   const RStarTree tree = Load(boxes);
   int seen = 0;
-  ASSERT_TRUE(tree.RangeQueryEntries(Box::Of(0, 0, 0, 10, 10, 10),
-                                     [&](const Box&, uint64_t) {
-                                       return ++seen < 7;
-                                     })
+  ASSERT_TRUE(tree.VisitNodes([&](PageId, uint16_t,
+                                  const std::vector<RTreeEntry>&) {
+                    return ++seen < 3;
+                  })
                   .ok());
-  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(seen, 3);
 }
 
 TEST_F(RStarTreeTest, DuplicateBoxesAllRetained) {
   const Box b = Box::Segment(1, 1, 1, 2);
   const RStarTree tree = Load(std::vector<Box>(200, b));
-  EXPECT_GT(std::move(tree.Height()).ValueOrDie(), 1);
+  EXPECT_GT(tree.Height(), 1);
   std::vector<uint64_t> out;
   ASSERT_TRUE(tree.RangeQuery(b, &out).ok());
   std::sort(out.begin(), out.end());
@@ -268,7 +268,7 @@ TEST_F(RStarTreeTest, BulkLoadMatchesBruteForceQueries) {
   }
   const RStarTree tree = Load(boxes);
   EXPECT_EQ(tree.size(), 3000);
-  EXPECT_GT(std::move(tree.Height()).ValueOrDie(), 1);
+  EXPECT_GT(tree.Height(), 1);
 
   for (int q = 0; q < 20; ++q) {
     const Box query = RandomBox(&rng, 80, 15);
@@ -290,7 +290,7 @@ TEST_F(RStarTreeTest, BulkLoadHandlesEdgeSizes) {
   std::vector<uint64_t> out;
   ASSERT_TRUE(empty.RangeQuery(Box::Of(0, 0, 0, 1, 1, 1), &out).ok());
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(std::move(empty.Height()).ValueOrDie(), 1);  // one empty leaf
+  EXPECT_EQ(empty.Height(), 1);  // one empty leaf
 
   const uint32_t cap = RStarTree::LeafCapacityFor(512);
   for (uint32_t n : {1u, cap, cap + 1}) {
@@ -416,10 +416,71 @@ TEST_F(RStarTreeTest, StrOrderLeavesNeverStraddleCells) {
   }
 }
 
-// ---- one index engine, two traversals ------------------------------
+// ---- RangeQuery against an in-memory oracle ------------------------
 
-// RangeQuery (level waves over BufferPool::FetchRuns) against
-// RangeQueryEntries (depth-first, one pinned page at a time).
+// The whole tree read once through VisitNodes, held in memory: the
+// reference RangeQuery is checked against.
+class TreeOracle {
+ public:
+  explicit TreeOracle(const RStarTree& tree) {
+    EXPECT_TRUE(tree.VisitNodes([&](PageId id, uint16_t level,
+                                    const std::vector<RTreeEntry>& entries) {
+                      nodes_.emplace(id, Node{level, entries});
+                      return true;
+                    }).ok());
+  }
+
+  struct Answer {
+    // Every admitted leaf entry by brute force, in leaf page order and
+    // entry order within a leaf: RangeQuery's output order.
+    std::vector<uint64_t> payloads;
+    // Disk reads of a cold query: one per non-root node whose parent
+    // entry admits the query. Node MBBs nest and the filters are
+    // conservative, so those are exactly the nodes the query reaches;
+    // the root is decoded already.
+    int64_t reads = 0;
+  };
+
+  // The answer for `query` with `filter` armed (none when null).
+  Answer Query(const Box& query, const RangeFilter* filter = nullptr) const {
+    Answer a;
+    for (const auto& [id, node] : nodes_) {  // ascending page ids
+      for (const RTreeEntry& e : node.entries) {
+        if (!e.box.Intersects(query) ||
+            (filter != nullptr && !filter->MayMatch(e.box, e.reach))) {
+          continue;
+        }
+        if (node.level == 0) {
+          a.payloads.push_back(e.payload);
+        } else {
+          ++a.reads;
+        }
+      }
+    }
+    return a;
+  }
+
+  // Leaf pages a query with no filter reads, ascending.
+  std::vector<PageId> LeavesHit(const Box& query) const {
+    std::vector<PageId> hit;
+    for (const auto& [id, node] : nodes_) {
+      if (node.level != 1) continue;
+      for (const RTreeEntry& e : node.entries) {
+        if (e.box.Intersects(query)) hit.push_back(static_cast<PageId>(e.payload));
+      }
+    }
+    std::sort(hit.begin(), hit.end());
+    return hit;
+  }
+
+ private:
+  struct Node {
+    uint16_t level;
+    std::vector<RTreeEntry> entries;
+  };
+  std::map<PageId, Node> nodes_;
+};
+
 class RStarTreeEngineTest : public ::testing::Test {
  protected:
   static constexpr int kEntries = 2000;
@@ -432,9 +493,6 @@ class RStarTreeEngineTest : public ::testing::Test {
       boxes_.push_back(RandomSegment(&rng, 100.0, 4.0));
     }
   }
-
-  // The reach EntriesInOrder gives entry `i`.
-  static double ReachOf(size_t i) { return static_cast<double>(i % 7); }
 
   // Bulk-loads boxes_ into `env` (default: env_), in StrOrder or in
   // identity order; each entry's payload is its index.
@@ -449,64 +507,32 @@ class RStarTreeEngineTest : public ::testing::Test {
         .ValueOrDie();
   }
 
-  // Leaf page -> MBR of its entries. A query reads a leaf exactly when
-  // it intersects this MBR, since every ancestor's MBR contains it.
-  static std::map<PageId, Box> LeafBoxes(const RStarTree& tree) {
-    std::map<PageId, Box> leaves;
-    EXPECT_TRUE(tree.VisitNodes([&](PageId id, uint16_t level,
-                                    const std::vector<RTreeEntry>& entries) {
-                      if (level != 0) return true;
-                      Box mbr;
-                      for (const RTreeEntry& e : entries) {
-                        mbr.ExpandToInclude(e.box);
-                      }
-                      leaves.emplace(id, mbr);
-                      return true;
-                    }).ok());
-    return leaves;
-  }
-
-  // Random boxes, cold: RangeQuery returns RangeQueryEntries' payload
-  // sequence, and reads exactly the nodes the depth-first visitor
-  // pins (each node once: its logical fetches). Returns how many
-  // queries read a set of leaf pages with a gap in its page ids, so
-  // that the leaf batch splits into more than one run.
-  int ExpectParity(const RStarTree& tree) {
-    EXPECT_GE(std::move(tree.Height()).ValueOrDie(), 3);
-    const std::map<PageId, Box> leaves = LeafBoxes(tree);
-    // Both traversals start from the decoded root the first one
-    // caches; warm it so every measured query reads the same pages.
-    std::vector<uint64_t> warm;
-    EXPECT_TRUE(tree.RangeQuery(Box::Of(0, 0, 0, 1, 1, 1), &warm).ok());
+  // Random boxes, cold: RangeQuery returns the oracle's payloads in
+  // its order, and reads (and fetches) exactly the oracle's nodes,
+  // each once. Returns how many queries read a set of leaf pages with
+  // a gap in its page ids, so that the leaf wave splits into more than
+  // one run.
+  int ExpectOracle(const RStarTree& tree) {
+    EXPECT_GE(tree.Height(), 3);
+    const TreeOracle oracle(tree);
     int gapped = 0;
     Rng rng(47);
     for (int q = 0; q < 40; ++q) {
       const Box query = RandomBox(&rng, 100.0, q % 4 == 0 ? 60.0 : 15.0);
-      std::vector<PageId> hit;  // ascending: map order
-      for (const auto& [id, mbr] : leaves) {
-        if (mbr.Intersects(query)) hit.push_back(id);
-      }
+      const std::vector<PageId> hit = oracle.LeavesHit(query);
       if (!hit.empty() &&
           static_cast<size_t>(hit.back() - hit.front()) + 1 != hit.size()) {
         ++gapped;
       }
-
-      EXPECT_TRUE(env_->FlushAll().ok());
-      env_->ResetStats();
-      std::vector<uint64_t> want;
-      EXPECT_TRUE(tree.RangeQueryEntries(query, [&](const Box&, uint64_t p) {
-                        want.push_back(p);
-                        return true;
-                      }).ok());
-      const int64_t visited = env_->stats().logical_fetches;
-      EXPECT_EQ(env_->stats().disk_reads, visited) << "query " << q;
+      const TreeOracle::Answer want = oracle.Query(query);
 
       EXPECT_TRUE(env_->FlushAll().ok());
       env_->ResetStats();
       std::vector<uint64_t> got;
       EXPECT_TRUE(tree.RangeQuery(query, &got).ok());
-      EXPECT_EQ(got, want) << "query " << q;
-      EXPECT_EQ(env_->stats().disk_reads, visited) << "query " << q;
+      EXPECT_EQ(got, want.payloads) << "query " << q;
+      EXPECT_EQ(env_->stats().disk_reads, want.reads) << "query " << q;
+      EXPECT_EQ(env_->stats().logical_fetches, want.reads) << "query " << q;
     }
     return gapped;
   }
@@ -533,49 +559,42 @@ class RStarTreeEngineTest : public ::testing::Test {
     return victim;
   }
 
-  // Both traversals over the whole tree fail with a Corruption that
+  // A RangeQuery over the whole tree fails with a Corruption that
   // names `victim`.
-  void ExpectBothTraversalsReject(const RStarTree& tree, PageId victim) {
-    const Box everything = Box::Of(-1, -1, -1, 1e9, 1e9, 1e9);
-    const std::string page_name = "node " + std::to_string(victim) + " ";
+  static void ExpectRangeQueryRejects(const RStarTree& tree, PageId victim) {
     std::vector<uint64_t> out;
-    const Status batched = tree.RangeQuery(everything, &out);
-    EXPECT_EQ(batched.code(), StatusCode::kCorruption) << batched.ToString();
-    EXPECT_NE(batched.ToString().find(page_name), std::string::npos)
-        << batched.ToString();
-
-    ASSERT_TRUE(env_->FlushAll().ok());
-    const Status visited = tree.RangeQueryEntries(
-        everything, [](const Box&, uint64_t) { return true; });
-    EXPECT_EQ(visited.code(), StatusCode::kCorruption) << visited.ToString();
-    EXPECT_NE(visited.ToString().find(page_name), std::string::npos)
-        << visited.ToString();
+    const Status st = tree.RangeQuery(Box::Of(-1, -1, -1, 1e9, 1e9, 1e9), &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.ToString().find("node " + std::to_string(victim) + " "),
+              std::string::npos)
+        << st.ToString();
   }
 
   std::unique_ptr<DbEnv> env_;
   std::vector<Box> boxes_;
 };
 
-TEST_F(RStarTreeEngineTest, BulkLoadedOrderParity) {
-  ExpectParity(BulkLoaded());
+TEST_F(RStarTreeEngineTest, BulkLoadedOrderMatchesOracle) {
+  ExpectOracle(BulkLoaded());
 }
 
 // Bulk-loaded in identity order, which is not sorted: every leaf MBR
 // spans most of the space and sibling MBRs overlap heavily, so the
 // waves meet page ids that are not adjacent and split into several
-// runs; the parity must hold there too.
-TEST_F(RStarTreeEngineTest, UnsortedBulkLoadOrderParity) {
-  EXPECT_GT(ExpectParity(BulkLoaded(nullptr, /*str_order=*/false)), 0);
+// runs; the oracle must hold there too.
+TEST_F(RStarTreeEngineTest, UnsortedBulkLoadOrderMatchesOracle) {
+  EXPECT_GT(ExpectOracle(BulkLoaded(nullptr, /*str_order=*/false)), 0);
 }
 
-// An armed ScopedRangeFilter prunes inside both traversals: they
-// still return the same sequence, that sequence is exactly the
-// brute-force filter over every leaf entry (with its own reach), and
-// pruning never reads more pages. Nested guards tighten and restore
-// the outer filter.
-TEST_F(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
+// An armed ScopedRangeFilter prunes inside the traversal: the result
+// is exactly the brute-force filter over every leaf entry (with its
+// own reach), the reads are exactly the oracle's, and pruning never
+// reads more pages. Nested guards tighten and restore the outer
+// filter.
+TEST_F(RStarTreeEngineTest, RangeFilterPrunesLikeBruteForce) {
   const RStarTree tree = BulkLoaded();
-  ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+  ASSERT_GE(tree.Height(), 3);
+  const TreeOracle oracle(tree);
   // Monotone in the box's upper corner and in the reach, hence
   // conservative: an internal entry (reach +inf) whose MBB contains an
   // admitted leaf entry is admitted too.
@@ -593,70 +612,48 @@ TEST_F(RStarTreeEngineTest, RangeFilterPrunesBothTraversalsAlike) {
   Rng rng(53);
   for (int q = 0; q < 30; ++q) {
     const Box query = RandomBox(&rng, 100.0, q % 3 == 0 ? 80.0 : 30.0);
-    std::vector<uint64_t> unfiltered;
-    ASSERT_TRUE(env_->FlushAll().ok());
-    env_->ResetStats();
-    ASSERT_TRUE(tree.RangeQuery(query, &unfiltered).ok());
-    const int64_t unfiltered_reads = env_->stats().disk_reads;
-
+    const TreeOracle::Answer unfiltered = oracle.Query(query);
     for (const UpperCornerFilter* f : {&loose, &tight}) {
-      std::vector<uint64_t> brute;
-      for (size_t i = 0; i < boxes_.size(); ++i) {
-        if (boxes_[i].Intersects(query) && f->MayMatch(boxes_[i], ReachOf(i))) {
-          brute.push_back(i);
-        }
-      }
-      std::vector<uint64_t> want;  // unfiltered DFS order, then filtered
-      for (uint64_t p : unfiltered) {
-        if (f->MayMatch(boxes_[p], ReachOf(p))) want.push_back(p);
-      }
-
+      // `tight` admits a subset of what `loose` does, so the nested
+      // pair filters as `f` alone.
+      const TreeOracle::Answer want = oracle.Query(query, f);
       std::vector<uint64_t> got;
-      std::vector<uint64_t> visited;
       ASSERT_TRUE(env_->FlushAll().ok());
       env_->ResetStats();
       {
         ScopedRangeFilter outer(&loose);
         ScopedRangeFilter inner(f);
         ASSERT_TRUE(tree.RangeQuery(query, &got).ok());
-        EXPECT_LE(env_->stats().disk_reads, unfiltered_reads) << "query " << q;
-        ASSERT_TRUE(tree.RangeQueryEntries(query, [&](const Box&, uint64_t p) {
-                          visited.push_back(p);
-                          return true;
-                        }).ok());
       }
-      EXPECT_EQ(got, want) << "query " << q;
-      EXPECT_EQ(visited, want) << "query " << q;
-      std::vector<uint64_t> sorted = got;
-      std::sort(sorted.begin(), sorted.end());
-      EXPECT_EQ(sorted, brute) << "query " << q;
+      EXPECT_EQ(got, want.payloads) << "query " << q;
+      EXPECT_EQ(env_->stats().disk_reads, want.reads) << "query " << q;
+      EXPECT_LE(want.reads, unfiltered.reads) << "query " << q;
     }
     // Guards restored: unfiltered again.
     std::vector<uint64_t> after;
     ASSERT_TRUE(tree.RangeQuery(query, &after).ok());
-    EXPECT_EQ(after, unfiltered) << "query " << q;
+    EXPECT_EQ(after, unfiltered.payloads) << "query " << q;
   }
 }
 
 // A node whose stored level disagrees with its parent (valid CRC, so
-// only the structure check can catch it) fails both traversals with a
+// only the structure check can catch it) fails the query with a
 // Corruption naming the page, instead of reading child page ids as
 // leaf payloads.
 TEST_F(RStarTreeEngineTest, CorruptNodeLevelIsRejected) {
   const RStarTree tree = BulkLoaded();
-  ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+  ASSERT_GE(tree.Height(), 3);
   const PageId victim = DamageNode(tree, 1, [](uint8_t* data) {
     const uint16_t leaf_level = 0;
     std::memcpy(data, &leaf_level, sizeof(leaf_level));
   });
-  ExpectBothTraversalsReject(tree, victim);
+  ExpectRangeQueryRejects(tree, victim);
 }
 
 // BulkLoad never writes more than its level's capacity
 // (InternalCapacityFor or LeafCapacityFor the page size) to a node, so
 // a count one above it is corrupt even where the entries would still
-// fit in the page. Checked on an internal node (the RangeQuery waves)
-// and on a leaf (its leaf batch).
+// fit in the page. Checked on an internal node and on a leaf.
 TEST_F(RStarTreeEngineTest, CorruptEntryCountIsRejected) {
   for (uint16_t level : {uint16_t{1}, uint16_t{0}}) {
     SCOPED_TRACE("level " + std::to_string(level));
@@ -665,28 +662,28 @@ TEST_F(RStarTreeEngineTest, CorruptEntryCountIsRejected) {
                                     : RStarTree::InternalCapacityFor(page);
     const auto over = static_cast<uint16_t>(cap + 1);
     const RStarTree tree = BulkLoaded();
-    ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+    ASSERT_GE(tree.Height(), 3);
     const PageId victim = DamageNode(tree, level, [over](uint8_t* data) {
       std::memcpy(data + 2, &over, sizeof(over));  // the count field
     });
-    ExpectBothTraversalsReject(tree, victim);
+    ExpectRangeQueryRejects(tree, victim);
   }
 }
 
 // A leaf entry's parent reach (the f32 at entry offset 40, after the
 // segment and payload) bounds the surface-bounded fetch; a NaN,
-// negative or infinite one is corrupt, and every decoder (both
-// traversals and the structural walk) rejects it naming the page.
+// negative or infinite one is corrupt, and every decoder (RangeQuery
+// and the structural walk) rejects it naming the page.
 TEST_F(RStarTreeEngineTest, CorruptLeafReachIsRejected) {
   for (float bad : {std::nanf(""), -1.0f,
                     std::numeric_limits<float>::infinity()}) {
     SCOPED_TRACE("reach " + std::to_string(bad));
     const RStarTree tree = BulkLoaded();
-    ASSERT_GE(std::move(tree.Height()).ValueOrDie(), 3);
+    ASSERT_GE(tree.Height(), 3);
     const PageId victim = DamageNode(tree, 0, [bad](uint8_t* data) {
       std::memcpy(data + 8 + 40, &bad, sizeof(bad));  // entry 0's reach
     });
-    ExpectBothTraversalsReject(tree, victim);
+    ExpectRangeQueryRejects(tree, victim);
     const Status walked = tree.VisitNodes(
         [](PageId, uint16_t, const std::vector<RTreeEntry>&) { return true; });
     EXPECT_EQ(walked.code(), StatusCode::kCorruption) << walked.ToString();
@@ -696,28 +693,63 @@ TEST_F(RStarTreeEngineTest, CorruptLeafReachIsRejected) {
   }
 }
 
-// The tree never changes after BulkLoad; the only state a traversal
-// mutates is the root cache, filled on first use. Eight threads race
-// to fill it on a freshly opened handle, and each must answer every
-// query exactly as one thread does.
-TEST_F(RStarTreeEngineTest, ConcurrentQueriesOnColdRootCacheAgree) {
+// Open decodes the root once and keeps it: a handle answers from that
+// root even after the root page changes underneath it, while a new
+// Open of a damaged root fails with a Corruption naming the page.
+TEST_F(RStarTreeEngineTest, OpenDecodesTheRootOnce) {
+  const RStarTree built = BulkLoaded();
+  auto opened_or = RStarTree::Open(env_.get(), built.root(), built.size());
+  ASSERT_TRUE(opened_or.ok()) << opened_or.status().ToString();
+  const RStarTree& opened = opened_or.value();
+  EXPECT_EQ(opened.Height(), built.Height());
+  EXPECT_EQ(opened.size(), built.size());
+  const Box everything = Box::Of(-1, -1, -1, 1e9, 1e9, 1e9);
+  std::vector<uint64_t> want;
+  ASSERT_TRUE(built.RangeQuery(everything, &want).ok());
+  EXPECT_EQ(want.size(), static_cast<size_t>(kEntries));
+
+  const PageId root = DamageNode(built, static_cast<uint16_t>(built.Height() - 1),
+                                 [](uint8_t* data) {
+                                   const uint16_t over = 0xFFFF;
+                                   std::memcpy(data + 2, &over, sizeof(over));
+                                 });
+  ASSERT_EQ(root, built.root());
+  std::vector<uint64_t> got;
+  ASSERT_TRUE(opened.RangeQuery(everything, &got).ok());
+  EXPECT_EQ(got, want);
+  const auto reopened = RStarTree::Open(env_.get(), root, built.size());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().ToString().find("node " + std::to_string(root) +
+                                              " "),
+            std::string::npos)
+      << reopened.status().ToString();
+}
+
+// The tree and its decoded root never change after Open, so a
+// traversal mutates no shared state. Eight threads query one freshly
+// opened handle over a cold pool at once, and each must answer every
+// query exactly as the oracle does.
+TEST_F(RStarTreeEngineTest, ConcurrentQueriesOnOneHandleAgree) {
   // A pool that holds the whole tree, with room for every thread's
   // largest pinned run at once.
   auto env = dm::testing::OpenTempEnv(
       "rtree_concurrent", DbOptions{.page_size = 512, .pool_pages = 1024});
   const RStarTree built = BulkLoaded(env.get());
-  ASSERT_GE(std::move(built.Height()).ValueOrDie(), 3);
+  ASSERT_GE(built.Height(), 3);
+  const TreeOracle oracle(built);
   Rng rng(59);
   std::vector<Box> queries;
+  std::vector<std::vector<uint64_t>> want;
   for (int q = 0; q < 24; ++q) {
     queries.push_back(RandomBox(&rng, 100.0, q % 4 == 0 ? 60.0 : 15.0));
-  }
-  std::vector<std::vector<uint64_t>> want(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ASSERT_TRUE(built.RangeQuery(queries[q], &want[q]).ok());
+    want.push_back(oracle.Query(queries.back()).payloads);
   }
 
-  const RStarTree fresh = RStarTree::Open(env.get(), built.root(), built.size());
+  ASSERT_TRUE(env->FlushAll().ok());
+  auto opened = RStarTree::Open(env.get(), built.root(), built.size());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const RStarTree& handle = opened.value();
   constexpr int kThreads = 8;
   std::vector<std::vector<std::vector<uint64_t>>> got(
       kThreads, std::vector<std::vector<uint64_t>>(queries.size()));
@@ -731,7 +763,7 @@ TEST_F(RStarTreeEngineTest, ConcurrentQueriesOnColdRootCacheAgree) {
       // Staggered starts, so threads are not in lock step.
       for (size_t i = 0; i < queries.size(); ++i) {
         const size_t q = (i + static_cast<size_t>(t)) % queries.size();
-        Status st = fresh.RangeQuery(queries[q], &got[t][q]);
+        Status st = handle.RangeQuery(queries[q], &got[t][q]);
         if (!st.ok()) {
           status[t] = std::move(st);
           return;

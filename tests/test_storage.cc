@@ -426,7 +426,7 @@ TEST_F(HeapFileTest, OpenRecountsRecords) {
       ASSERT_TRUE(hf.Append(&b, 1).ok());
     }
   }
-  HeapFile hf = HeapFile::Open(env_.get(), first);
+  HeapFile hf = std::move(HeapFile::Open(env_.get(), first)).ValueOrDie();
   EXPECT_EQ(hf.num_records(), 77);
   // Appends continue at the tail.
   const uint8_t b = 9;
@@ -659,7 +659,7 @@ TEST_F(HeapFileTest, BlockPagesChainAndRecount) {
     EXPECT_EQ(hf.num_pages(), 4);
   }
   // Open() recounts block records via the masked slot word.
-  HeapFile hf = HeapFile::Open(env_.get(), first);
+  HeapFile hf = std::move(HeapFile::Open(env_.get(), first)).ValueOrDie();
   EXPECT_EQ(hf.num_records(), 12);
   EXPECT_EQ(hf.num_pages(), 4);
 }
